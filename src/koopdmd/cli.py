@@ -109,14 +109,13 @@ def _take(d: dict, section: str, known: tuple[str, ...]) -> None:
 
 
 def _parse_system(d: dict) -> SystemConfig:
-    _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed",
-                        "sigma", "rho", "beta", "mu", "omega", "omega1", "omega2", "matrix"))
+    _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed")
+          + tuple(p for names in systems.REQUIRED_PARAMS.values() for p in names))
     kind = d.get("kind")
     _require(isinstance(kind, str) and kind in systems.FLOW_KINDS + systems.MAP_KINDS,
              f"system.kind: expected one of {systems.FLOW_KINDS + systems.MAP_KINDS}, got {kind!r}")
     params = {}
-    for p in {"lorenz": ("sigma", "rho", "beta"), "vanderpol": ("mu",), "circle": ("omega",),
-              "torus": ("omega1", "omega2"), "linear": ("matrix",)}[kind]:
+    for p in systems.REQUIRED_PARAMS[kind]:
         _require(p in d, f"system.{p}: required for kind={kind}")
         params[p] = d[p]
     z0 = d.get("z0")
@@ -421,8 +420,6 @@ def _build_series(cfg: RunConfig):
         z0s = [systems.lorenz_initial_state(sc.seed)]
     else:
         z0s = [np.asarray(z, dtype=float) for z in sc.z0s]
-    _require(e.interleave or len(z0s) == 1,
-             "embedding.interleave must be true when system.z0 lists several states")
     trajectories = []
     for z0 in z0s:
         spec = systems.SystemSpec(kind=sc.kind, params=dict(sc.params), z0=z0,

@@ -1,20 +1,24 @@
 """Dynamic mode decomposition variants on sequential or Hankel data.
 
 Four decompositions of a data pair (X, Y) where Y holds the one-step
-advance of X's columns:
+advance of X's columns. The three SVD-based variants share one core:
+factor X once, keep its leading singular triplets, project the one-step
+map onto them, eigendecompose the projected operator, and form the
+projected modes W w_j. Each variant computes only what it returns.
 
 * companion_dmd: fits the last column of a sequential data matrix as a
-  linear combination of the earlier ones and eigendecomposes the
-  resulting companion matrix. Cheap, but ill-conditioned for noisy or
-  nearly dependent data; refuses rank-deficient input.
-* svd_dmd: projects the one-step map onto the full left singular basis
-  of X and eigendecomposes the projected operator.
-* exact_dmd: same projection on a hard-thresholded SVD of X; returns
-  both exact modes (eigenvectors of the full-size one-step operator for
-  eigenvalues inside the data range) and projected modes.
-* hankel_dmd: exact_dmd applied to a composite Hankel pair; the
-  projected modes are samples of Koopman eigenfunctions along the
-  trajectory, which is what this variant returns as its modes.
+  linear combination of the earlier ones (one SVD gives both the rank
+  check and the fit) and eigendecomposes the resulting companion matrix.
+  Cheap, but ill-conditioned for noisy or nearly dependent data; refuses
+  rank-deficient input. Independent of the core, so it serves as the
+  reference the SVD variants are checked against.
+* svd_dmd: the core without truncation; refuses X with numerically zero
+  singular values.
+* exact_dmd: the core on a hard-thresholded SVD of X; the only variant
+  that also computes exact modes (eigenvectors of the full-size one-step
+  operator for eigenvalues inside the data range).
+* hankel_dmd: the core on a composite Hankel pair; returns the projected
+  modes only, which sample Koopman eigenfunctions along the trajectory.
 
 Eigenvalues are ordered by descending data energy of their modes (least
 squares against the first data column), ties broken by descending
@@ -104,6 +108,14 @@ def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) ->
     return np.lexsort((phase, -_quantize(np.abs(eigenvalues)), -_quantize(energy)))
 
 
+def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    x = linalg.as_matrix(X, "X")
+    y = linalg.as_matrix(Y, "Y")
+    if x.shape != y.shape:
+        raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
+    return x, y
+
+
 def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     """Companion-matrix DMD on sequential data columns.
 
@@ -120,7 +132,8 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
         raise ValueError(f"D needs at least k+1={k + 1} columns, got {d.shape[1]}")
     x = d[:, :k]
     target = d[:, k]
-    sv = np.linalg.svd(x, compute_uv=False)
+    r = linalg.svd(x)
+    sv = r.S
     if sv[0] == 0.0 or sv[-1] < linalg.DEFAULT_RANK_TOL * sv[0]:
         cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
         raise RankDeficiencyError(
@@ -128,7 +141,8 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
             "use svd_dmd or exact_dmd with a threshold"
         )
     cond = float(sv[0] / sv[-1])
-    c = linalg.pinv(x) @ target
+    # Least-squares fit through the pseudoinverse V S^-1 W^T of the same SVD.
+    c = ((r.V / sv) @ r.W.T) @ target
     er = linalg.eig(companion_matrix(c))
     modes = _unit_columns(x.astype(complex) @ er.eigenvectors)
     residual = float(np.linalg.norm(target - x @ c))
@@ -145,6 +159,38 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     )
 
 
+def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str):
+    """Singular triplets (W, S, V) of x above the hard threshold, and the
+    tail energy sqrt(sum of dropped sigma^2)."""
+    if svd_threshold < 0 or not np.isfinite(svd_threshold):
+        raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
+    if threshold_mode not in ("abs", "rel"):
+        raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
+    r = linalg.svd(x)
+    cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
+    # Exact zeros never survive, not even a zero cutoff: the core divides
+    # by every kept singular value.
+    keep = (r.S >= cutoff) & (r.S > 0.0)
+    if not np.any(keep):
+        raise DecompositionError(
+            f"all singular values fall below the threshold ({cutoff:.3e}); "
+            "nothing to decompose"
+        )
+    return r.W[:, keep], r.S[keep], r.V[:, keep], float(np.sqrt(np.sum(r.S[~keep] ** 2)))
+
+
+def _core(y: np.ndarray, w: np.ndarray, s: np.ndarray, v: np.ndarray):
+    """Project the one-step map onto the kept left singular vectors of X
+    (X ~ w diag(s) v^T) and eigendecompose the projected operator.
+
+    Returns the eigenvalues, the eigenvectors in reduced coordinates, and
+    the projected modes w @ eigenvectors (not normalized).
+    """
+    atilde = (w.T @ y @ v) / s[None, :]
+    er = linalg.eig(atilde)
+    return er.eigenvalues, er.eigenvectors, w.astype(complex) @ er.eigenvectors
+
+
 def svd_dmd(X, Y, dt: float = 1.0) -> DmdResult:
     """SVD-enhanced DMD: project the one-step map onto the full left
     singular basis of X (no truncation).
@@ -153,22 +199,18 @@ def svd_dmd(X, Y, dt: float = 1.0) -> DmdResult:
     projected operator is not defined and exact_dmd with a threshold is
     the right tool.
     """
-    x = linalg.as_matrix(X, "X")
-    y = linalg.as_matrix(Y, "Y")
-    if x.shape != y.shape:
-        raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
+    x, y = _pair(X, Y)
     r = linalg.svd(x)
     tiny = np.finfo(float).eps * max(x.shape)
     if r.S[0] == 0.0 or r.S[-1] <= tiny * r.S[0]:
         raise DecompositionError(
             "X has numerically zero singular values; use exact_dmd with a threshold"
         )
-    atilde = (r.W.T @ y @ r.V) / r.S[None, :]
-    er = linalg.eig(atilde)
-    modes = _unit_columns(r.W.astype(complex) @ er.eigenvectors)
-    order = _energy_order(er.eigenvalues, modes, x[:, 0])
+    vals, _, modes = _core(y, r.W, r.S, r.V)
+    modes = _unit_columns(modes)
+    order = _energy_order(vals, modes, x[:, 0])
     return DmdResult(
-        eigenvalues=er.eigenvalues[order],
+        eigenvalues=vals[order],
         modes=modes[:, order],
         projected_modes=None,
         rank_kept=r.S.size,
@@ -176,39 +218,6 @@ def svd_dmd(X, Y, dt: float = 1.0) -> DmdResult:
         algorithm="svd",
         dt=dt,
     )
-
-
-def _thresholded_core(x: np.ndarray, y: np.ndarray, svd_threshold: float, threshold_mode: str):
-    if svd_threshold < 0 or not np.isfinite(svd_threshold):
-        raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
-    if threshold_mode not in ("abs", "rel"):
-        raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    r = linalg.svd(x)
-    cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
-    keep = r.S >= cutoff
-    if not np.any(keep):
-        raise DecompositionError(
-            f"all singular values fall below the threshold ({cutoff:.3e}); "
-            "nothing to decompose"
-        )
-    w = r.W[:, keep]
-    s = r.S[keep]
-    v = r.V[:, keep]
-    atilde = (w.T @ y @ v) / s[None, :]
-    er = linalg.eig(atilde)
-    projected = w.astype(complex) @ er.eigenvectors
-    # Exact modes: eigenvectors of the full-size one-step operator,
-    # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues.
-    b = y @ (v / s[None, :])
-    undefined = tuple(int(i) for i in np.flatnonzero(np.abs(er.eigenvalues) <= _ZERO_EIG))
-    exact = np.empty_like(projected)
-    for j in range(er.eigenvalues.size):
-        if j in undefined:
-            exact[:, j] = projected[:, j]
-        else:
-            exact[:, j] = (b @ er.eigenvectors[:, j]) / er.eigenvalues[j]
-    residual = float(np.sqrt(np.sum(r.S[~keep] ** 2)))
-    return er.eigenvalues, exact, projected, int(np.sum(keep)), residual, undefined
 
 
 def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
@@ -221,27 +230,27 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
     eigenvalues have no exact mode, are listed in undefined_exact, and
     carry their projected mode instead.
     """
-    x = linalg.as_matrix(X, "X")
-    y = linalg.as_matrix(Y, "Y")
-    if x.shape != y.shape:
-        raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
-    vals, exact, projected, rank, residual, undefined = _thresholded_core(
-        x, y, svd_threshold, threshold_mode
-    )
-    exact = _unit_columns(exact)
+    x, y = _pair(X, Y)
+    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode)
+    vals, vecs, projected = _core(y, w, s, v)
+    # Exact modes: eigenvectors of the full-size one-step operator,
+    # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
+    # eigenvalues divide by 1 and then take their projected mode instead.
+    undefined = np.abs(vals) <= _ZERO_EIG
+    b = y @ (v / s[None, :])
+    lam = np.where(undefined, 1.0, vals)
+    exact = _unit_columns(np.where(undefined, projected, (b @ vecs) / lam))
     projected = _unit_columns(projected)
     order = _energy_order(vals, exact, x[:, 0])
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
     return DmdResult(
         eigenvalues=vals[order],
         modes=exact[:, order],
         projected_modes=projected[:, order],
-        rank_kept=rank,
+        rank_kept=s.size,
         residual=residual,
         algorithm="exact",
         dt=dt,
-        undefined_exact=tuple(sorted(int(inverse[j]) for j in undefined)),
+        undefined_exact=tuple(int(i) for i in np.flatnonzero(undefined[order])),
     )
 
 
@@ -253,17 +262,17 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESH
     The returned modes are the projected modes chi_j = W w_j, whose rows
     sample the Koopman eigenfunctions along the trajectory (row i is
     sample i; with interleaved trajectories row c*i+p is trajectory p at
-    sample i). With sqrt_m_scaling the columns are multiplied by
-    sqrt(rows), normalizing them to unit empirical norm instead of unit
-    2-norm. The default threshold is absolute, which matches the hard
-    cutoff customarily applied to order-one signals.
+    sample i). Exact modes are not computed. With sqrt_m_scaling the
+    columns are multiplied by sqrt(rows), normalizing them to unit
+    empirical norm instead of unit 2-norm. The default threshold is
+    absolute, which matches the hard cutoff customarily applied to
+    order-one signals.
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
     x, y = data.X, data.Y
-    vals, _exact, projected, rank, residual, _undefined = _thresholded_core(
-        x, y, svd_threshold, threshold_mode
-    )
+    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode)
+    vals, _, projected = _core(y, w, s, v)
     projected = _unit_columns(projected)
     order = _energy_order(vals, projected, x[:, 0])
     modes = projected[:, order]
@@ -273,7 +282,7 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESH
         eigenvalues=vals[order],
         modes=modes,
         projected_modes=None,
-        rank_kept=rank,
+        rank_kept=s.size,
         residual=residual,
         algorithm="hankel",
         dt=dt,
@@ -302,10 +311,7 @@ def check_linear_consistency(X, Y, tol: float = 1e-10) -> LinearConsistencyRepor
     below tol (absolute). When the report is consistent, a single linear
     operator A with Y = A X exists exactly within the stated tolerance.
     """
-    x = linalg.as_matrix(X, "X")
-    y = linalg.as_matrix(Y, "Y")
-    if x.shape != y.shape:
-        raise ValueError(f"X and Y must have equal shapes, got {x.shape} vs {y.shape}")
+    x, y = _pair(X, Y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _, s, vh = np.linalg.svd(x, full_matrices=True)
@@ -351,14 +357,7 @@ def write_result_json(result: DmdResult, path) -> None:
 
 def write_modes_csv(result: DmdResult, path) -> None:
     """Mode samples, one complex column per mode as re/im column pairs."""
-    k = result.modes.shape[1]
-    header = []
-    for j in range(k):
-        header += [f"mode{j + 1}_re", f"mode{j + 1}_im"]
-    rows = []
-    for i in range(result.modes.shape[0]):
-        row = []
-        for j in range(k):
-            row += [float(result.modes[i, j].real), float(result.modes[i, j].imag)]
-        rows.append(row)
-    write_csv(path, header, rows)
+    m, k = result.modes.shape
+    header = [f"mode{j + 1}_{part}" for j in range(k) for part in ("re", "im")]
+    pairs = np.stack([result.modes.real, result.modes.imag], axis=2).reshape(m, -1)
+    write_csv(path, header, (row.tolist() for row in pairs))

@@ -21,7 +21,9 @@ MAX_SUBSTEP = 0.005
 FLOW_KINDS = ("lorenz", "vanderpol")
 MAP_KINDS = ("circle", "torus", "linear")
 
-_REQUIRED_PARAMS = {
+# Parameters each system kind requires; the CLI derives its config keys
+# from this table.
+REQUIRED_PARAMS = {
     "lorenz": ("sigma", "rho", "beta"),
     "vanderpol": ("mu",),
     "circle": ("omega",),
@@ -51,7 +53,7 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in FLOW_KINDS + MAP_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        missing = [p for p in _REQUIRED_PARAMS[self.kind] if p not in self.params]
+        missing = [p for p in REQUIRED_PARAMS[self.kind] if p not in self.params]
         if missing:
             raise ValueError(f"{self.kind}: missing parameters {missing}")
         if not (np.isfinite(self.dt) and self.dt > 0):

@@ -159,6 +159,37 @@ class TestExactDmd:
         with pytest.raises(DecompositionError):
             dmd.exact_dmd(x, x, svd_threshold=1e-6, threshold_mode="abs")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold_mode": "rel"},
+        {"threshold_mode": "abs", "svd_threshold": 0.0},
+    ])
+    def test_all_zero_data_raises_even_at_zero_cutoff(self, kwargs):
+        x = np.zeros((6, 3))
+        with pytest.raises(DecompositionError, match="below the threshold"):
+            dmd.exact_dmd(x, x, **kwargs)
+
+    def test_zero_cutoff_drops_exact_zero_singular_values(self):
+        x = np.diag([1.0, 0.0])
+        res = dmd.exact_dmd(x, 0.5 * x, svd_threshold=0.0, threshold_mode="abs")
+        assert res.rank_kept == 1
+        assert_allclose(res.eigenvalues, [0.5], atol=1e-14)
+
+    def test_exact_modes_leave_the_data_range(self):
+        # Y has components outside range(X), so the exact modes (eigenvectors
+        # of the full-size operator Y V S^-1 W^T) differ from the projected
+        # modes W w_j
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((6, 3))
+        y = rng.standard_normal((6, 3))
+        res = dmd.exact_dmd(x, y, svd_threshold=1e-12)
+        w, s, vh = np.linalg.svd(x, full_matrices=False)
+        a = y @ vh.T @ np.diag(1.0 / s) @ w.T
+        assert res.rank_kept == 3 and res.undefined_exact == ()
+        for j, lam in enumerate(res.eigenvalues):
+            phi = res.modes[:, j]
+            assert np.linalg.norm(a @ phi - lam * phi) <= 1e-10
+            assert np.linalg.norm(phi - res.projected_modes[:, j]) > 1e-3
+
     def test_residual_tracks_discarded_energy(self):
         x = np.diag([1.0, 1e-12])
         res = dmd.exact_dmd(x, 0.5 * x, svd_threshold=1e-6, threshold_mode="rel")
