@@ -765,6 +765,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
     except KoopdmdError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -101,7 +101,10 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Permutation ordering modes by their least-squares share of x0."""
-    coeffs, *_ = np.linalg.lstsq(modes, x0.astype(complex), rcond=None)
+    try:
+        coeffs, *_ = np.linalg.lstsq(modes, x0.astype(complex), rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"mode energy least squares did not converge: {exc}") from exc
     energy = np.abs(coeffs) * np.linalg.norm(modes, axis=0)
     phase = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     # lexsort: last key is primary.
@@ -357,7 +360,8 @@ def write_result_json(result: DmdResult, path) -> None:
 
 def write_modes_csv(result: DmdResult, path) -> None:
     """Mode samples, one complex column per mode as re/im column pairs."""
-    m, k = result.modes.shape
+    k = result.modes.shape[1]
     header = [f"mode{j + 1}_{part}" for j in range(k) for part in ("re", "im")]
-    pairs = np.stack([result.modes.real, result.modes.imag], axis=2).reshape(m, -1)
-    write_csv(path, header, (row.tolist() for row in pairs))
+    # A C-contiguous complex128 array viewed as float64 interleaves re, im.
+    pairs = np.ascontiguousarray(result.modes, dtype=np.complex128).view(np.float64)
+    write_csv(path, header, pairs)

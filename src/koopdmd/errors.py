@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericalError (and its
-subclasses) to exit code 3. Plain ValueError is reserved for violated
-call preconditions, which the CLI prevents by validating configs first.
+The CLI maps ConfigError to exit code 2, NumericalError (and its
+subclasses) to exit code 3, and OSError (an unreadable input or an
+unwritable output path) to exit code 4. Plain ValueError is reserved for
+violated call preconditions, which the CLI prevents by validating configs
+first.
 """
 
 

@@ -175,12 +175,10 @@ def write_result_json(result: PodResult, path) -> None:
 def write_basis_csv(result: PodResult, path) -> None:
     """Basis samples, one column per retained basis function."""
     header = [f"psi{j + 1}" for j in range(result.k)]
-    rows = (row.tolist() for row in result.basis_samples)
-    write_csv(path, header, rows)
+    write_csv(path, header, result.basis_samples)
 
 
 def write_coords_csv(result: PodResult, path) -> None:
     """Principal coordinates; row i is data column i."""
     header = [f"v{j + 1}" for j in range(result.k)]
-    rows = (row.tolist() for row in result.principal_coords)
-    write_csv(path, header, rows)
+    write_csv(path, header, result.principal_coords)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embed import TimeSeries
-from .errors import IntegrationError
+from .errors import DecompositionError, IntegrationError
 
 # Largest RK4 substep used when integrating flows, in seconds.
 MAX_SUBSTEP = 0.005
@@ -298,23 +298,26 @@ def seeded_linear_system(seed: int, dim: int = 4, steps: int | None = None) -> S
     rng = np.random.default_rng(seed)
     if steps is None:
         steps = dim
-    for _ in range(1000):
-        a = rng.standard_normal((dim, dim))
-        radius = np.max(np.abs(np.linalg.eigvals(a)))
-        if radius == 0.0:
-            continue
-        a = 0.95 * a / radius
-        vals = np.linalg.eigvals(a)
-        gap = min(
-            abs(vals[i] - vals[j]) for i in range(dim) for j in range(i + 1, dim)
-        )
-        if gap < 0.05:
-            continue
-        z0 = rng.standard_normal(dim)
-        cols = [z0]
-        for _ in range(dim - 1):
-            cols.append(a @ cols[-1])
-        if np.linalg.cond(np.column_stack(cols)) > 1e6:
-            continue
-        return linear_map(a, z0, dt=1.0, steps=steps)
+    try:
+        for _ in range(1000):
+            a = rng.standard_normal((dim, dim))
+            radius = np.max(np.abs(np.linalg.eigvals(a)))
+            if radius == 0.0:
+                continue
+            a = 0.95 * a / radius
+            vals = np.linalg.eigvals(a)
+            gap = min(
+                abs(vals[i] - vals[j]) for i in range(dim) for j in range(i + 1, dim)
+            )
+            if gap < 0.05:
+                continue
+            z0 = rng.standard_normal(dim)
+            cols = [z0]
+            for _ in range(dim - 1):
+                cols.append(a @ cols[-1])
+            if np.linalg.cond(np.column_stack(cols)) > 1e6:
+                continue
+            return linear_map(a, z0, dt=1.0, steps=steps)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"seeded linear system {seed}: {exc}") from exc
     raise RuntimeError(f"no admissible linear system found for seed {seed}")  # pragma: no cover

@@ -223,6 +223,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert "rank deficient" in err
 
+    def test_lstsq_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        assert cli.main(["run", str(path)]) == 3
+        assert "least squares" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert cli.main(["run", "rotation-check", "--out", str(blocker / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and len(err.strip().splitlines()) == 1
+
+    def test_unreadable_csv_exits_4(self, tmp_path, capsys):
+        raw = {"output_dir": str(tmp_path / "out"), "csv": str(tmp_path),
+               "embedding": {"m": 10, "n": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("i/o error:")
+
     def test_threshold_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out")))

@@ -261,6 +261,14 @@ class TestHankelDmd:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.modes, b.modes)
 
+    def test_energy_lstsq_failure_is_decomposition_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(DecompositionError, match="least squares"):
+            dmd.hankel_dmd(embed.composite([rotation_block(m=32, n=8)]))
+
     def test_default_threshold_is_absolute(self):
         blk = rotation_block(m=32, n=8)
         res = dmd.hankel_dmd(embed.composite([blk]))

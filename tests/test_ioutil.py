@@ -1,0 +1,115 @@
+import os
+import stat
+
+import numpy as np
+import pytest
+
+from koopdmd import dmd, ioutil
+from koopdmd.dmd import DmdResult
+
+
+def reference_csv(header, matrix) -> str:
+    """Per-cell reference: every value through format_float."""
+    lines = [",".join(header)]
+    lines += [",".join(ioutil.format_float(x) for x in row) for row in matrix.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def edge_matrix() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1 / 3, 2.0, -7.0, 1e16, 123456789.0, 0.1]
+    noise = rng.standard_normal((7, len(special))) * 10.0 ** rng.integers(-13, 3, (7, len(special)))
+    return np.vstack([special, noise])
+
+
+def leftovers(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestArrayPath:
+    def test_matches_per_cell_reference(self, tmp_path):
+        matrix = edge_matrix()
+        header = [f"c{j}" for j in range(matrix.shape[1])]
+        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
+        assert (tmp_path / "a.csv").read_text() == reference_csv(header, matrix)
+
+    def test_matches_row_iterable_path(self, tmp_path):
+        # Non-contiguous input (a column slice) goes through the same format.
+        matrix = edge_matrix()[:, ::2]
+        header = [f"c{j}" for j in range(matrix.shape[1])]
+        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
+        ioutil.write_csv(tmp_path / "b.csv", header, matrix.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_values_round_trip(self, tmp_path):
+        matrix = edge_matrix()
+        ioutil.write_csv(tmp_path / "a.csv", ["x"] * matrix.shape[1], matrix)
+        back = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(back, matrix)
+        assert np.array_equal(np.signbit(back), np.signbit(matrix))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_without_leftovers(self, tmp_path, bad):
+        matrix = edge_matrix()
+        matrix[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ioutil.write_csv(tmp_path / "a.csv", ["x"] * matrix.shape[1], matrix)
+        assert leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_refused_without_leftovers(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ioutil.write_csv(tmp_path / "a.csv", ["a", "b"], [[1.0, 2.0], [3.0, bad]])
+        assert leftovers(tmp_path) == []
+
+    def test_failed_write_keeps_existing_target(self, tmp_path):
+        target = tmp_path / "a.csv"
+        ioutil.write_csv(target, ["a", "b"], np.array([[1.0, 2.0]]))
+        before = target.read_bytes()
+        for rows in (np.array([[np.nan, 1.0]]), [[1.0, 2.0], [float("inf"), 0.0]]):
+            with pytest.raises(ValueError):
+                ioutil.write_csv(target, ["a", "b"], rows)
+        with pytest.raises(TypeError):
+            ioutil.atomic_write_text(target, None)
+        assert target.read_bytes() == before
+        assert leftovers(tmp_path) == ["a.csv"]
+
+
+class TestModesCsv:
+    def test_view_layout_matches_stacked_pairs(self, tmp_path):
+        rng = np.random.default_rng(1)
+        modes = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        modes[0, 0] = complex(-0.0, 5e-324)
+        # Column selection as in the DMD variants: not C-contiguous.
+        modes = modes[:, [2, 0, 3, 1]]
+        res = DmdResult(eigenvalues=np.ones(4, dtype=complex), modes=modes,
+                        projected_modes=None, rank_kept=4, residual=0.0,
+                        algorithm="hankel", dt=1.0)
+        dmd.write_modes_csv(res, tmp_path / "modes.csv")
+        stacked = np.stack([modes.real, modes.imag], axis=2).reshape(9, -1)
+        header = [f"mode{j + 1}_{part}" for j in range(4) for part in ("re", "im")]
+        assert (tmp_path / "modes.csv").read_text() == reference_csv(header, stacked)
+
+    def test_real_modes_get_zero_imaginary_columns(self, tmp_path):
+        modes = np.arange(6.0).reshape(3, 2)
+        res = DmdResult(eigenvalues=np.ones(2), modes=modes, projected_modes=None,
+                        rank_kept=2, residual=0.0, algorithm="svd", dt=1.0)
+        dmd.write_modes_csv(res, tmp_path / "modes.csv")
+        lines = (tmp_path / "modes.csv").read_text().splitlines()
+        assert lines[0] == "mode1_re,mode1_im,mode2_re,mode2_im"
+        assert lines[1:] == ["0,0,1,0", "2,0,3,0", "4,0,5,0"]
+
+
+class TestPermissions:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_follow_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            ioutil.write_json(tmp_path / "a.json", {"x": 1.0})
+            ioutil.write_csv(tmp_path / "b.csv", ["x"], np.ones((2, 1)))
+            ioutil.write_csv(tmp_path / "c.csv", ["x"], [[None], ["s"]])
+        finally:
+            os.umask(old)
+        for name in ("a.json", "b.csv", "c.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from koopdmd import systems
-from koopdmd.errors import IntegrationError
+from koopdmd.errors import DecompositionError, IntegrationError
 from koopdmd.systems import Observable, SystemSpec
 
 
@@ -231,6 +231,14 @@ class TestSeededSystems:
             [np.linalg.matrix_power(a, k) @ traj.states[0] for k in range(4)]
         )
         assert np.linalg.cond(krylov) <= 1e6
+
+    def test_seeded_linear_system_eig_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(DecompositionError, match="seeded linear system 3"):
+            systems.seeded_linear_system(3)
 
     def test_seeded_linear_system_reproducible(self):
         s1 = systems.seeded_linear_system(5, dim=4)
