@@ -12,7 +12,8 @@ Hankel metadata, POD and DMD serializations, a frequency table when
 basic frequencies are configured, and a per-state phase table when
 requested. Identical config and seed produce byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
+4 i/o error.
 """
 from __future__ import annotations
 
@@ -103,6 +104,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _real(x) -> bool:
+    """x is a JSON number (bools count as 0/1) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _take(d: dict, section: str, known: tuple[str, ...]) -> None:
     unknown = sorted(set(d) - set(known))
     _require(not unknown, f"{section}: unknown keys {unknown} (known: {sorted(known)})")
@@ -117,6 +126,12 @@ def _parse_system(d: dict) -> SystemConfig:
     params = {}
     for p in systems.REQUIRED_PARAMS[kind]:
         _require(p in d, f"system.{p}: required for kind={kind}")
+        if p == "matrix":
+            _require(isinstance(d[p], list) and all(
+                isinstance(row, list) and all(_real(v) for v in row) for row in d[p]),
+                "system.matrix: list of rows of finite numbers expected")
+        else:
+            _require(_real(d[p]), f"system.{p}: finite number required, got {d[p]!r}")
         params[p] = d[p]
     z0 = d.get("z0")
     if z0 is None:
@@ -125,11 +140,14 @@ def _parse_system(d: dict) -> SystemConfig:
         z0s = None
     else:
         _require(isinstance(z0, list) and z0, "system.z0: non-empty list expected")
-        if isinstance(z0[0], (int, float)):
+        if _real(z0[0]):
             z0 = [z0]
+        _require(all(isinstance(state, list) and state and all(_real(v) for v in state)
+                     for state in z0),
+                 "system.z0: a state (list of finite numbers) or a list of states expected")
         z0s = tuple(tuple(float(v) for v in state) for state in z0)
     dt = d.get("dt")
-    _require(isinstance(dt, (int, float)) and dt > 0, f"system.dt: positive number required, got {dt!r}")
+    _require(_real(dt) and dt > 0, f"system.dt: positive number required, got {dt!r}")
     steps = d.get("steps")
     _require(isinstance(steps, int) and steps >= 1, f"system.steps: integer >= 1 required, got {steps!r}")
     skip = d.get("skip", 0)
@@ -152,22 +170,30 @@ def _parse_suite(d: dict) -> SuiteConfig:
     _require(isinstance(count, int) and count >= 1, f"suite.count: integer >= 1, got {count!r}")
     _require(isinstance(dim, int) and dim >= 2, f"suite.dim: integer >= 2, got {dim!r}")
     _require(isinstance(seed_base, int), f"suite.seed_base: integer, got {seed_base!r}")
-    _require(isinstance(tol, (int, float)) and tol > 0, f"suite.tol: positive number, got {tol!r}")
+    _require(_real(tol) and tol > 0, f"suite.tol: positive number, got {tol!r}")
     return SuiteConfig(kind=kind, count=count, dim=dim, seed_base=seed_base, tol=float(tol))
 
 
-def _parse_observable(i: int, d: dict) -> systems.Observable:
-    _take(d, f"observables[{i}]", ("kind", "index", "indices", "expression", "label"))
+def _parse_observable(i: int, d) -> systems.Observable:
+    where = f"observables[{i}]"
+    _require(isinstance(d, dict), f"{where}: object expected")
+    _take(d, where, ("kind", "index", "indices", "expression", "label"))
+    for key in ("kind", "expression", "label"):
+        _require(isinstance(d.get(key, ""), str), f"{where}.{key}: string expected")
+    index, indices = d.get("index", 0), d.get("indices", [])
+    _require(isinstance(index, int), f"{where}.index: integer expected, got {index!r}")
+    _require(isinstance(indices, list) and all(isinstance(j, int) for j in indices),
+             f"{where}.indices: list of integers expected")
     try:
         return systems.Observable(
             kind=d.get("kind", ""),
-            index=d.get("index", 0),
-            indices=tuple(d.get("indices", ())),
+            index=index,
+            indices=tuple(indices),
             expression=d.get("expression", ""),
             label=d.get("label", ""),
         )
     except ValueError as exc:
-        raise ConfigError(f"observables[{i}]: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_embedding(d: dict) -> EmbeddingConfig:
@@ -191,7 +217,7 @@ def _parse_dmd(d: dict) -> DmdConfig:
     _require(algorithm in dmd.ALGORITHMS,
              f"dmd.algorithm: expected one of {dmd.ALGORITHMS}, got {algorithm!r}")
     thr = d.get("svd_threshold", dmd.DEFAULT_HANKEL_THRESHOLD)
-    _require(isinstance(thr, (int, float)) and thr >= 0 and math.isfinite(thr),
+    _require(_real(thr) and thr >= 0,
              f"dmd.svd_threshold: finite number >= 0 required, got {thr!r}")
     mode = d.get("threshold_mode", "abs")
     _require(mode in ("abs", "rel"), f"dmd.threshold_mode: 'abs' or 'rel', got {mode!r}")
@@ -206,14 +232,14 @@ def _parse_analysis(d: dict) -> AnalysisConfig:
     basics = d.get("basics")
     if basics is not None:
         _require(isinstance(basics, list) and basics
-                 and all(isinstance(b, (int, float)) for b in basics),
-                 "analysis.basics: list of numbers expected")
+                 and all(_real(b) for b in basics),
+                 "analysis.basics: list of finite numbers expected")
         basics = tuple(float(b) for b in basics)
     K = d.get("K", 6)
     _require(isinstance(K, int) and K >= 0, f"analysis.K: integer >= 0, got {K!r}")
     dt_override = d.get("dt_override")
     if dt_override is not None:
-        _require(isinstance(dt_override, (int, float)) and dt_override > 0,
+        _require(_real(dt_override) and dt_override > 0,
                  f"analysis.dt_override: positive number or null, got {dt_override!r}")
         dt_override = float(dt_override)
     export_phase = d.get("export_phase", False)

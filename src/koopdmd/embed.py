@@ -193,7 +193,8 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
     """Concatenate scaled blocks column-wise into one (X, Y) pair.
 
     All blocks must share the same number of rows (same m and channels).
-    scales defaults to each block's own scale attribute.
+    scales defaults to each block's own scale attribute. A single block with
+    scale 1.0 is returned as is: X and Y are its H and UH arrays.
     """
     if not blocks:
         raise ValueError("composite needs at least one block")
@@ -217,8 +218,12 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
         stop = start + b.H.shape[1]
         offsets.append((start, stop))
         start = stop
-    X = np.hstack([s * b.H for s, b in zip(scales, blocks)])
-    Y = np.hstack([s * b.UH for s, b in zip(scales, blocks)])
+    if len(blocks) == 1 and scales[0] == 1.0:
+        # 1.0 * H is bitwise H, so a lone unscaled block is shared, not copied.
+        X, Y = blocks[0].H, blocks[0].UH
+    else:
+        X = np.hstack([s * b.H for s, b in zip(scales, blocks)])
+        Y = np.hstack([s * b.UH for s, b in zip(scales, blocks)])
     return CompositeData(
         X=X, Y=Y, block_offsets=tuple(offsets), scales=tuple(float(s) for s in scales)
     )

@@ -9,13 +9,19 @@ Files get the usual permissions of the process umask.
 
 A float matrix is checked for non-finite values once and then formatted
 one row at a time with a single '%.17g' format (the same conversion as
-format(x, '.17g')), so a large CSV is never held in memory as text.
+format(x, '.17g')), so a large CSV is never held in memory as text. A
+large matrix is split into contiguous row ranges that are formatted on the
+CPUs available to the process (forked workers write their ranges to part
+files that are appended in row order), so its bytes do not depend on the
+CPU count or affinity.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import shutil
+import signal
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -108,6 +114,77 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
+#: A float matrix gets one formatting process per this many cells (about
+#: 0.4 s of formatting), up to the number of CPUs the process may run on.
+CELLS_PER_WORKER = 2**19
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    fh.writelines(fmt % tuple(row.tolist()) for row in rows)
+
+
+def _format_part(fd: int, rows: np.ndarray) -> None:
+    """Forked child: write rows to the part file open on fd, then exit.
+
+    os._exit skips the parent's inherited buffers and exit handlers.
+    """
+    code = 1
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as out:
+            _write_rows(out, rows)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_matrix(fh, rows: np.ndarray, workers: int, target: Path) -> None:
+    """Write rows to fh, formatting up to workers contiguous row ranges at once.
+
+    The first range is formatted here, into fh. Each other range goes to a
+    forked child that writes a part file beside target, and the parts are appended
+    in row order, so the bytes equal those of one _write_rows call. A child
+    that fails raises OSError. On any exception the children are killed and
+    reaped, and every part file is removed.
+    """
+    workers = min(workers, len(rows))
+    if workers <= 1 or not hasattr(os, "fork"):
+        _write_rows(fh, rows)
+        return
+    cuts = [len(rows) * i // workers for i in range(workers + 1)]
+    running: list[int] = []
+    parts: list[str] = []
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            fd, part = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
+                                        suffix=".part")
+            parts.append(part)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _format_part(fd, rows[start:stop])
+            finally:
+                os.close(fd)
+            running.append(pid)
+        _write_rows(fh, rows[: cuts[1]])
+        fh.flush()
+        for pid, part, start, stop in zip(list(running), parts, cuts[1:-1], cuts[2:]):
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise OSError(f"formatting rows {start}:{stop} of {target.name} "
+                              f"failed in a worker process (exit status {code})")
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            os.unlink(part)
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV with comma separator, '.' decimal point, LF endings, header row.
 
@@ -115,7 +192,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     or an iterable of row sequences. In the latter, floats are formatted
     with 17 significant digits, None becomes an empty cell and any other
     cell is written as str(cell). Both forms give the same bytes for the
-    same float values.
+    same float values. An array is split into min(available CPUs,
+    cells // CELLS_PER_WORKER) row ranges that are formatted in parallel,
+    with the same bytes.
     """
     matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
     if matrix:
@@ -126,7 +205,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         if matrix:
-            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.writelines(fmt % tuple(row.tolist()) for row in rows)
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            _write_matrix(fh, rows, min(cpus, rows.size // CELLS_PER_WORKER), Path(path))
         else:
             writer.writerows([_csv_cell(cell) for cell in row] for row in rows)

@@ -7,7 +7,9 @@ are reduced mod 2*pi. Trajectories are deterministic given the spec.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,13 +209,47 @@ def transient_skip(traj: Trajectory, skip: int) -> Trajectory:
     return replace(traj, states=traj.states[skip:])
 
 
+# The grammar of custom observable expressions: z1..zd, pi, int and float
+# literals, + - * / ** and unary +/-, and one-argument calls of these.
+_FUNCTIONS = {"cos": np.cos, "sin": np.sin, "tan": np.tan, "exp": np.exp,
+              "log": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _evaluate(node: ast.AST, env: dict):
+    """Value of an expression tree, in Python's evaluation order."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in env:
+        return env[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        left, right = _evaluate(node.left, env), _evaluate(node.right, env)
+        # An integer power above 2**1024 cannot become a float64 sample, and
+        # computing it exactly can take hours (9**9**9).
+        if (type(node.op) is ast.Pow and type(left) is int and type(right) is int
+                and abs(left) > 1 and right * math.log2(abs(left)) > 1024):
+            raise ValueError("integer power exceeds the float64 range")
+        return _BINARY[type(node.op)](left, right)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, env))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not isinstance(node.args[0], ast.Starred) and not node.keywords):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
+
 @dataclass(frozen=True)
 class Observable:
     """Scalar function of the state, evaluated along a trajectory.
 
     kinds: coordinate (z_{index+1}), sum (sum of listed coordinates),
     cos_angle (cos of one angle coordinate), kinetic_energy
-    (0.5 * |z|^2), custom (expression over z1..zd and numpy math names).
+    (0.5 * |z|^2), custom (expression over z1..zd, pi and numbers with
+    + - * / ** and cos sin tan exp log sqrt abs; anything else is a
+    ValueError when evaluated).
     """
 
     kind: str
@@ -260,12 +296,9 @@ class Observable:
         if self.kind == "kinetic_energy":
             return 0.5 * np.sum(states * states, axis=1)
         env = {f"z{i + 1}": states[:, i] for i in range(dim)}
-        env.update(
-            cos=np.cos, sin=np.sin, tan=np.tan, exp=np.exp, log=np.log,
-            sqrt=np.sqrt, abs=np.abs, pi=np.pi,
-        )
+        env["pi"] = np.pi
         try:
-            vals = eval(self.expression, {"__builtins__": {}}, env)  # noqa: S307
+            vals = _evaluate(ast.parse(self.expression, mode="eval").body, env)
         except Exception as exc:
             raise ValueError(f"bad observable expression {self.expression!r}: {exc}") from exc
         vals = np.asarray(vals, dtype=float)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from koopdmd import cli, embed
@@ -68,6 +69,81 @@ class TestParseConfig:
         raw["system"]["z0"] = [0.25]  # flat list = one state
         cfg = cli.parse_config(raw)
         assert cfg.system.z0s == ((0.25,),)
+
+    @pytest.mark.parametrize("key, value", [
+        ("omega", [1, 2]), ("omega", None), ("omega", "0.7"), ("omega", 10**400),
+        ("z0", [None]), ("z0", [[0.0], 1]), ("dt", float("inf")),
+    ])
+    def test_system_values_must_be_finite_numbers(self, tmp_path, key, value):
+        raw = rotation_config(tmp_path)
+        raw["system"][key] = value
+        with pytest.raises(ConfigError, match=f"system.{key}"):
+            cli.parse_config(raw)
+
+    def test_linear_matrix_entries_must_be_numbers(self, tmp_path):
+        raw = rotation_config(tmp_path)
+        raw["system"].update(kind="linear", matrix=[[1.0, None], [0.0, 1.0]], z0=[1.0, 0.0])
+        del raw["system"]["omega"]
+        with pytest.raises(ConfigError, match="system.matrix"):
+            cli.parse_config(raw)
+        raw["system"]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]
+        assert cli.parse_config(raw).system.params["matrix"] == [[0.0, -1.0], [1.0, 0.0]]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def field_paths(node, path=()):
+    """Every key path and list index path inside a raw config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+MUTABLE_FIELDS = [(name, path) for name in sorted(cli.RECIPES)
+                  for path in field_paths(cli.recipe_config(name))]
+
+
+@st.composite
+def mutated_recipe(draw):
+    """A recipe config with one field replaced by any JSON value, or deleted."""
+    name, path = draw(st.sampled_from(MUTABLE_FIELDS))
+    raw = cli.recipe_config(name)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON)
+    return raw
+
+
+def parses_or_config_error(raw):
+    try:
+        assert isinstance(cli.parse_config(raw), cli.RunConfig)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+
+
+class TestParseConfigFuzz:
+    @given(JSON)
+    def test_any_json_value(self, raw):
+        parses_or_config_error(raw)
+
+    @given(st.dictionaries(st.sampled_from(["system", "csv", "suite", "observables", "embedding",
+                                            "dmd", "analysis", "output_dir"]), JSON))
+    def test_any_known_sections(self, raw):
+        parses_or_config_error(raw)
+
+    @given(mutated_recipe())
+    def test_single_field_mutations_of_recipes(self, raw):
+        parses_or_config_error(raw)
 
 
 class TestRecipes:

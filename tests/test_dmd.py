@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import dmd, embed, systems
+from koopdmd import dmd, embed, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError, RankDeficiencyError
 
@@ -273,6 +274,25 @@ class TestHankelDmd:
         blk = rotation_block(m=32, n=8)
         res = dmd.hankel_dmd(embed.composite([blk]))
         assert res.rank_kept == 2  # cos data has exactly two directions
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def test_decompositions_leave_shared_inputs_alone():
+    # composite hands a lone block's H and UH to POD and DMD without a copy.
+    blk = rotation_block(m=32, n=8)
+    blk = replace(blk, H=read_only(blk.H), UH=read_only(blk.UH))
+    data = embed.composite([blk])
+    X, Y = data.X, data.Y
+    pod.ergodic_pod(blk)
+    dmd.hankel_dmd(data)
+    dmd.exact_dmd(X, Y)
+    dmd.svd_dmd(X[:, :2], Y[:, :2])
+    dmd.companion_dmd(X, 2)
 
 
 class TestLinearConsistency:

@@ -177,6 +177,14 @@ class TestComposite:
         assert data.block_offsets == ((0, 3),)
         assert_allclose(data.X, a.H)
 
+    def test_lone_unscaled_block_is_shared(self):
+        a = embed.hankel(series(np.arange(8.0)), m=3, n=2)
+        data = embed.composite([a])
+        assert data.X is a.H and data.Y is a.UH
+        scaled = embed.composite([a], scales=[2.0])
+        assert scaled.X is not a.H
+        assert_allclose(scaled.X, 2.0 * a.H)
+
     def test_row_mismatch(self):
         a = embed.hankel(series(np.arange(8.0)), m=3, n=2)
         b = embed.hankel(series(np.arange(8.0)), m=4, n=2)

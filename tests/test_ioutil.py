@@ -1,5 +1,6 @@
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,87 @@ class TestArrayPath:
             ioutil.atomic_write_text(target, None)
         assert target.read_bytes() == before
         assert leftovers(tmp_path) == ["a.csv"]
+
+
+def write_with_workers(path, header, matrix, workers):
+    with ioutil._atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        ioutil._write_matrix(fh, matrix, workers, path)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+class TestWorkers:
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path):
+        rng = np.random.default_rng(2)
+        noise = rng.standard_normal((2**20 // 12, 12)) * 10.0 ** rng.integers(-13, 3, (2**20 // 12, 12))
+        matrix = np.vstack([edge_matrix(), noise])  # no two rows alike, so misordered ranges show
+        assert matrix.size >= 2 * ioutil.CELLS_PER_WORKER
+        header = [f"c{j}" for j in range(matrix.shape[1])]
+        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
+        want = reference_csv(header, matrix).encode()
+        assert (tmp_path / "a.csv").read_bytes() == want
+        for workers in (1, 2, 3):
+            write_with_workers(tmp_path / "w.csv", header, matrix, workers)
+            assert (tmp_path / "w.csv").read_bytes() == want, workers
+        assert_no_children()
+
+    @pytest.mark.parametrize("nrows", [0, 1, 2])
+    def test_fewer_rows_than_workers(self, tmp_path, nrows):
+        matrix = edge_matrix()[:nrows]
+        header = [f"c{j}" for j in range(matrix.shape[1])]
+        write_with_workers(tmp_path / "w.csv", header, matrix, 3)
+        assert (tmp_path / "w.csv").read_text() == reference_csv(header, matrix)
+        assert_no_children()
+
+    def test_failed_worker_raises_oserror_and_keeps_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "a.csv"
+        target.write_text("before\n")
+        parent, write_rows = os.getpid(), ioutil._write_rows
+
+        def fail_in_workers(fh, rows):
+            # Forked workers inherit the patched module attribute.
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(ioutil, "_write_rows", fail_in_workers)
+        with pytest.raises(OSError, match="worker process"):
+            write_with_workers(target, ["x"] * 12, np.tile(edge_matrix(), (4, 1)), 3)
+        assert target.read_text() == "before\n"
+        assert leftovers(tmp_path) == ["a.csv"]
+        assert_no_children()
+
+    def test_interrupt_kills_workers(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(fh, rows):
+            if os.getpid() != parent:
+                time.sleep(60)  # workers are still busy when the parent is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ioutil, "_write_rows", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_with_workers(tmp_path / "a.csv", ["x"] * 12, np.tile(edge_matrix(), (4, 1)), 3)
+        assert time.monotonic() - start < 30
+        assert leftovers(tmp_path) == []
+        assert_no_children()
+
+    def test_non_finite_refused_before_any_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked before the finiteness check")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        matrix = np.ones((2**20 // 8 + 1, 8))
+        matrix[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ioutil.write_csv(tmp_path / "a.csv", ["x"] * 8, matrix)
+        assert leftovers(tmp_path) == []
 
 
 class TestModesCsv:

@@ -190,6 +190,33 @@ class TestObservables:
         with pytest.raises(ValueError):
             systems.observe(self._traj(), obs)
 
+    @pytest.mark.parametrize("expression", [
+        "().__class__.__base__.__subclasses__().__len__() + 0*z1",
+        "z1.real",
+        "z1[0] + z1",
+        "(lambda x: x)(z1)",
+        "cos(x=z1)",
+        "cos(z1, z2)",
+        "cos(*[z1])",
+        "z1 if z1 else z2",
+        "z1 // 2",
+        "z3",
+        "True * z1",
+        "9**9**9 * z1",
+        "z1 +",
+    ])
+    def test_custom_rejects_outside_grammar(self, expression):
+        with pytest.raises(ValueError, match="bad observable expression"):
+            systems.observe(self._traj(), Observable("custom", expression=expression))
+
+    def test_custom_grammar(self):
+        obs = Observable("custom", expression="-sqrt(abs(z1)) + +exp(z2) / 2 - log(1 + z1**2)"
+                                              " * tan(sin(pi * z2))")
+        ts = systems.observe(self._traj(), obs)
+        z1, z2 = self._traj().states.T
+        want = -np.sqrt(np.abs(z1)) + +np.exp(z2) / 2 - np.log(1 + z1**2) * np.tan(np.sin(np.pi * z2))
+        assert np.array_equal(ts.values, want)
+
     def test_custom_must_vary_with_samples(self):
         obs = Observable("custom", expression="1.0")
         with pytest.raises(ValueError):
