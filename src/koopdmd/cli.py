@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, dmd, embed, pod, systems
+from . import __version__, analysis, dmd, embed, linalg, pod, systems
 from .errors import ConfigError, KoopdmdError, NumericalError
 from .ioutil import write_json
 
@@ -303,10 +304,28 @@ def _samples_per_trajectory(cfg: RunConfig) -> int | None:
     return cfg.system.steps + 1 - cfg.system.skip
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _validate_lengths(cfg: RunConfig) -> None:
     if cfg.embedding is None:
         return
     e = cfg.embedding
+    # Each block's Hankel pair holds at least 16 * m * c * (n + 1) bytes
+    # (c interleaved trajectories; CSV sources count as one block of one).
+    blocks = max(1, len(cfg.observables))
+    channels = len(cfg.system.z0s) if cfg.system is not None and cfg.system.z0s else 1
+    need = 16 * e.m * channels * (e.n + 1) * blocks
+    memory = _physical_memory()
+    if memory is not None:
+        _require(need <= memory,
+                 f"embedding: m={e.m}, n={e.n} need at least {need >> 30} GiB for the "
+                 f"Hankel pair, more than the {memory >> 30} GiB of physical memory")
     samples = _samples_per_trajectory(cfg)
     if samples is None:
         return
@@ -462,17 +481,18 @@ def _build_series(cfg: RunConfig):
     return series_list, trajectories, series_list[0].dt
 
 
-def _run_decomposition(cfg: RunConfig, blocks, data, dt_eff: float) -> dmd.DmdResult:
+def _run_decomposition(cfg: RunConfig, blocks, data, dt_eff: float,
+                       factors=None) -> dmd.DmdResult:
     d = cfg.dmd
     if d.algorithm == "hankel":
         return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt_eff,
                               threshold_mode=d.threshold_mode,
-                              sqrt_m_scaling=d.sqrt_m_scaling)
+                              sqrt_m_scaling=d.sqrt_m_scaling, factors=factors)
     if d.algorithm == "exact":
         return dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
-                             threshold_mode=d.threshold_mode, dt=dt_eff)
+                             threshold_mode=d.threshold_mode, dt=dt_eff, factors=factors)
     if d.algorithm == "svd":
-        return dmd.svd_dmd(data.X, data.Y, dt=dt_eff)
+        return dmd.svd_dmd(data.X, data.Y, dt=dt_eff, factors=factors)
     # companion: sequential delayed columns of the first block
     block = blocks[0]
     return dmd.companion_dmd(block.H, k=block.n, dt=dt_eff)
@@ -587,13 +607,19 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     })
     outputs.append("hankel.json")
 
-    pod_result = pod.ergodic_pod(blocks[0])
+    # A lone unscaled block is both the POD input and X: factor it once.
+    # The factors are dropped before any CSV is written, because forked
+    # CSV workers inherit the parent's pages.
+    factors = linalg.svd(data.X) if data.X is blocks[0].H else None
+    pod_result = pod.ergodic_pod(blocks[0], factors=factors)
+    dmd_result = _run_decomposition(cfg, blocks, data, dt_eff, factors)
+    del factors
+
     pod.write_result_json(pod_result, out / "pod.json")
     pod.write_basis_csv(pod_result, out / "pod_basis.csv")
     pod.write_coords_csv(pod_result, out / "pod_coords.csv")
     outputs += ["pod.json", "pod_basis.csv", "pod_coords.csv"]
 
-    dmd_result = _run_decomposition(cfg, blocks, data, dt_eff)
     dmd.write_result_json(dmd_result, out / "dmd.json")
     dmd.write_modes_csv(dmd_result, out / "modes.csv")
     outputs += ["dmd.json", "modes.csv"]

@@ -22,7 +22,12 @@ projected modes W w_j. Each variant computes only what it returns.
 
 Eigenvalues are ordered by descending data energy of their modes (least
 squares against the first data column), ties broken by descending
-modulus, then ascending phase in [0, 2*pi).
+modulus, then ascending phase in [0, 2*pi). Both members of a conjugate
+pair carry the pair's larger energy, so the positive-frequency member
+comes first. Projected modes W w_j are ordered in reduced coordinates,
+where the same least squares is k x k, and each is formed once, already
+ordered and normalized. An SVD of X computed elsewhere (cli shares the
+one of a lone Hankel block with pod.ergodic_pod) can be handed in.
 """
 from __future__ import annotations
 
@@ -100,12 +105,26 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 
 def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Permutation ordering modes by their least-squares share of x0."""
+    """Permutation ordering modes by their least-squares share of x0.
+
+    modes and x0 may be given in any coordinates in which the modes keep
+    their norms (for projected modes W e_j: the reduced vectors e_j and
+    W^T x0). The two members of a conjugate pair (adjacent, the second
+    equal to the conjugate of the first) share the pair's larger energy,
+    so roundoff never splits them and the positive phase comes first.
+    """
     try:
         coeffs, *_ = np.linalg.lstsq(modes, x0.astype(complex), rcond=None)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"mode energy least squares did not converge: {exc}") from exc
     energy = np.abs(coeffs) * np.linalg.norm(modes, axis=0)
+    j = 0
+    while j < energy.size - 1:
+        if eigenvalues[j].imag != 0.0 and eigenvalues[j + 1] == np.conj(eigenvalues[j]):
+            energy[j] = energy[j + 1] = max(energy[j], energy[j + 1])
+            j += 2
+        else:
+            j += 1
     phase = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     # lexsort: last key is primary.
     return np.lexsort((phase, -_quantize(np.abs(eigenvalues)), -_quantize(energy)))
@@ -162,80 +181,106 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     )
 
 
-def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str):
+def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
+                   factors: linalg.SvdResult | None = None):
     """Singular triplets (W, S, V) of x above the hard threshold, and the
-    tail energy sqrt(sum of dropped sigma^2)."""
+    tail energy sqrt(sum of dropped sigma^2). factors, when given, is the
+    SVD of x computed elsewhere."""
     if svd_threshold < 0 or not np.isfinite(svd_threshold):
         raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
     if threshold_mode not in ("abs", "rel"):
         raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    r = linalg.svd(x)
+    r = linalg.svd_of(x, factors)
     cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
     # Exact zeros never survive, not even a zero cutoff: the core divides
-    # by every kept singular value.
-    keep = (r.S >= cutoff) & (r.S > 0.0)
-    if not np.any(keep):
+    # by every kept singular value. S is descending, so the kept triplets
+    # are a prefix.
+    k = int(np.count_nonzero((r.S >= cutoff) & (r.S > 0.0)))
+    if k == 0:
         raise DecompositionError(
             f"all singular values fall below the threshold ({cutoff:.3e}); "
             "nothing to decompose"
         )
-    return r.W[:, keep], r.S[keep], r.V[:, keep], float(np.sqrt(np.sum(r.S[~keep] ** 2)))
+    return r.W[:, :k], r.S[:k], r.V[:, :k], float(np.sqrt(np.sum(r.S[k:] ** 2)))
 
 
 def _core(y: np.ndarray, w: np.ndarray, s: np.ndarray, v: np.ndarray):
     """Project the one-step map onto the kept left singular vectors of X
     (X ~ w diag(s) v^T) and eigendecompose the projected operator.
 
-    Returns the eigenvalues, the eigenvectors in reduced coordinates, and
-    the projected modes w @ eigenvectors (not normalized).
+    Returns the eigenvalues and the eigenvectors in reduced coordinates.
     """
     atilde = (w.T @ y @ v) / s[None, :]
     er = linalg.eig(atilde)
-    return er.eigenvalues, er.eigenvectors, w.astype(complex) @ er.eigenvectors
+    return er.eigenvalues, er.eigenvectors
 
 
-def svd_dmd(X, Y, dt: float = 1.0) -> DmdResult:
+def _projected_modes(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Unit projected modes w @ e_j. w has orthonormal columns, so each e_j
+    is normalized in reduced coordinates, and the complex product is two
+    real ones."""
+    vecs = _unit_columns(vecs)
+    modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex)
+    np.matmul(w, vecs.real, out=modes.real)
+    np.matmul(w, vecs.imag, out=modes.imag)
+    return modes
+
+
+def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float,
+                      scale: float = 1.0) -> DmdResult:
+    """The core with projected modes, ordered in reduced coordinates: the
+    modes w e_j keep the norms of e_j, and w^T x0 = s * v[0] for the first
+    data column x0."""
+    vals, vecs = _core(y, w, s, v)
+    order = _energy_order(vals, vecs, s * v[0])
+    modes = _projected_modes(w, vecs[:, order])
+    if scale != 1.0:
+        modes *= scale
+    return DmdResult(
+        eigenvalues=vals[order],
+        modes=modes,
+        projected_modes=None,
+        rank_kept=s.size,
+        residual=residual,
+        algorithm=algorithm,
+        dt=dt,
+    )
+
+
+def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> DmdResult:
     """SVD-enhanced DMD: project the one-step map onto the full left
     singular basis of X (no truncation).
 
     X must have no numerically zero singular values; otherwise the
     projected operator is not defined and exact_dmd with a threshold is
-    the right tool.
+    the right tool. factors, when given, is the SVD of X.
     """
     x, y = _pair(X, Y)
-    r = linalg.svd(x)
+    r = linalg.svd_of(x, factors)
     tiny = np.finfo(float).eps * max(x.shape)
     if r.S[0] == 0.0 or r.S[-1] <= tiny * r.S[0]:
         raise DecompositionError(
             "X has numerically zero singular values; use exact_dmd with a threshold"
         )
-    vals, _, modes = _core(y, r.W, r.S, r.V)
-    modes = _unit_columns(modes)
-    order = _energy_order(vals, modes, x[:, 0])
-    return DmdResult(
-        eigenvalues=vals[order],
-        modes=modes[:, order],
-        projected_modes=None,
-        rank_kept=r.S.size,
-        residual=0.0,
-        algorithm="svd",
-        dt=dt,
-    )
+    return _projected_result(r.W, r.S, r.V, y, 0.0, "svd", dt)
 
 
 def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
-              threshold_mode: str = "rel", dt: float = 1.0) -> DmdResult:
+              threshold_mode: str = "rel", dt: float = 1.0,
+              factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on a hard-thresholded SVD of X.
 
     threshold_mode="rel" drops singular values below svd_threshold * S_max
     (default); "abs" compares against the threshold directly. Returns
     exact modes as `modes` and projected modes separately; zero
     eigenvalues have no exact mode, are listed in undefined_exact, and
-    carry their projected mode instead.
+    carry their projected mode instead. factors, when given, is the SVD
+    of X. Exact modes leave range(W), so they are ordered in full space.
     """
     x, y = _pair(X, Y)
-    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode)
-    vals, vecs, projected = _core(y, w, s, v)
+    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
+    vals, vecs = _core(y, w, s, v)
+    projected = _projected_modes(w, vecs)
     # Exact modes: eigenvectors of the full-size one-step operator,
     # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
     # eigenvalues divide by 1 and then take their projected mode instead.
@@ -243,7 +288,6 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
     b = y @ (v / s[None, :])
     lam = np.where(undefined, 1.0, vals)
     exact = _unit_columns(np.where(undefined, projected, (b @ vecs) / lam))
-    projected = _unit_columns(projected)
     order = _energy_order(vals, exact, x[:, 0])
     return DmdResult(
         eigenvalues=vals[order],
@@ -259,7 +303,8 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
 
 def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
                dt: float = 1.0, threshold_mode: str = "abs",
-               sqrt_m_scaling: bool = False) -> DmdResult:
+               sqrt_m_scaling: bool = False,
+               factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on composite Hankel data; modes are eigenfunction samples.
 
     The returned modes are the projected modes chi_j = W w_j, whose rows
@@ -269,27 +314,15 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESH
     columns are multiplied by sqrt(rows), normalizing them to unit
     empirical norm instead of unit 2-norm. The default threshold is
     absolute, which matches the hard cutoff customarily applied to
-    order-one signals.
+    order-one signals. factors, when given, is the SVD of data.X (for a
+    lone unscaled block, the one ergodic_pod also uses).
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
     x, y = data.X, data.Y
-    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode)
-    vals, _, projected = _core(y, w, s, v)
-    projected = _unit_columns(projected)
-    order = _energy_order(vals, projected, x[:, 0])
-    modes = projected[:, order]
-    if sqrt_m_scaling:
-        modes = modes * np.sqrt(x.shape[0])
-    return DmdResult(
-        eigenvalues=vals[order],
-        modes=modes,
-        projected_modes=None,
-        rank_kept=s.size,
-        residual=residual,
-        algorithm="hankel",
-        dt=dt,
-    )
+    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
+    scale = float(np.sqrt(x.shape[0])) if sqrt_m_scaling else 1.0
+    return _projected_result(w, s, v, y, residual, "hankel", dt, scale)
 
 
 @dataclass(frozen=True)

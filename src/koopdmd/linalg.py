@@ -70,6 +70,23 @@ def svd(X) -> SvdResult:
     return SvdResult(W=w, S=s, V=vh.T.copy(), rank_kept=s.size)
 
 
+def svd_of(X, factors: SvdResult | None = None) -> SvdResult:
+    """svd(X), or factors when the caller already holds the SVD of X.
+
+    Only the shapes of given factors are checked (ValueError on a
+    mismatch); that they factor X is the caller's promise.
+    """
+    if factors is None:
+        return svd(X)
+    rows, cols = np.shape(X)
+    if factors.W.shape[0] != rows or factors.V.shape[0] != cols:
+        raise ValueError(
+            f"factors have shape {factors.W.shape[0]} x {factors.V.shape[0]}, "
+            f"X has {rows} x {cols}"
+        )
+    return factors
+
+
 def eig(A) -> EigResult:
     """Eigendecomposition of a real square matrix (possibly non-symmetric)."""
     a = as_matrix(A, "A")

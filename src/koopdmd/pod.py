@@ -105,27 +105,30 @@ def pod_snapshots(G, F_samples, rank_tol: float = DEFAULT_RANK_TOL) -> PodResult
     )
 
 
-def ergodic_pod(block: HankelBlock, rank_tol: float = DEFAULT_RANK_TOL) -> PodResult:
+def ergodic_pod(block: HankelBlock, rank_tol: float = DEFAULT_RANK_TOL,
+                factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
-    The SVD of H / sqrt(m) (m = row count) yields the same singular
-    values and principal coordinates as the snapshot method applied to
-    the empirical Gramian (1/m) H^T H, and sqrt(m) times its left
-    singular vectors samples the basis functions along the trajectory.
+    The SVD H = W diag(S) V^T (m = row count) gives the POD of the
+    empirical Gramian (1/m) H^T H: singular values S / sqrt(m), principal
+    coordinates V, and basis functions sampled along the trajectory as
+    sqrt(m) W. factors, when given, is the SVD of block.H computed
+    elsewhere (for a lone unscaled block, the one Hankel DMD also uses).
     """
     h = block.H
     m = h.shape[0]
-    r = linalg.svd(h / np.sqrt(m))
+    r = linalg.svd_of(h, factors)
     if r.S[0] == 0.0:
         raise ValueError("Hankel block is identically zero; nothing to decompose")
-    keep = r.S > rank_tol * r.S[0]
-    sigma = r.S[keep]
+    # S is descending, so the kept triplets are a prefix.
+    k = int(np.count_nonzero(r.S > rank_tol * r.S[0]))
+    sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,
-        principal_coords=r.V[:, keep],
-        basis_samples=np.sqrt(m) * r.W[:, keep],
+        principal_coords=r.V[:, :k],
+        basis_samples=np.sqrt(m) * r.W[:, :k],
         m=m,
-        k=int(sigma.size),
+        k=k,
         degenerate=_flag_degenerate(sigma),
     )
 

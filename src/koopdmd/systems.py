@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,6 +242,25 @@ def _evaluate(node: ast.AST, env: dict):
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
+def _evaluate_expression(expression: str, env: dict):
+    """Value of a custom expression; ValueError outside the grammar."""
+    try:
+        return _evaluate(ast.parse(expression, mode="eval").body, env)
+    except Exception as exc:
+        raise ValueError(f"bad observable expression {expression!r}: {exc}") from exc
+
+
+class _StandInState(dict):
+    """pi and a one-sample z<k> for every k >= 1: the environment in which
+    an expression is checked before the state dimension is known."""
+
+    def __contains__(self, name) -> bool:
+        return name == "pi" or re.fullmatch(r"z[1-9][0-9]*", name) is not None
+
+    def __missing__(self, name):
+        return np.pi if name == "pi" else np.ones(1)
+
+
 @dataclass(frozen=True)
 class Observable:
     """Scalar function of the state, evaluated along a trajectory.
@@ -249,7 +269,8 @@ class Observable:
     cos_angle (cos of one angle coordinate), kinetic_energy
     (0.5 * |z|^2), custom (expression over z1..zd, pi and numbers with
     + - * / ** and cos sin tan exp log sqrt abs; anything else is a
-    ValueError when evaluated).
+    ValueError at construction, and a state name beyond the state
+    dimension is one when evaluated).
     """
 
     kind: str
@@ -264,8 +285,13 @@ class Observable:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind == "sum" and not self.indices:
             raise ValueError("sum observable needs a non-empty indices tuple")
-        if self.kind == "custom" and not self.expression.strip():
-            raise ValueError("custom observable needs an expression")
+        if self.kind == "custom":
+            if not self.expression.strip():
+                raise ValueError("custom observable needs an expression")
+            # The evaluator itself is the check; only the state dimension
+            # is left to evaluate().
+            with np.errstate(all="ignore"):
+                _evaluate_expression(self.expression, _StandInState())
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
         object.__setattr__(self, "indices", tuple(self.indices))
@@ -297,10 +323,7 @@ class Observable:
             return 0.5 * np.sum(states * states, axis=1)
         env = {f"z{i + 1}": states[:, i] for i in range(dim)}
         env["pi"] = np.pi
-        try:
-            vals = _evaluate(ast.parse(self.expression, mode="eval").body, env)
-        except Exception as exc:
-            raise ValueError(f"bad observable expression {self.expression!r}: {exc}") from exc
+        vals = _evaluate_expression(self.expression, env)
         vals = np.asarray(vals, dtype=float)
         if vals.shape != (states.shape[0],):
             raise ValueError(

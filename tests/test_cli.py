@@ -1,12 +1,13 @@
 import filecmp
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import cli, embed
+from koopdmd import cli, embed, linalg, systems
 from koopdmd.errors import ConfigError
 
 
@@ -88,6 +89,38 @@ class TestParseConfig:
             cli.parse_config(raw)
         raw["system"]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]
         assert cli.parse_config(raw).system.params["matrix"] == [[0.0, -1.0], [1.0, 0.0]]
+
+    def test_custom_expression_checked_at_parse_time(self, tmp_path):
+        raw = rotation_config(tmp_path)
+        raw["observables"] = [{"kind": "custom", "expression": "z1.real"}]
+        with pytest.raises(ConfigError, match=r"observables\[0\].*z1.real"):
+            cli.parse_config(raw)
+
+    def test_hankel_pair_beyond_physical_memory(self, tmp_path, monkeypatch):
+        def never(spec):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(systems, "integrate", never)
+        raw = rotation_config(tmp_path, m=10**7, n=10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="physical memory"):
+                cli.parse_config(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+
+    def test_memory_preflight_skipped_without_sysconf(self, tmp_path, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(cli.os, "sysconf", unknown)
+        cfg = cli.parse_config(rotation_config(tmp_path, m=10**7, n=10**5))
+        assert cfg.embedding.m == 10**7
 
 
 JSON = st.recursive(
@@ -251,6 +284,55 @@ class TestExecute:
         assert set(np.unique(table[:, 1])) == {1.0, 2.0}
         phases = table[:, 4]
         assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
+
+    def test_vdp_phase_pairs_lead_with_positive_member(self, tmp_path):
+        raw = cli.recipe_config("vdp-phase")
+        raw["output_dir"] = str(tmp_path / "vdp")
+        vals = cli.execute(cli.parse_config(raw, recipe="vdp-phase")).dmd_result.eigenvalues
+        j, pairs = 0, 0
+        while j < vals.size:
+            if vals[j].imag == 0.0:
+                j += 1
+                continue
+            assert vals[j].imag > 0 and vals[j + 1] == np.conj(vals[j]), j
+            j, pairs = j + 2, pairs + 1
+        assert pairs >= 40
+
+
+def count_svd_calls(monkeypatch) -> list:
+    calls = []
+    svd = linalg.svd
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return svd(x)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    return calls
+
+
+class TestSharedFactorization:
+    def test_single_block_is_factored_once(self, tmp_path, monkeypatch):
+        calls = count_svd_calls(monkeypatch)
+        result = cli.execute(cli.parse_config(rotation_config(tmp_path)))
+        assert calls == [result.data.X.shape]
+        assert result.pod_result.k == result.dmd_result.rank_kept == 2
+
+    def test_three_block_composite_keeps_two_factorizations(self, tmp_path, monkeypatch):
+        raw = {
+            "output_dir": str(tmp_path),
+            "system": {"kind": "torus", "omega1": 0.97624, "omega2": 0.60892,
+                       "z0": [0.1, 0.2], "dt": 1.0, "steps": 200},
+            "observables": [{"kind": "cos_angle", "index": 0},
+                            {"kind": "cos_angle", "index": 1},
+                            {"kind": "custom", "expression": "cos(z1 - z2)"}],
+            "embedding": {"m": 150, "n": 20},
+            "dmd": {"algorithm": "exact", "threshold_mode": "rel"},
+        }
+        calls = count_svd_calls(monkeypatch)
+        result = cli.execute(cli.parse_config(raw))
+        assert calls == [result.blocks[0].H.shape, result.data.X.shape]
+        assert result.data.X.shape == (150, 63)
 
 
 class TestMain:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import dmd, embed, pod, systems
+from koopdmd import dmd, embed, linalg, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError, RankDeficiencyError
 
@@ -274,6 +274,69 @@ class TestHankelDmd:
         blk = rotation_block(m=32, n=8)
         res = dmd.hankel_dmd(embed.composite([blk]))
         assert res.rank_kept == 2  # cos data has exactly two directions
+
+
+def lorenz_block(m=300, n=40):
+    spec = systems.lorenz(z0=tuple(systems.lorenz_initial_state(1)), dt=0.01, steps=500 + m + n)
+    traj = systems.transient_skip(systems.integrate(spec), 500)
+    return embed.hankel(systems.observe(traj, systems.Observable("coordinate")), m=m, n=n)
+
+
+class TestReducedCoordinates:
+    def test_projected_modes_match_full_space_reference(self):
+        # Ordering by W^T x0 = S V[0, :] and forming W e_j from normalized
+        # e_j agrees with the full-space route: W @ E, unit columns, lstsq
+        # against the first data column.
+        data = embed.composite([lorenz_block()])
+        w, s, v, _ = dmd._truncated_svd(data.X, dmd.DEFAULT_HANKEL_THRESHOLD, "abs")
+        vals, vecs = dmd._core(data.Y, w, s, v)
+        ref = dmd._unit_columns(w.astype(complex) @ vecs)
+        order = dmd._energy_order(vals, ref, data.X[:, 0])
+        res = dmd.hankel_dmd(data)
+        assert res.rank_kept > 20
+        assert np.array_equal(res.eigenvalues, vals[order])
+        assert np.max(np.abs(res.modes - ref[:, order])) <= 1e-13
+        assert_allclose(np.linalg.norm(res.modes, axis=0), 1.0, atol=1e-13)
+
+    def test_given_factors_are_used(self):
+        data = embed.composite([lorenz_block()])
+        factors = linalg.svd(data.X)
+        for a, b in [(dmd.hankel_dmd(data), dmd.hankel_dmd(data, factors=factors)),
+                     (dmd.exact_dmd(data.X, data.Y), dmd.exact_dmd(data.X, data.Y, factors=factors))]:
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.modes, b.modes)
+        x, y = data.X[:40, :8], data.Y[:40, :8]
+        assert np.array_equal(dmd.svd_dmd(x, y).modes,
+                              dmd.svd_dmd(x, y, factors=linalg.svd(x)).modes)
+
+    def test_mismatched_factors_raise(self):
+        data = embed.composite([lorenz_block()])
+        wrong = linalg.svd(data.X[:, :-1])
+        with pytest.raises(ValueError, match="factors"):
+            dmd.hankel_dmd(data, factors=wrong)
+        with pytest.raises(ValueError, match="factors"):
+            dmd.exact_dmd(data.X, data.Y, factors=wrong)
+        with pytest.raises(ValueError, match="factors"):
+            dmd.svd_dmd(data.X[:, :8], data.Y[:, :8], factors=wrong)
+
+
+class TestConjugatePairEnergy:
+    def test_pair_members_share_the_larger_energy(self):
+        # The negative member carries 1e-10 more energy; shared energy puts
+        # the positive member first.
+        lam = np.exp(0.3j)
+        vals = np.array([np.conj(lam), lam, 0.5])
+        modes = np.eye(3, dtype=complex)
+        x0 = np.array([1.0 + 1e-10, 1.0, 0.1])
+        order = dmd._energy_order(vals, modes, x0)
+        assert list(order) == [1, 0, 2]
+
+    def test_repeated_pairs_are_paired_in_sequence(self):
+        lam = np.exp(0.3j)
+        vals = np.array([lam, np.conj(lam), lam, np.conj(lam)])
+        x0 = np.array([1.0, 1.0 + 1e-10, 2.0, 2.0 - 1e-10])
+        order = dmd._energy_order(vals, np.eye(4, dtype=complex), x0)
+        assert list(order) == [2, 3, 0, 1]
 
 
 def read_only(a):

@@ -109,6 +109,24 @@ class TestErgodic:
             sign = np.sign(a @ b) or 1.0
             assert_allclose(a, sign * b, atol=1e-6 * np.linalg.norm(b))
 
+    def test_singular_values_match_scaled_svd(self):
+        # S(H) / sqrt(m) against the SVD of H / sqrt(m) itself
+        rng = np.random.default_rng(3)
+        blk = embed.hankel(TimeSeries(rng.standard_normal(240), 1.0), m=200, n=30)
+        res = pod.ergodic_pod(blk)
+        want = linalg.svd(blk.H / np.sqrt(blk.m)).S
+        assert res.k == want.size
+        assert_allclose(res.singular_values, want, rtol=1e-14)
+
+    def test_given_factors_are_used(self):
+        blk = rotation_block(m=300, n=9)
+        plain = pod.ergodic_pod(blk)
+        shared = pod.ergodic_pod(blk, factors=linalg.svd(blk.H))
+        assert np.array_equal(plain.singular_values, shared.singular_values)
+        assert np.array_equal(plain.basis_samples, shared.basis_samples)
+        with pytest.raises(ValueError, match="factors"):
+            pod.ergodic_pod(blk, factors=linalg.svd(blk.H[:, 1:]))
+
     @given(st.integers(0, 300), st.integers(2, 6), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_bridge_identity_property(self, seed, mrows, ncols):

@@ -186,9 +186,8 @@ class TestObservables:
         assert_allclose(ts.values, np.cos(z1) + 0.6 * np.cos(z2) + 0.3 * np.cos(z1 - z2))
 
     def test_custom_rejects_unknown_names(self):
-        obs = Observable("custom", expression="__import__('os').getpid()")
         with pytest.raises(ValueError):
-            systems.observe(self._traj(), obs)
+            systems.observe(self._traj(), Observable("custom", expression="__import__('os').getpid()"))
 
     @pytest.mark.parametrize("expression", [
         "().__class__.__base__.__subclasses__().__len__() + 0*z1",
