@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_float
+from .ioutil import atomic_write_text, format_rows
 
 # Relative tolerance for the uniform-spacing check on CSV time columns.
 SPACING_RTOL = 1e-6
@@ -293,9 +293,6 @@ def write_timeseries_csv(path, series_list: list[TimeSeries], t0: float = 0.0) -
         if len(s) != len(first) or not math.isclose(s.dt, first.dt, rel_tol=1e-12):
             raise ValueError("all series in one CSV must share length and dt")
     header = "t," + ",".join(s.label for s in series_list)
-    out = [header]
-    for i in range(len(first)):
-        t = t0 + i * first.dt
-        cells = [format_float(t)] + [format_float(s.values[i]) for s in series_list]
-        out.append(",".join(cells))
-    atomic_write_text(path, "\n".join(out) + "\n")
+    t = t0 + np.arange(len(first)) * first.dt  # the IEEE operations of t0 + i * dt
+    table = np.column_stack([t] + [s.values for s in series_list])
+    atomic_write_text(path, header + "\n" + format_rows(table))

@@ -220,6 +220,24 @@ class TestCsv:
         back = embed.read_timeseries_csv(path)[0]
         assert np.array_equal(back.values, vals)
 
+    @pytest.mark.parametrize("t0, dt", [(0.0, 0.01), (-3.7, 0.1), (1e5, 1 / 3)])
+    def test_bytes_equal_per_cell_output(self, tmp_path, t0, dt):
+        rng = np.random.default_rng(11)
+        vals = [rng.standard_normal(2500) * 10.0 ** rng.integers(-12, 12, 2500) for _ in range(3)]
+        vals[0][:4] = [0.0, -0.0, 5e-324, 2251799813685247.75]
+        series = [TimeSeries(v, dt, label=f"z{i}") for i, v in enumerate(vals)]
+        embed.write_timeseries_csv(tmp_path / "s.csv", series, t0=t0)
+        lines = ["t,z0,z1,z2"] + [
+            ",".join(format(x, ".17g") for x in [t0 + i * dt] + [v[i] for v in vals])
+            for i in range(2500)]
+        assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_time_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            embed.write_timeseries_csv(tmp_path / "s.csv", [TimeSeries(np.ones(3), 1e308)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_must_lead_with_time(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,f\n0.0,1.0\n1.0,2.0\n")

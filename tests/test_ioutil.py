@@ -1,11 +1,14 @@
+import math
 import os
 import stat
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koopdmd import dmd, ioutil
+from koopdmd import dmd, floattext, ioutil
 from koopdmd.dmd import DmdResult
 
 
@@ -26,6 +29,88 @@ def edge_matrix() -> np.ndarray:
 
 def leftovers(directory):
     return sorted(p.name for p in directory.iterdir())
+
+
+def reference_rows(matrix) -> str:
+    """The row format the array path replaces: one '%.17g' per cell."""
+    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return "".join(fmt % tuple(row) for row in matrix.tolist())
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    .filter(math.isfinite))
+
+
+def near_ties(k: int) -> list[float]:
+    """Doubles x with x * 10**k = N + 1/2 + r / 2**53 (0 < |r| <= 8, N of 17 digits).
+
+    For k = 23 and 24, 10**k is not a double, so these decide the rounding
+    only if the fast path keeps its margin around a tie.
+    """
+    inverse = pow(5, -k, 2**53)
+    out = []
+    for r in range(-8, 9):
+        m = ((2**52 + r) * inverse) % 2**53
+        if r and m >= 2**52 and 10**16 * 2**53 <= m * 5**k < 10**17 * 2**53:
+            out.append(math.ldexp(m, -53 - k))
+    return out
+
+
+def edge_values() -> np.ndarray:
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2251799813685247.75, 3 / 2**24, 9.9999999999999995e-05,
+               1e-4, 99999999999999999.0]
+    near = [np.nextafter(v, d) for v in (1e16, 1e17) for d in (0.0, np.inf)]
+    ties = near_ties(23) + near_ties(24)
+    assert len(ties) >= 8
+    return np.concatenate([special, near, ties, powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), -powers])
+
+
+class TestExactFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite_floats, min_size=1, max_size=40), st.integers(1, 4))
+    def test_cells_equal_format_17g(self, values, ncols):
+        matrix = np.array(values * ncols).reshape(-1, ncols)
+        want = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in matrix.tolist())
+        assert ioutil.format_rows(matrix) == want
+
+    @pytest.mark.parametrize("ncols", [1, 3, 7])
+    def test_edge_values(self, ncols):
+        values = edge_values()
+        matrix = np.resize(values, (-(-values.size // ncols), ncols))
+        assert ioutil.format_rows(matrix) == reference_rows(matrix)
+
+    def test_named_edges(self):
+        row = np.array([[2251799813685247.75, 9.9999999999999995e-05, 1e-4, 99999999999999999.0,
+                         1e16, -0.0, 0.0, 5e-324, 12.5, -0.00123]])
+        assert ioutil.format_rows(row) == ("2251799813685247.8,9.9999999999999991e-05,0.0001,1e+17,"
+                                           "10000000000000000,-0,0,4.9406564584124654e-324,12.5,"
+                                           "-0.00123\n")
+
+    def test_blocks_of_mixed_layouts(self):
+        # Several blocks, and the layouts change between them (fixed with an
+        # inner point, 0.000ddd, scientific), so template slots are reused.
+        rng = np.random.default_rng(3)
+        shape = (3 * floattext.BLOCK_CELLS // 7, 7)
+        exponents = np.repeat(rng.integers(-30, 30, shape[0] // 100 + 1), 100)[:shape[0], None]
+        matrix = rng.standard_normal(shape) * 10.0 ** exponents
+        assert ioutil.format_rows(matrix) == reference_rows(matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_matrices(self, tmp_path, shape):
+        matrix = np.zeros(shape)
+        assert ioutil.format_rows(matrix) == reference_rows(matrix)
+        header = [f"c{j}" for j in range(shape[1])]
+        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
+        assert (tmp_path / "a.csv").read_text() == ",".join(header) + "\n" + "\n" * shape[0]
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            ioutil.format_rows(np.array([[1.0, 2.0], [np.inf, np.nan]]))
 
 
 class TestArrayPath:
@@ -95,6 +180,11 @@ class TestWorkers:
         noise = rng.standard_normal((2**20 // 12, 12)) * 10.0 ** rng.integers(-13, 3, (2**20 // 12, 12))
         matrix = np.vstack([edge_matrix(), noise])  # no two rows alike, so misordered ranges show
         assert matrix.size >= 2 * ioutil.CELLS_PER_WORKER
+        # Rows formatted by '%' (a subnormal, a rounding tie) on both sides of every cut.
+        for workers in (2, 3):
+            for cut in (len(matrix) * i // workers for i in range(1, workers)):
+                matrix[cut - 1, 5] = 5e-324 * cut
+                matrix[cut, 7] = 2251799813685247.75
         header = [f"c{j}" for j in range(matrix.shape[1])]
         ioutil.write_csv(tmp_path / "a.csv", header, matrix)
         want = reference_csv(header, matrix).encode()
