@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__, analysis, dmd, embed, linalg, pod, systems
 from .errors import ConfigError, KoopdmdError, NumericalError
 from .ioutil import write_json
+from .systems import _real
 
 #: Eigenvalues with |omega| below this are treated as trivial (DC-like)
 #: when selecting the dominant mode for phase export.
@@ -42,13 +43,15 @@ MIN_NONTRIVIAL_OMEGA = 1e-2
 
 @dataclass(frozen=True)
 class SystemConfig:
-    kind: str
-    params: dict
-    z0s: tuple | None  # tuple of state tuples, or None for seeded default
-    dt: float
-    steps: int
+    specs: tuple[systems.SystemSpec, ...]  # one per start state
     skip: int = 0
-    seed: int = 0
+
+    # What every start state shares (perfbench's spectra workload reads these).
+    kind = property(lambda self: self.specs[0].kind)
+    params = property(lambda self: self.specs[0].params)
+    dt = property(lambda self: self.specs[0].dt)
+    steps = property(lambda self: self.specs[0].steps)
+    z0s = property(lambda self: tuple(tuple(s.z0) for s in self.specs))
 
 
 @dataclass(frozen=True)
@@ -105,59 +108,39 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _real(x) -> bool:
-    """x is a JSON number (bools count as 0/1) with a finite float value."""
-    try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _take(d: dict, section: str, known: tuple[str, ...]) -> None:
     unknown = sorted(set(d) - set(known))
     _require(not unknown, f"{section}: unknown keys {unknown} (known: {sorted(known)})")
 
 
 def _parse_system(d: dict) -> SystemConfig:
+    """JSON's part of a system: known keys, z0 as one state or a list of
+    states, skip and seed. systems.SystemSpec checks everything else."""
     _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed")
           + tuple(p for names in systems.REQUIRED_PARAMS.values() for p in names))
     kind = d.get("kind")
-    _require(isinstance(kind, str) and kind in systems.FLOW_KINDS + systems.MAP_KINDS,
-             f"system.kind: expected one of {systems.FLOW_KINDS + systems.MAP_KINDS}, got {kind!r}")
-    params = {}
-    for p in systems.REQUIRED_PARAMS[kind]:
-        _require(p in d, f"system.{p}: required for kind={kind}")
-        if p == "matrix":
-            _require(isinstance(d[p], list) and all(
-                isinstance(row, list) and all(_real(v) for v in row) for row in d[p]),
-                "system.matrix: list of rows of finite numbers expected")
-        else:
-            _require(_real(d[p]), f"system.{p}: finite number required, got {d[p]!r}")
-        params[p] = d[p]
+    names = systems.REQUIRED_PARAMS.get(kind, ()) if isinstance(kind, str) else ()
+    params = {p: d[p] for p in names if p in d}
+    seed = d.get("seed", 0)
+    _require(isinstance(seed, int) and seed >= 0,
+             f"system.seed: integer >= 0 required, got {seed!r}")
     z0 = d.get("z0")
     if z0 is None:
         _require(kind == "lorenz",
                  "system.z0: required (only the lorenz kind has a seeded default)")
-        z0s = None
+        z0s = [systems.lorenz_initial_state(seed)]
     else:
         _require(isinstance(z0, list) and z0, "system.z0: non-empty list expected")
-        if _real(z0[0]):
-            z0 = [z0]
-        _require(all(isinstance(state, list) and state and all(_real(v) for v in state)
-                     for state in z0),
-                 "system.z0: a state (list of finite numbers) or a list of states expected")
-        z0s = tuple(tuple(float(v) for v in state) for state in z0)
-    dt = d.get("dt")
-    _require(_real(dt) and dt > 0, f"system.dt: positive number required, got {dt!r}")
-    steps = d.get("steps")
-    _require(isinstance(steps, int) and steps >= 1, f"system.steps: integer >= 1 required, got {steps!r}")
+        z0s = z0 if isinstance(z0[0], list) else [z0]
+    try:
+        specs = tuple(systems.SystemSpec(kind, params, z, d.get("dt"), d.get("steps"))
+                      for z in z0s)
+    except ValueError as exc:
+        raise ConfigError(f"system.{exc}") from None
     skip = d.get("skip", 0)
-    _require(isinstance(skip, int) and 0 <= skip < steps,
+    _require(isinstance(skip, int) and 0 <= skip < specs[0].steps,
              f"system.skip: integer in [0, steps) required, got {skip!r}")
-    seed = d.get("seed", 0)
-    _require(isinstance(seed, int), f"system.seed: integer required, got {seed!r}")
-    return SystemConfig(kind=kind, params=params, z0s=z0s, dt=float(dt),
-                        steps=steps, skip=skip, seed=seed)
+    return SystemConfig(specs=specs, skip=skip)
 
 
 def _parse_suite(d: dict) -> SuiteConfig:
@@ -275,6 +258,13 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
             _require(isinstance(obs_raw, list) and obs_raw,
                      "observables: non-empty list required with a system")
             observables = tuple(_parse_observable(i, o) for i, o in enumerate(obs_raw))
+            state = system.specs[0].z0[None, :]
+            for i, obs in enumerate(observables):
+                try:
+                    with np.errstate(all="ignore"):
+                        obs.evaluate(state)
+                except ValueError as exc:
+                    raise ConfigError(f"observables[{i}]: {exc}") from None
         else:
             csv_path = raw.get("csv")
             _require(isinstance(csv_path, str) and csv_path, "csv: file path expected")
@@ -288,20 +278,14 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
     ana = _parse_analysis(raw["analysis"]) if isinstance(raw.get("analysis"), dict) else AnalysisConfig()
     _require(raw.get("analysis") is None or isinstance(raw.get("analysis"), dict),
              "analysis: object expected")
-    if system is not None and system.z0s is not None and embedding is not None:
-        _require(embedding.interleave or len(system.z0s) == 1,
+    if system is not None and embedding is not None:
+        _require(embedding.interleave or len(system.specs) == 1,
                  "embedding.interleave must be true when system.z0 lists several states")
     cfg = RunConfig(output_dir=output_dir, system=system, csv=csv_path, suite=suite,
                     observables=observables, embedding=embedding, dmd=dmd_cfg,
                     analysis=ana, recipe=recipe)
     _validate_lengths(cfg)
     return cfg
-
-
-def _samples_per_trajectory(cfg: RunConfig) -> int | None:
-    if cfg.system is None:
-        return None  # CSV length is only known at run time
-    return cfg.system.steps + 1 - cfg.system.skip
 
 
 def _physical_memory() -> int | None:
@@ -319,16 +303,16 @@ def _validate_lengths(cfg: RunConfig) -> None:
     # Each block's Hankel pair holds at least 16 * m * c * (n + 1) bytes
     # (c interleaved trajectories; CSV sources count as one block of one).
     blocks = max(1, len(cfg.observables))
-    channels = len(cfg.system.z0s) if cfg.system is not None and cfg.system.z0s else 1
+    channels = len(cfg.system.specs) if cfg.system is not None else 1
     need = 16 * e.m * channels * (e.n + 1) * blocks
     memory = _physical_memory()
     if memory is not None:
         _require(need <= memory,
                  f"embedding: m={e.m}, n={e.n} need at least {need >> 30} GiB for the "
                  f"Hankel pair, more than the {memory >> 30} GiB of physical memory")
-    samples = _samples_per_trajectory(cfg)
-    if samples is None:
-        return
+    if cfg.system is None:
+        return  # a CSV's length is known when it is read; embed.hankel checks it
+    samples = cfg.system.steps + 1 - cfg.system.skip
     usable = 1 + (samples - 1) // e.stride
     needed = e.m + e.n + 1
     _require(usable >= needed,
@@ -342,8 +326,8 @@ def _validate_lengths(cfg: RunConfig) -> None:
 
 def _lorenz_pod_config() -> dict:
     return {
-        "system": {"kind": "lorenz", "sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0,
-                   "z0": None, "seed": 2, "dt": 0.01, "steps": 11500, "skip": 1000},
+        "system": {"kind": "lorenz", **systems.LORENZ_PARAMS, "z0": None, "seed": 2,
+                   "dt": 0.01, "steps": 11500, "skip": 1000},
         "observables": [{"kind": "coordinate", "index": 0}],
         "embedding": {"m": 10000, "n": 500},
         "dmd": {"algorithm": "hankel", "svd_threshold": 1e-10, "threshold_mode": "abs"},
@@ -460,19 +444,8 @@ def _build_series(cfg: RunConfig):
             series_list = columns
         return series_list, None, series_list[0].dt
 
-    sc = cfg.system
-    if sc.z0s is None:
-        z0s = [systems.lorenz_initial_state(sc.seed)]
-    else:
-        z0s = [np.asarray(z, dtype=float) for z in sc.z0s]
-    trajectories = []
-    for z0 in z0s:
-        spec = systems.SystemSpec(kind=sc.kind, params=dict(sc.params), z0=z0,
-                                  dt=sc.dt, steps=sc.steps)
-        traj = systems.integrate(spec)
-        if sc.skip:
-            traj = systems.transient_skip(traj, sc.skip)
-        trajectories.append(traj)
+    trajectories = [systems.transient_skip(systems.integrate(spec), cfg.system.skip)
+                    for spec in cfg.system.specs]
     series_list = []
     for obs in cfg.observables:
         per_traj = [systems.observe(t, obs) for t in trajectories]
@@ -572,12 +545,6 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
 
     series_list, trajectories, dt_eff = _build_series(cfg)
     e = cfg.embedding
-    for s in series_list:
-        per_traj = len(s) // s.channels
-        _require(per_traj >= e.m + e.n + 1,
-                 f"embedding: m={e.m}, n={e.n} need {e.m + e.n + 1} samples per "
-                 f"trajectory, but series {s.label!r} provides {per_traj}")
-
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
     scales = [1.0]
     for b in blocks[1:]:
@@ -726,10 +693,10 @@ def run_equivalence_suite(cfg: SuiteConfig) -> dict:
 # Entry point
 
 
-def load_config(target: str) -> RunConfig:
-    """Resolve a run target: recipe name or JSON config path."""
+def _raw_config(target: str) -> tuple[object, str | None]:
+    """Raw config dict and recipe name (None for a file) of a run target."""
     if target in RECIPES:
-        return parse_config(recipe_config(target), recipe=target)
+        return recipe_config(target), target
     path = Path(target)
     if not path.exists():
         raise ConfigError(
@@ -737,30 +704,30 @@ def load_config(target: str) -> RunConfig:
             "nor an existing config file"
         )
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8")), None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    return parse_config(raw)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        if cfg.system is not None:
-            cfg = replace(cfg, system=replace(cfg.system, seed=args.seed))
-        elif cfg.suite is not None:
-            cfg = replace(cfg, suite=replace(cfg.suite, seed_base=args.seed))
-    updates = {}
-    if args.threshold is not None:
-        if not (args.threshold >= 0 and math.isfinite(args.threshold)):
-            raise ConfigError(f"--threshold: finite value >= 0 required, got {args.threshold}")
-        updates["svd_threshold"] = args.threshold
-    if args.threshold_mode is not None:
-        updates["threshold_mode"] = args.threshold_mode
-    if updates:
-        cfg = replace(cfg, dmd=replace(cfg.dmd, **updates))
+def load_config(target: str) -> RunConfig:
+    """Resolve a run target: recipe name or JSON config path."""
+    return parse_config(*_raw_config(target))
+
+
+def _apply_overrides(raw, args) -> None:
+    """Write the command-line overrides into a raw config, where
+    parse_config checks them like any other value."""
+    if not isinstance(raw, dict):
+        return  # parse_config refuses the root
     if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+        raw["output_dir"] = args.out
+    if raw.get("dmd") is None:
+        raw["dmd"] = {}
+    for section, key, value in (("dmd", "svd_threshold", args.threshold),
+                                ("dmd", "threshold_mode", args.threshold_mode),
+                                ("system", "seed", args.seed), ("suite", "seed_base", args.seed)):
+        if value is not None and isinstance(raw.get(section), dict):
+            raw[section][key] = value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -788,8 +755,9 @@ def main(argv: list[str] | None = None) -> int:
             for name in sorted(RECIPES):
                 print(f"{name:20s} {RECIPES[name][1]}")
             return 0
-        cfg = _apply_overrides(load_config(args.target), args)
-        result = execute(cfg)
+        raw, recipe = _raw_config(args.target)
+        _apply_overrides(raw, args)
+        result = execute(parse_config(raw, recipe))
         where = result.output_dir
         print(f"wrote {len(result.outputs)} artifacts to {where}")
         if result.dmd_result is not None:
@@ -809,9 +777,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # Violated library preconditions reached from a config the static
-        # validation could not fully check (e.g. observable index vs the
-        # system dimension) are configuration problems too.
+        # A library precondition that only the data can break, such as a
+        # CSV too short for the embedding (embed.hankel), is a
+        # configuration problem too.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

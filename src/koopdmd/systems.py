@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import math
 import operator
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,9 +42,30 @@ VDP_Z1 = (4.0, 4.0)
 VDP_Z2 = (0.0, 4.0)
 
 
+def _real(x) -> bool:
+    """x is a JSON number (bools count as 0/1) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_array(x, ndim: int) -> np.ndarray | None:
+    """x as a float array of ndim dimensions whose entries are all finite
+    numbers (bools count as 0/1), or None if it is not one."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged nesting
+        return None
+    if a.dtype.kind not in "biuf" or a.ndim != ndim or not np.all(np.isfinite(a)):
+        return None
+    return a.astype(float)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
-    """One system, one initial state, one sampling grid."""
+    """One system, one initial state, one sampling grid. Construction checks
+    every field, and each ValueError message starts with the field's name."""
 
     kind: str
     params: dict
@@ -54,38 +74,29 @@ class SystemSpec:
     steps: int
 
     def __post_init__(self):
-        if self.kind not in FLOW_KINDS + MAP_KINDS:
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        missing = [p for p in REQUIRED_PARAMS[self.kind] if p not in self.params]
-        if missing:
-            raise ValueError(f"{self.kind}: missing parameters {missing}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        z = np.asarray(self.z0, dtype=float)
-        if z.ndim != 1 or not np.all(np.isfinite(z)):
-            raise ValueError("z0 must be a finite 1-D state vector")
+        kinds = FLOW_KINDS + MAP_KINDS
+        if not (isinstance(self.kind, str) and self.kind in kinds):
+            raise ValueError(f"kind: expected one of {kinds}, got {self.kind!r}")
+        for p in REQUIRED_PARAMS[self.kind]:
+            if p not in self.params:
+                raise ValueError(f"{p}: required for kind={self.kind}")
+            if p != "matrix" and not _real(self.params[p]):
+                raise ValueError(f"{p}: finite number required, got {self.params[p]!r}")
+        if not (_real(self.dt) and self.dt > 0):
+            raise ValueError(f"dt: positive number required, got {self.dt!r}")
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+            raise ValueError(f"steps: integer >= 1 required, got {self.steps!r}")
+        dim = _STATE_DIM.get(self.kind)
         if self.kind == "linear":
-            mat = np.asarray(self.params["matrix"], dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"linear map matrix must be square, got {mat.shape}")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("linear map matrix has non-finite entries")
-            if z.size != mat.shape[0]:
-                raise ValueError(
-                    f"z0 dimension {z.size} does not match matrix dimension {mat.shape[0]}"
-                )
-        elif z.size != _STATE_DIM[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs a {_STATE_DIM[self.kind]}-dimensional state, got {z.size}"
-            )
-        for key, val in self.params.items():
-            if key == "matrix":
-                continue
-            if not np.isfinite(float(val)):
-                raise ValueError(f"parameter {key} is not finite: {val}")
+            mat = _finite_array(self.params["matrix"], 2)
+            if mat is None or mat.shape[0] != mat.shape[1]:
+                raise ValueError("matrix: square list of rows of finite numbers expected")
+            dim = mat.shape[0]
+        z = _finite_array(self.z0, 1)
+        if z is None or z.size != dim:
+            raise ValueError(f"z0: a state of {dim} finite numbers expected for kind={self.kind}")
         object.__setattr__(self, "z0", z)
+        object.__setattr__(self, "dt", float(self.dt))
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,8 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def lorenz(z0, dt: float, steps: int, sigma: float = 10.0, rho: float = 28.0,
-           beta: float = 8.0 / 3.0) -> SystemSpec:
+def lorenz(z0, dt: float, steps: int, sigma: float = LORENZ_PARAMS["sigma"],
+           rho: float = LORENZ_PARAMS["rho"], beta: float = LORENZ_PARAMS["beta"]) -> SystemSpec:
     return SystemSpec("lorenz", {"sigma": sigma, "rho": rho, "beta": beta}, z0, dt, steps)
 
 
@@ -250,17 +261,6 @@ def _evaluate_expression(expression: str, env: dict):
         raise ValueError(f"bad observable expression {expression!r}: {exc}") from exc
 
 
-class _StandInState(dict):
-    """pi and a one-sample z<k> for every k >= 1: the environment in which
-    an expression is checked before the state dimension is known."""
-
-    def __contains__(self, name) -> bool:
-        return name == "pi" or re.fullmatch(r"z[1-9][0-9]*", name) is not None
-
-    def __missing__(self, name):
-        return np.pi if name == "pi" else np.ones(1)
-
-
 @dataclass(frozen=True)
 class Observable:
     """Scalar function of the state, evaluated along a trajectory.
@@ -268,9 +268,10 @@ class Observable:
     kinds: coordinate (z_{index+1}), sum (sum of listed coordinates),
     cos_angle (cos of one angle coordinate), kinetic_energy
     (0.5 * |z|^2), custom (expression over z1..zd, pi and numbers with
-    + - * / ** and cos sin tan exp log sqrt abs; anything else is a
-    ValueError at construction, and a state name beyond the state
-    dimension is one when evaluated).
+    + - * / ** and cos sin tan exp log sqrt abs). An index beyond the
+    state dimension, an expression outside this grammar or one that does
+    not give one value per sample is a ValueError when evaluated;
+    cli.parse_config evaluates each observable on the first start state.
     """
 
     kind: str
@@ -285,13 +286,8 @@ class Observable:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind == "sum" and not self.indices:
             raise ValueError("sum observable needs a non-empty indices tuple")
-        if self.kind == "custom":
-            if not self.expression.strip():
-                raise ValueError("custom observable needs an expression")
-            # The evaluator itself is the check; only the state dimension
-            # is left to evaluate().
-            with np.errstate(all="ignore"):
-                _evaluate_expression(self.expression, _StandInState())
+        if self.kind == "custom" and not self.expression.strip():
+            raise ValueError("custom observable needs an expression")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
         object.__setattr__(self, "indices", tuple(self.indices))

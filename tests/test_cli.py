@@ -1,6 +1,8 @@
 import filecmp
 import json
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +125,47 @@ class TestParseConfig:
         assert cfg.embedding.m == 10**7
 
 
+def never_integrate(spec):
+    raise AssertionError("integration started")
+
+
+class TestParseTimeChecks:
+    """Faults that parse_config refuses before anything is integrated."""
+
+    @pytest.fixture(autouse=True)
+    def no_integration(self, monkeypatch):
+        monkeypatch.setattr(systems, "integrate", never_integrate)
+
+    def test_second_start_state_of_wrong_dimension(self):
+        raw = cli.recipe_config("vdp-phase")
+        raw["system"]["z0"] = [[4.0, 4.0], [0, 4, 1]]
+        with pytest.raises(ConfigError, match="system.z0"):
+            cli.parse_config(raw)
+
+    def test_lorenz_state_of_wrong_dimension(self):
+        raw = cli.recipe_config("lorenz-pod")
+        raw["system"]["z0"] = [1, 1]
+        with pytest.raises(ConfigError, match="system.z0"):
+            cli.parse_config(raw)
+
+    def test_linear_matrix_must_be_square(self, tmp_path):
+        raw = rotation_config(tmp_path)
+        raw["system"].update(kind="linear", matrix=[[1, 0]], z0=[1.0, 0.0])
+        with pytest.raises(ConfigError, match="system.matrix"):
+            cli.parse_config(raw)
+
+    @pytest.mark.parametrize("observable", [
+        {"kind": "coordinate", "index": 3},
+        {"kind": "custom", "expression": "z4 + z1"},
+        {"kind": "custom", "expression": "1.0"},
+    ])
+    def test_observable_evaluated_on_first_state(self, observable):
+        raw = cli.recipe_config("lorenz-pod")
+        raw["observables"] = [observable]
+        with pytest.raises(ConfigError, match=r"observables\[0\]"):
+            cli.parse_config(raw)
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -158,10 +201,11 @@ def mutated_recipe(draw):
 
 
 def parses_or_config_error(raw):
-    try:
-        assert isinstance(cli.parse_config(raw), cli.RunConfig)
-    except ConfigError as exc:
-        assert "\n" not in str(exc)
+    with mock.patch.object(systems, "integrate", never_integrate):
+        try:
+            assert isinstance(cli.parse_config(raw), cli.RunConfig)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
 
 
 class TestParseConfigFuzz:
@@ -424,3 +468,37 @@ class TestMain:
         assert cli.main(["run", str(path), "--seed", "11"]) == 0
         report = json.loads((tmp_path / "s" / "equivalence.json").read_text())
         assert [p["seed"] for p in report["per_seed"]] == [11, 12]
+
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "rotation-check", "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_threshold_is_refused(self, capsys):
+        assert cli.main(["run", "rotation-check", "--threshold", "nan"]) == 2
+        assert "dmd.svd_threshold" in capsys.readouterr().err
+
+    def test_seed_override_sets_lorenz_start(self, monkeypatch):
+        runs = []
+
+        def record(cfg):
+            runs.append(cfg)
+            return cli.RunResult(config=cfg, output_dir=Path(cfg.output_dir), outputs=[])
+
+        monkeypatch.setattr(cli, "execute", record)
+        assert cli.main(["run", "lorenz-pod", "--seed", "5"]) == 0
+        (spec,) = runs[0].system.specs
+        assert np.array_equal(spec.z0, systems.lorenz_initial_state(5))
+
+    def test_csv_shorter_than_window_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("t,f\n" + "".join(f"{i},{np.cos(i)}\n" for i in range(14)))
+        raw = {"output_dir": str(tmp_path / "out"), "csv": str(csv),
+               "embedding": {"m": 10, "n": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2  # m + n + 1 = 15 samples needed
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
