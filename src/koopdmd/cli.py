@@ -153,7 +153,8 @@ def _parse_suite(d: dict) -> SuiteConfig:
     tol = d.get("tol", 1e-8)
     _require(isinstance(count, int) and count >= 1, f"suite.count: integer >= 1, got {count!r}")
     _require(isinstance(dim, int) and dim >= 2, f"suite.dim: integer >= 2, got {dim!r}")
-    _require(isinstance(seed_base, int), f"suite.seed_base: integer, got {seed_base!r}")
+    _require(isinstance(seed_base, int) and seed_base >= 0,
+             f"suite.seed_base: integer >= 0 required, got {seed_base!r}")
     _require(_real(tol) and tol > 0, f"suite.tol: positive number, got {tol!r}")
     return SuiteConfig(kind=kind, count=count, dim=dim, seed_base=seed_base, tol=float(tol))
 
@@ -300,11 +301,11 @@ def _validate_lengths(cfg: RunConfig) -> None:
     if cfg.embedding is None:
         return
     e = cfg.embedding
-    # Each block's Hankel pair holds at least 16 * m * c * (n + 1) bytes
+    # Each block's Hankel pair shares one buffer of 8 * m * c * (n + 2) bytes
     # (c interleaved trajectories; CSV sources count as one block of one).
     blocks = max(1, len(cfg.observables))
     channels = len(cfg.system.specs) if cfg.system is not None else 1
-    need = 16 * e.m * channels * (e.n + 1) * blocks
+    need = 8 * e.m * channels * (e.n + 2) * blocks
     memory = _physical_memory()
     if memory is not None:
         _require(need <= memory,

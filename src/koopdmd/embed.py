@@ -3,7 +3,9 @@
 A length-L series f sampled every dt seconds embeds into an m x (n+1)
 Hankel matrix H with H[i][j] = f[i + j], together with its one-step
 shift UH[i][j] = f[i + j + 1]. Columns are successive delayed copies of
-the series; rows index time along the trajectory. Multiple observables
+the series; rows index time along the trajectory. H and UH are read-only
+views of one m x (n+2) copy of the windows, so the pair costs
+8 m (n+2) bytes rather than twice 8 m (n+1). Multiple observables
 embed into separate blocks that are scaled and concatenated column-wise
 into one composite data matrix pair (X, Y) for the DMD stage.
 
@@ -11,6 +13,10 @@ Several trajectories of the same system can be interleaved sample-wise
 into a single series; the embedding then steps all trajectories together,
 so one column holds every trajectory at one delay window and the one-step
 shift advances each trajectory by one sample.
+
+CSV input is parsed by one np.loadtxt call, which gives the bits float()
+gives; a file it refuses is read again line by line, so every error
+names its line.
 """
 from __future__ import annotations
 
@@ -102,7 +108,8 @@ def hankel(series: TimeSeries, m: int, n: int) -> HankelBlock:
     """Delay-embed a series into an m x (n+1) Hankel block plus its shift.
 
     Requires channels * (m + n + 1) samples: every trajectory must supply
-    m + n + 1 samples so that both H and the shifted UH fit.
+    m + n + 1 samples so that both H and the shifted UH fit. H and UH are
+    read-only views of one m*c x (n+2) buffer, offset by one column.
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
@@ -113,13 +120,14 @@ def hankel(series: TimeSeries, m: int, n: int) -> HankelBlock:
             f"series too short for m={m}, n={n}, channels={c}: "
             f"need {needed} samples, have {len(series)}"
         )
-    v = series.values
-    rows = np.arange(m * c)[:, None]
-    cols = c * np.arange(n + 1)[None, :]
-    H = v[rows + cols]
-    UH = v[rows + cols + c]
+    # windows[r, k] = v[r + k]; every c-th of its columns gives the
+    # m*c x (n+2) buffer whose first n+1 columns are H and last n+1 are UH.
+    windows = np.lib.stride_tricks.sliding_window_view(series.values[:needed], c * (n + 1) + 1)
+    buf = windows[:, ::c].copy()
+    buf.flags.writeable = False
     return HankelBlock(
-        H=H, UH=UH, m=m, n=n, dt=series.dt, channels=c, scale=1.0, label=series.label
+        H=buf[:, :-1], UH=buf[:, 1:], m=m, n=n, dt=series.dt, channels=c, scale=1.0,
+        label=series.label,
     )
 
 
@@ -229,11 +237,34 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
     )
 
 
+def _parse_lines(path, lines: list[str], width: int) -> np.ndarray:
+    """float() on every field of every data line; a ValueError names the
+    first line it refuses, counting non-blank lines from the header as 1."""
+    rows = []
+    for ln_no, ln in enumerate(lines, start=2):
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{ln_no}: expected {width} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln_no}: {exc}") from None
+    return np.asarray(rows, dtype=float)
+
+
 def read_timeseries_csv(path) -> list[TimeSeries]:
     """Read 't,<label>[,<label>...]' CSV into one TimeSeries per column.
 
-    The time column must be uniformly spaced to relative tolerance 1e-6;
-    dt is taken as the mean spacing. At least two samples are required.
+    Blank lines are skipped. The time column must be uniformly spaced to
+    relative tolerance 1e-6; dt is taken as the mean spacing. At least two
+    samples are required.
+
+    np.loadtxt parses the data lines in one call. Its field parser is the
+    one behind float(), so it gives the same bits, but it accepts a subset
+    of what float() accepts (no '_' separators or non-ASCII digits), with
+    one exception, U+001F around a number, which it strips as whitespace.
+    A file with U+001F, or one loadtxt refuses, goes through the per-line
+    float() loop, which gives the values or the error naming the line.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
@@ -245,18 +276,15 @@ def read_timeseries_csv(path) -> list[TimeSeries]:
             f"{path}: header must be 't,<label>[,<label>...]', got {lines[0]!r}"
         )
     labels = header[1:]
-    rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(
-                f"{path}:{ln_no}: expected {len(header)} fields, got {len(parts)}"
-            )
+    body = lines[1:]
+    data = None
+    if body and "\x1f" not in text:  # loadtxt warns on an empty body
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln_no}: {exc}") from None
-    data = np.asarray(rows, dtype=float)
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(header):
+        data = _parse_lines(path, body, len(header))
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     if not np.all(np.isfinite(data)):

@@ -2,8 +2,11 @@
 
 Flows (lorenz, vanderpol) are integrated with classical fixed-step RK4,
 subdividing each sampling interval so the local step never exceeds
-min(dt, 0.005). Maps (circle, torus, linear) are applied exactly; angles
-are reduced mod 2*pi. Trajectories are deterministic given the spec.
+min(dt, 0.005). One RK4 core serves both. It steps the state as Python
+floats, because on a 2- or 3-element state numpy's per-call overhead costs
+several times the arithmetic. Maps (circle, torus, linear) are applied
+exactly; angles are reduced mod 2*pi. Trajectories are deterministic
+given the spec.
 """
 from __future__ import annotations
 
@@ -139,45 +142,46 @@ def lorenz_initial_state(seed: int) -> np.ndarray:
 
 
 def _lorenz_deriv(sigma, rho, beta):
-    def deriv(z):
-        x, y, w = z
-        return np.array([sigma * (y - x), x * (rho - w) - y, x * y - beta * w])
+    sigma, rho, beta = float(sigma), float(rho), float(beta)
+
+    def deriv(x, y, w):
+        return sigma * (y - x), x * (rho - w) - y, x * y - beta * w
 
     return deriv
 
 
 def _vdp_deriv(mu):
-    def deriv(z):
-        x, y = z
-        return np.array([y, mu * (1.0 - x * x) * y - x])
+    mu = float(mu)
+
+    def deriv(x, y):
+        return y, mu * (1.0 - x * x) * y - x
 
     return deriv
-
-
-def rk4_step(deriv, z: np.ndarray, h: float) -> np.ndarray:
-    k1 = deriv(z)
-    k2 = deriv(z + 0.5 * h * k1)
-    k3 = deriv(z + 0.5 * h * k2)
-    k4 = deriv(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_flow(deriv, z0, dt: float, steps: int,
                    max_substep: float = MAX_SUBSTEP) -> np.ndarray:
     """Fixed-step RK4 sampling every dt; substeps keep the local step
-    at or below min(dt, max_substep). Returns (steps+1) x dim states."""
+    at or below min(dt, max_substep). Returns (steps+1) x dim states.
+    deriv(*z) takes the state's coordinates as floats and returns their
+    derivatives as a sequence of floats."""
     nsub = max(1, math.ceil(dt / max_substep))
     h = dt / nsub
-    z = np.asarray(z0, dtype=float)
-    out = np.empty((steps + 1, z.size))
-    out[0] = z
+    half, sixth = 0.5 * h, h / 6.0
+    z = [float(v) for v in z0]
+    out = [z]
     for i in range(steps):
         for _ in range(nsub):
-            z = rk4_step(deriv, z, h)
-        if not np.all(np.isfinite(z)):
+            k1 = deriv(*z)
+            k2 = deriv(*[a + half * k for a, k in zip(z, k1)])
+            k3 = deriv(*[a + half * k for a, k in zip(z, k2)])
+            k4 = deriv(*[a + h * k for a, k in zip(z, k3)])
+            z = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, z)):
             raise IntegrationError(f"state became non-finite at step {i + 1}")
-        out[i + 1] = z
-    return out
+        out.append(z)
+    return np.array(out)
 
 
 def integrate(spec: SystemSpec) -> Trajectory:

@@ -476,6 +476,13 @@ class TestMain:
         assert err.startswith("config error: output_dir") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_suite_seed_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "equivalence-suite", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: suite.seed_base") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_threshold_is_refused(self, capsys):
         assert cli.main(["run", "rotation-check", "--threshold", "nan"]) == 2
         assert "dmd.svd_threshold" in capsys.readouterr().err

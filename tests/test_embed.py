@@ -1,6 +1,9 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from koopdmd import embed
@@ -90,6 +93,34 @@ class TestHankel:
         if n > 0:
             assert np.array_equal(blk.UH[:, :-1], blk.H[:, 1:])
         assert np.array_equal(blk.H[channels:, :], blk.UH[:-channels, :])
+
+
+def hankel_reference(v, m, n, c):
+    """H and UH by fancy indexing, the construction embed.hankel replaced."""
+    rows = np.arange(m * c)[:, None]
+    cols = c * np.arange(n + 1)[None, :]
+    return v[rows + cols], v[rows + cols + c]
+
+
+class TestHankelBuffer:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_matches_fancy_index_construction(self, channels, step):
+        m, n = 7, 5
+        raw = np.random.default_rng(channels).standard_normal(step * channels * (m + n + 4))
+        s = TimeSeries(raw[::step], 0.5, channels=channels)
+        assert s.values.flags.c_contiguous == (step == 1)  # a strided view, not a copy
+        blk = embed.hankel(s, m=m, n=n)
+        H, UH = hankel_reference(s.values, m, n, channels)
+        assert np.array_equal(blk.H.view(np.int64), H.view(np.int64))
+        assert np.array_equal(blk.UH.view(np.int64), UH.view(np.int64))
+
+    def test_one_read_only_buffer(self):
+        blk = embed.hankel(series(np.arange(20.0)), m=4, n=6)
+        assert np.shares_memory(blk.H, blk.UH)
+        assert not blk.H.flags.writeable and not blk.UH.flags.writeable
+        with pytest.raises(ValueError):
+            blk.H[0, 0] = 1.0
 
 
 class TestStride:
@@ -261,3 +292,125 @@ class TestCsv:
         path.write_text("t,f\n0.0,1.0\n1.0,oops\n")
         with pytest.raises(ValueError, match=r"csv:3"):
             embed.read_timeseries_csv(path)
+
+
+def read_csv_reference(path):
+    """The per-line float() reader that read_timeseries_csv's loadtxt call
+    replaced, kept verbatim as the reference for values and messages."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 2 or header[0] != "t":
+        raise ValueError(
+            f"{path}: header must be 't,<label>[,<label>...]', got {lines[0]!r}"
+        )
+    labels = header[1:]
+    rows = []
+    for ln_no, ln in enumerate(lines[1:], start=2):
+        parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(
+                f"{path}:{ln_no}: expected {len(header)} fields, got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln_no}: {exc}") from None
+    data = np.asarray(rows, dtype=float)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite values present")
+    t = data[:, 0]
+    dt = (t[-1] - t[0]) / (data.shape[0] - 1)
+    if dt <= 0:
+        raise ValueError(f"{path}: time column must be strictly increasing")
+    steps = np.diff(t)
+    worst = np.max(np.abs(steps - dt))
+    if worst > embed.SPACING_RTOL * dt:
+        raise ValueError(
+            f"{path}: non-uniform time spacing (max deviation {worst:.3e} "
+            f"vs dt={dt!r}, relative tolerance {embed.SPACING_RTOL})"
+        )
+    return [
+        TimeSeries(values=data[:, j + 1], dt=float(dt), label=labels[j])
+        for j in range(len(labels))
+    ]
+
+
+# Fields that float() and np.loadtxt may read differently, or refuse.
+ODD_FIELDS = ["1_0", "\u0663", "\uff11", "#", "#1", '"1"', "'1'", "inf", "-inf", "nan",
+              "NaN", "Infinity", "", "1e500", "-1e-400", "0x1", ".5", "5.", "+1", "1 2",
+              "- 1", "\u22121", "1\x00", "1e", "1d5", "nan(1)", "1,5"]
+# Padding around a field: whitespace to float(), to loadtxt, to splitlines.
+PADS = ["", " ", "\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u3000"]
+BLANK_LINES = ["", "  ", "\t", "\x0c", " \x0b ", "\x1f", "\xa0"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x1e", "\x85", "\u2028"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A 't,f0,...' table of 0-4 rows, then a few edits: odd or padded
+    fields, ragged rows, trailing commas, blank lines, other line ends."""
+    width = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.1, 1.0, 0.25]))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    rows = [[repr(i * dt)] + [repr(draw(floats)) for _ in range(width)]
+            for i in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        edit = draw(st.sampled_from(["odd", "pad", "drop", "extra"]))
+        if edit == "odd":
+            row[col] = draw(st.sampled_from(ODD_FIELDS))
+        elif edit == "pad":
+            row[col] = draw(st.sampled_from(PADS)) + row[col] + draw(st.sampled_from(PADS))
+        elif edit == "drop" and len(row) > 1:
+            del row[col]
+        elif edit == "extra":
+            row.append(draw(st.sampled_from(["", "1"])))  # a trailing comma or a column
+    lines = ["t," + ",".join(f"f{j}" for j in range(width))] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    end = draw(st.sampled_from(LINE_ENDS))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read_or_message(reader, path):
+    """(label, dt, sample bits) per series, or the ValueError's text."""
+    try:
+        return [(s.label, s.dt, s.values.view(np.int64).tolist()) for s in reader(path)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCsvFastPath:
+    @given(text=csv_texts())
+    @example(text="t,f\n")
+    @example(text="t,f\n0,1\n")
+    @example(text="t,f\n0,1_0\n1,2\n")
+    @example(text="t,f\n0,\u0663\n1,2\n")
+    @example(text="t,f\n0,\x1f1\n1,2\n")
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_or_message(embed.read_timeseries_csv, path)
+        assert got == read_or_message(read_csv_reference, path)
+
+    def test_clean_file_skips_the_loop(self, tmp_path, monkeypatch):
+        vals = np.random.default_rng(3).standard_normal((50, 2))
+        path = tmp_path / "clean.csv"
+        embed.write_timeseries_csv(path, [TimeSeries(v, 0.1) for v in vals.T])
+
+        def refuse(*args):
+            raise AssertionError("per-line loop used on a clean file")
+
+        monkeypatch.setattr(embed, "_parse_lines", refuse)
+        back = embed.read_timeseries_csv(path)
+        assert all(np.array_equal(b.values, v) for b, v in zip(back, vals.T))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from koopdmd import systems
+from koopdmd import cli, systems
 from koopdmd.errors import DecompositionError, IntegrationError
 from koopdmd.systems import Observable, SystemSpec
 
@@ -75,7 +77,7 @@ class TestFlows:
     def test_decay_flow_fourth_order(self):
         # dz/dt = -z from z=1: halving the step from 0.4 to 0.2 should cut
         # the endpoint error by roughly 2^4
-        deriv = lambda z: -z
+        deriv = lambda z: (-z,)
         t_end = 4.0
         errs = []
         for dt in (0.4, 0.2):
@@ -125,15 +127,89 @@ class TestFlows:
     def test_blow_up_raises(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="step"):
-                systems.integrate_flow(lambda z: z * z, np.array([1e200]), 1.0, 5)
+                systems.integrate_flow(lambda z: (z * z,), np.array([1e200]), 1.0, 5)
 
     def test_substep_limit_refines(self):
         # a large requested dt is integrated with internal substeps, so the
         # result matches a directly fine-stepped run
-        deriv = lambda z: -z
+        deriv = lambda z: (-z,)
         coarse = systems.integrate_flow(deriv, np.array([1.0]), 0.5, 4)  # substeps kick in
         fine = systems.integrate_flow(deriv, np.array([1.0]), 0.005, 400, max_substep=0.005)
         assert_allclose(coarse[-1], fine[-1], atol=1e-12)
+
+
+def rk4_reference(deriv, z0, dt, steps, max_substep=systems.MAX_SUBSTEP):
+    """The RK4 on numpy arrays that integrate_flow replaced: the same IEEE
+    operations in the same order, one array operation per line."""
+    nsub = max(1, math.ceil(dt / max_substep))
+    h = dt / nsub
+    z = np.asarray(z0, dtype=float)
+    out = np.empty((steps + 1, z.size))
+    out[0] = z
+    for i in range(steps):
+        for _ in range(nsub):
+            k1 = deriv(z)
+            k2 = deriv(z + 0.5 * h * k1)
+            k3 = deriv(z + 0.5 * h * k2)
+            k4 = deriv(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            raise IntegrationError(f"state became non-finite at step {i + 1}")
+        out[i + 1] = z
+    return out
+
+
+def array_deriv(spec):
+    """spec's vector field on a numpy state, as the reference integrates it."""
+    if spec.kind == "lorenz":
+        sigma, rho, beta = (spec.params[p] for p in ("sigma", "rho", "beta"))
+
+        def deriv(z):
+            x, y, w = z
+            return np.array([sigma * (y - x), x * (rho - w) - y, x * y - beta * w])
+
+        return deriv
+    mu = spec.params["mu"]
+
+    def deriv(z):
+        x, y = z
+        return np.array([y, mu * (1.0 - x * x) * y - x])
+
+    return deriv
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestRk4Reference:
+    @pytest.mark.parametrize("recipe", ["lorenz-pod", "vdp-phase"])
+    def test_recipe_starts_are_bitwise_equal(self, recipe):
+        specs = cli.load_config(recipe).system.specs
+        assert len(specs) == (1 if recipe == "lorenz-pod" else 2)
+        for spec in specs:
+            want = rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps)
+            assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
+
+    def test_integer_parameters_are_bitwise_equal(self):
+        spec = systems.lorenz((1.0, 2.0, 3.0), 0.01, 300, sigma=10, rho=28, beta=3)
+        want = rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps)
+        assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
+
+    def test_blow_up_names_the_same_step(self):
+        spec = systems.lorenz((1e3, 1e3, -1e3), 0.01, 50)
+        runs = [(lambda: rk4_reference(lambda z: z * z, [1.0], 0.25, 50),
+                 lambda: systems.integrate_flow(lambda z: (z * z,), [1.0], 0.25, 50)),
+                (lambda: rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps),
+                 lambda: systems.integrate(spec))]
+        for reference, run in runs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationError) as want:
+                    reference()
+                with pytest.raises(IntegrationError) as got:
+                    run()
+            assert str(got.value) == str(want.value)
+            assert not str(got.value).endswith("step 1")
 
 
 class TestTransientSkip:
