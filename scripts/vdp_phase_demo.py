@@ -27,7 +27,7 @@ def main() -> int:
     result = cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
     res = result.dmd_result
 
-    idx = analysis.dominant_nontrivial(res.eigenvalues, res.dt, cli.MIN_NONTRIVIAL_OMEGA)
+    idx = result.dominant
     omega = abs(analysis.eig_to_freq(res.eigenvalues[idx], res.dt))
     period = 2.0 * math.pi / omega
     print(f"kept rank: {res.rank_kept}")

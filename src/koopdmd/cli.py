@@ -5,12 +5,18 @@
     koopdmd recipes
     koopdmd --version
 
-A run reads one JSON config (schema documented in the README and mirrored
-by the dataclasses below), executes the pipeline, and writes its
-artifacts into the output directory: trajectory and observable CSVs,
-Hankel metadata, POD and DMD serializations, a frequency table when
-basic frequencies are configured, and a per-state phase table when
-requested. Identical config and seed produce byte-identical outputs.
+A run reads one JSON config (schema documented in the README), executes
+the pipeline, and writes its artifacts into the output directory:
+trajectory and observable CSVs, Hankel metadata, POD and DMD
+serializations, a frequency table when basic frequencies are configured,
+and a per-state phase table when requested. Identical config and seed
+produce byte-identical outputs.
+
+Each config section's dataclass owns its defaults and checks (SuiteConfig,
+EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
+a SystemConfig of systems.SystemSpec). Its ValueError messages start with
+the field name; parse_config prefixes the section and checks only what
+spans sections.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
 4 i/o error.
@@ -22,12 +28,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, dmd, embed, linalg, pod, systems
+from . import __version__, analysis, dmd, embed, ioutil, linalg, pod, systems
 from .errors import ConfigError, KoopdmdError, NumericalError
 from .ioutil import write_json
 from .systems import _real
@@ -39,6 +45,11 @@ MIN_NONTRIVIAL_OMEGA = 1e-2
 
 # ----------------------------------------------------------------------
 # Configuration
+
+
+def _check(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,10 @@ class SystemConfig:
     steps = property(lambda self: self.specs[0].steps)
     z0s = property(lambda self: tuple(tuple(s.z0) for s in self.specs))
 
+    def __post_init__(self):
+        _check(isinstance(self.skip, int) and 0 <= self.skip < self.steps,
+               f"skip: integer in [0, steps) required, got {self.skip!r}")
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -62,14 +77,35 @@ class SuiteConfig:
     seed_base: int = 0
     tol: float = 1e-8
 
+    def __post_init__(self):
+        _check(self.kind == "equivalence", f"kind: only 'equivalence' exists, got {self.kind!r}")
+        _check(isinstance(self.count, int) and self.count >= 1,
+               f"count: integer >= 1, got {self.count!r}")
+        _check(isinstance(self.dim, int) and self.dim >= 2, f"dim: integer >= 2, got {self.dim!r}")
+        _check(isinstance(self.seed_base, int) and self.seed_base >= 0,
+               f"seed_base: integer >= 0 required, got {self.seed_base!r}")
+        _check(_real(self.tol) and self.tol > 0, f"tol: positive number, got {self.tol!r}")
+        object.__setattr__(self, "tol", float(self.tol))
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    m: int
-    n: int
+    m: int = None  # required: None is refused like any other bad value
+    n: int = None
     stride: int = 1
     interleave: bool = False
     scale_mode: str = "last_column"
+
+    def __post_init__(self):
+        _check(isinstance(self.m, int) and self.m >= 1,
+               f"m: integer >= 1 required, got {self.m!r}")
+        _check(isinstance(self.n, int) and self.n >= 0,
+               f"n: integer >= 0 required, got {self.n!r}")
+        _check(isinstance(self.stride, int) and self.stride >= 1,
+               f"stride: integer >= 1, got {self.stride!r}")
+        _check(isinstance(self.interleave, bool), "interleave: true/false expected")
+        _check(self.scale_mode in ("last_column", "norm_balance"),
+               f"scale_mode: 'last_column' or 'norm_balance', got {self.scale_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +115,31 @@ class DmdConfig:
     threshold_mode: str = "abs"
     sqrt_m_scaling: bool = False
 
+    def __post_init__(self):
+        _check(self.algorithm in dmd.ALGORITHMS,
+               f"algorithm: expected one of {dmd.ALGORITHMS}, got {self.algorithm!r}")
+        _check(_real(self.svd_threshold) and self.svd_threshold >= 0,
+               f"svd_threshold: finite number >= 0 required, got {self.svd_threshold!r}")
+        _check(self.threshold_mode in ("abs", "rel"),
+               f"threshold_mode: 'abs' or 'rel', got {self.threshold_mode!r}")
+        _check(isinstance(self.sqrt_m_scaling, bool), "sqrt_m_scaling: true/false expected")
+        object.__setattr__(self, "svd_threshold", float(self.svd_threshold))
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     basics: tuple[float, ...] | None = None
     K: int = 6
-    dt_override: float | None = None
     export_phase: bool = False
+
+    def __post_init__(self):
+        if self.basics is not None:
+            _check(isinstance(self.basics, (list, tuple)) and self.basics
+                   and all(_real(b) for b in self.basics),
+                   "basics: list of finite numbers expected")
+            object.__setattr__(self, "basics", tuple(float(b) for b in self.basics))
+        _check(isinstance(self.K, int) and self.K >= 0, f"K: integer >= 0, got {self.K!r}")
+        _check(isinstance(self.export_phase, bool), "export_phase: true/false expected")
 
 
 @dataclass(frozen=True)
@@ -113,9 +167,21 @@ def _take(d: dict, section: str, known: tuple[str, ...]) -> None:
     _require(not unknown, f"{section}: unknown keys {unknown} (known: {sorted(known)})")
 
 
+def _section(cls, name: str, d):
+    """One config section as cls, whose fields are the section's keys and
+    whose construction checks their values. Absent or null gives cls()."""
+    d = {} if d is None else d
+    _require(isinstance(d, dict), f"{name}: object expected")
+    _take(d, name, tuple(f.name for f in fields(cls)))
+    try:
+        return cls(**d)
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
+
+
 def _parse_system(d: dict) -> SystemConfig:
     """JSON's part of a system: known keys, z0 as one state or a list of
-    states, skip and seed. systems.SystemSpec checks everything else."""
+    states, and seed. systems.SystemSpec and SystemConfig check the rest."""
     _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed")
           + tuple(p for names in systems.REQUIRED_PARAMS.values() for p in names))
     kind = d.get("kind")
@@ -135,101 +201,9 @@ def _parse_system(d: dict) -> SystemConfig:
     try:
         specs = tuple(systems.SystemSpec(kind, params, z, d.get("dt"), d.get("steps"))
                       for z in z0s)
+        return SystemConfig(specs, d.get("skip", SystemConfig.skip))
     except ValueError as exc:
         raise ConfigError(f"system.{exc}") from None
-    skip = d.get("skip", 0)
-    _require(isinstance(skip, int) and 0 <= skip < specs[0].steps,
-             f"system.skip: integer in [0, steps) required, got {skip!r}")
-    return SystemConfig(specs=specs, skip=skip)
-
-
-def _parse_suite(d: dict) -> SuiteConfig:
-    _take(d, "suite", ("kind", "count", "dim", "seed_base", "tol"))
-    kind = d.get("kind", "equivalence")
-    _require(kind == "equivalence", f"suite.kind: only 'equivalence' exists, got {kind!r}")
-    count = d.get("count", 20)
-    dim = d.get("dim", 4)
-    seed_base = d.get("seed_base", 0)
-    tol = d.get("tol", 1e-8)
-    _require(isinstance(count, int) and count >= 1, f"suite.count: integer >= 1, got {count!r}")
-    _require(isinstance(dim, int) and dim >= 2, f"suite.dim: integer >= 2, got {dim!r}")
-    _require(isinstance(seed_base, int) and seed_base >= 0,
-             f"suite.seed_base: integer >= 0 required, got {seed_base!r}")
-    _require(_real(tol) and tol > 0, f"suite.tol: positive number, got {tol!r}")
-    return SuiteConfig(kind=kind, count=count, dim=dim, seed_base=seed_base, tol=float(tol))
-
-
-def _parse_observable(i: int, d) -> systems.Observable:
-    where = f"observables[{i}]"
-    _require(isinstance(d, dict), f"{where}: object expected")
-    _take(d, where, ("kind", "index", "indices", "expression", "label"))
-    for key in ("kind", "expression", "label"):
-        _require(isinstance(d.get(key, ""), str), f"{where}.{key}: string expected")
-    index, indices = d.get("index", 0), d.get("indices", [])
-    _require(isinstance(index, int), f"{where}.index: integer expected, got {index!r}")
-    _require(isinstance(indices, list) and all(isinstance(j, int) for j in indices),
-             f"{where}.indices: list of integers expected")
-    try:
-        return systems.Observable(
-            kind=d.get("kind", ""),
-            index=index,
-            indices=tuple(indices),
-            expression=d.get("expression", ""),
-            label=d.get("label", ""),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse_embedding(d: dict) -> EmbeddingConfig:
-    _take(d, "embedding", ("m", "n", "stride", "interleave", "scale_mode"))
-    m, n = d.get("m"), d.get("n")
-    _require(isinstance(m, int) and m >= 1, f"embedding.m: integer >= 1 required, got {m!r}")
-    _require(isinstance(n, int) and n >= 0, f"embedding.n: integer >= 0 required, got {n!r}")
-    stride = d.get("stride", 1)
-    _require(isinstance(stride, int) and stride >= 1, f"embedding.stride: integer >= 1, got {stride!r}")
-    interleave = d.get("interleave", False)
-    _require(isinstance(interleave, bool), "embedding.interleave: true/false expected")
-    scale_mode = d.get("scale_mode", "last_column")
-    _require(scale_mode in ("last_column", "norm_balance"),
-             f"embedding.scale_mode: 'last_column' or 'norm_balance', got {scale_mode!r}")
-    return EmbeddingConfig(m=m, n=n, stride=stride, interleave=interleave, scale_mode=scale_mode)
-
-
-def _parse_dmd(d: dict) -> DmdConfig:
-    _take(d, "dmd", ("algorithm", "svd_threshold", "threshold_mode", "sqrt_m_scaling"))
-    algorithm = d.get("algorithm", "hankel")
-    _require(algorithm in dmd.ALGORITHMS,
-             f"dmd.algorithm: expected one of {dmd.ALGORITHMS}, got {algorithm!r}")
-    thr = d.get("svd_threshold", dmd.DEFAULT_HANKEL_THRESHOLD)
-    _require(_real(thr) and thr >= 0,
-             f"dmd.svd_threshold: finite number >= 0 required, got {thr!r}")
-    mode = d.get("threshold_mode", "abs")
-    _require(mode in ("abs", "rel"), f"dmd.threshold_mode: 'abs' or 'rel', got {mode!r}")
-    sqrt_m = d.get("sqrt_m_scaling", False)
-    _require(isinstance(sqrt_m, bool), "dmd.sqrt_m_scaling: true/false expected")
-    return DmdConfig(algorithm=algorithm, svd_threshold=float(thr),
-                     threshold_mode=mode, sqrt_m_scaling=sqrt_m)
-
-
-def _parse_analysis(d: dict) -> AnalysisConfig:
-    _take(d, "analysis", ("basics", "K", "dt_override", "export_phase"))
-    basics = d.get("basics")
-    if basics is not None:
-        _require(isinstance(basics, list) and basics
-                 and all(_real(b) for b in basics),
-                 "analysis.basics: list of finite numbers expected")
-        basics = tuple(float(b) for b in basics)
-    K = d.get("K", 6)
-    _require(isinstance(K, int) and K >= 0, f"analysis.K: integer >= 0, got {K!r}")
-    dt_override = d.get("dt_override")
-    if dt_override is not None:
-        _require(_real(dt_override) and dt_override > 0,
-                 f"analysis.dt_override: positive number or null, got {dt_override!r}")
-        dt_override = float(dt_override)
-    export_phase = d.get("export_phase", False)
-    _require(isinstance(export_phase, bool), "analysis.export_phase: true/false expected")
-    return AnalysisConfig(basics=basics, K=K, dt_override=dt_override, export_phase=export_phase)
 
 
 def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
@@ -243,12 +217,10 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
     output_dir = raw.get("output_dir", "out")
     _require(isinstance(output_dir, str) and output_dir, "output_dir: non-empty string expected")
 
-    system = csv_path = suite = None
+    system = csv_path = suite = embedding = None
     observables: tuple[systems.Observable, ...] = ()
-    embedding = None
     if raw.get("suite") is not None:
-        _require(isinstance(raw["suite"], dict), "suite: object expected")
-        suite = _parse_suite(raw["suite"])
+        suite = _section(SuiteConfig, "suite", raw["suite"])
         for key in ("observables", "embedding"):
             _require(raw.get(key) is None, f"{key}: not applicable to a suite run")
     else:
@@ -258,7 +230,8 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
             obs_raw = raw.get("observables")
             _require(isinstance(obs_raw, list) and obs_raw,
                      "observables: non-empty list required with a system")
-            observables = tuple(_parse_observable(i, o) for i, o in enumerate(obs_raw))
+            observables = tuple(_section(systems.Observable, f"observables[{i}]", o)
+                                for i, o in enumerate(obs_raw))
             state = system.specs[0].z0[None, :]
             for i, obs in enumerate(observables):
                 try:
@@ -272,13 +245,10 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
             _require(raw.get("observables") in (None, []),
                      "observables: CSV columns are the observables; leave empty")
         _require(isinstance(raw.get("embedding"), dict), "embedding: object with m and n required")
-        embedding = _parse_embedding(raw["embedding"])
+        embedding = _section(EmbeddingConfig, "embedding", raw["embedding"])
 
-    dmd_cfg = _parse_dmd(raw["dmd"]) if isinstance(raw.get("dmd"), dict) else DmdConfig()
-    _require(raw.get("dmd") is None or isinstance(raw.get("dmd"), dict), "dmd: object expected")
-    ana = _parse_analysis(raw["analysis"]) if isinstance(raw.get("analysis"), dict) else AnalysisConfig()
-    _require(raw.get("analysis") is None or isinstance(raw.get("analysis"), dict),
-             "analysis: object expected")
+    dmd_cfg = _section(DmdConfig, "dmd", raw.get("dmd"))
+    ana = _section(AnalysisConfig, "analysis", raw.get("analysis"))
     if system is not None and embedding is not None:
         _require(embedding.interleave or len(system.specs) == 1,
                  "embedding.interleave must be true when system.z0 lists several states")
@@ -420,15 +390,17 @@ class RunResult:
     pod_result: pod.PodResult | None = None
     dmd_result: dmd.DmdResult | None = None
     frequency_rows: list[dict] | None = None
+    dominant: int | None = None  # index of analysis.dominant_nontrivial's mode
     suite_report: dict | None = None
 
 
 def _build_series(cfg: RunConfig):
     """Observable time series per block, plus trajectories when simulated.
 
-    Returns (series_per_observable, trajectories, dt_effective). Each entry
-    of series_per_observable is the (possibly interleaved) series that one
-    Hankel block embeds.
+    Returns (series_per_observable, trajectories, observed). Each entry of
+    series_per_observable is the (possibly interleaved) series that one
+    Hankel block embeds; observed[k][i] is observable k along trajectory i
+    before striding. The last two are None for a CSV source.
     """
     e = cfg.embedding
     if cfg.csv is not None:
@@ -439,20 +411,16 @@ def _build_series(cfg: RunConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         columns = [embed.strided_series(s, e.stride) for s in columns]
-        if e.interleave:
-            series_list = [embed.interleave(columns)]
-        else:
-            series_list = columns
-        return series_list, None, series_list[0].dt
+        return ([embed.interleave(columns)] if e.interleave else columns), None, None
 
     trajectories = [systems.transient_skip(systems.integrate(spec), cfg.system.skip)
                     for spec in cfg.system.specs]
+    observed = [[systems.observe(t, obs) for t in trajectories] for obs in cfg.observables]
     series_list = []
-    for obs in cfg.observables:
-        per_traj = [systems.observe(t, obs) for t in trajectories]
+    for per_traj in observed:
         per_traj = [embed.strided_series(s, e.stride) for s in per_traj]
         series_list.append(embed.interleave(per_traj) if e.interleave else per_traj[0])
-    return series_list, trajectories, series_list[0].dt
+    return series_list, trajectories, observed
 
 
 def _run_decomposition(cfg: RunConfig, blocks, data, dt_eff: float,
@@ -472,30 +440,28 @@ def _run_decomposition(cfg: RunConfig, blocks, data, dt_eff: float,
     return dmd.companion_dmd(block.H, k=block.n, dt=dt_eff)
 
 
-def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories, dt_ana: float):
+def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories, dt_eff: float):
     """Rows of the frequency table: positive-branch eigenvalues with their
     lattice match and, for rotation systems, the eigenfunction variance."""
     ana = cfg.analysis
     if ana.basics is None:
         return None
     angles = None
-    if (trajectories is not None and cfg.system is not None
-            and cfg.system.kind in ("circle", "torus") and not cfg.embedding.interleave):
-        m_rows = result.modes.shape[0]
-        angles = trajectories[0].states[:: cfg.embedding.stride][:m_rows]
+    if (trajectories is not None and cfg.system.kind in ("circle", "torus")
+            and not cfg.embedding.interleave):
+        angles = trajectories[0].states[:: cfg.embedding.stride][: result.modes.shape[0]]
     rows = []
     for j, lam in enumerate(result.eigenvalues):
         if lam == 0:
             continue
-        omega = analysis.eig_to_freq(lam, dt_ana)
+        omega = analysis.eig_to_freq(lam, dt_eff)
         if omega < 0:
             continue  # conjugate partner carries the same information
         match = analysis.match_lattice(omega, ana.basics, K=ana.K)
         variance = None
-        if angles is not None and angles.shape[0] == result.modes.shape[0]:
+        if angles is not None:
             ref = analysis.lattice_eigenfunction(angles, match.k)
-            if np.linalg.norm(ref) > 0 and np.linalg.norm(result.modes[:, j]) > 0:
-                variance = analysis.eigenfunction_error(result.modes[:, j], ref).variance
+            variance = analysis.eigenfunction_error(result.modes[:, j], ref).variance
         rows.append({
             "k": match.k,
             "omega_computed": omega,
@@ -506,15 +472,13 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories, dt_ana:
     return rows
 
 
-def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, blocks, trajectories,
-                     dt_eff: float) -> bool:
-    """Per-state asymptotic phase of the dominant nontrivial mode."""
-    idx = analysis.dominant_nontrivial(result.eigenvalues, dt_eff, MIN_NONTRIVIAL_OMEGA)
+def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int | None, blocks,
+                     trajectories, dt_eff: float) -> bool:
+    """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
     if idx is None or trajectories is None:
         return False
-    block = blocks[0]
     phases = analysis.asymptotic_phase(result.modes[:, idx])
-    c = block.channels
+    c = blocks[0].channels
     dim = trajectories[0].states.shape[1]
     header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(dim)] + ["phase"]
     rows = []
@@ -524,9 +488,8 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, blocks, trajec
         state = strided[p][i]
         rows.append([i * dt_eff, p + 1] + [float(v) for v in state]
                     + [float(phase) if np.isfinite(phase) else None])
-    from .ioutil import write_csv
-
-    write_csv(path, header, rows)
+    # Looked up at call time, so a traced run counts phase.csv among its writes.
+    ioutil.write_csv(path, header, rows)
     return True
 
 
@@ -544,7 +507,8 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         outputs.append("run.json")
         return RunResult(config=cfg, output_dir=out, outputs=outputs, suite_report=report)
 
-    series_list, trajectories, dt_eff = _build_series(cfg)
+    series_list, trajectories, observed = _build_series(cfg)
+    dt_eff = series_list[0].dt
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
     scales = [1.0]
@@ -559,10 +523,9 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
             name = f"trajectory_{i}.csv"
             embed.write_timeseries_csv(out / name, cols)
             outputs.append(name)
-        per_obs = [[systems.observe(t, obs) for t in trajectories] for obs in cfg.observables]
         for i in range(len(trajectories)):
             name = f"series_{i + 1}.csv"
-            embed.write_timeseries_csv(out / name, [cols[i] for cols in per_obs])
+            embed.write_timeseries_csv(out / name, [per_traj[i] for per_traj in observed])
             outputs.append(name)
 
     write_json(out / "hankel.json", {
@@ -592,35 +555,36 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     dmd.write_modes_csv(dmd_result, out / "modes.csv")
     outputs += ["dmd.json", "modes.csv"]
 
-    dt_ana = cfg.analysis.dt_override or dt_eff
-    freq_rows = _frequency_rows(cfg, dmd_result, trajectories, dt_ana)
+    freq_rows = _frequency_rows(cfg, dmd_result, trajectories, dt_eff)
     if freq_rows is not None:
         analysis.write_frequency_table(out / "frequency_table.csv", freq_rows)
         outputs.append("frequency_table.csv")
 
+    dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dt_eff,
+                                            MIN_NONTRIVIAL_OMEGA)
     if cfg.analysis.export_phase:
-        if _write_phase_csv(out / "phase.csv", cfg, dmd_result, blocks, trajectories, dt_eff):
+        if _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks,
+                            trajectories, dt_eff):
             outputs.append("phase.csv")
 
     write_json(out / "run.json", _run_summary(cfg, outputs, dmd_result=dmd_result,
-                                              pod_result=pod_result, dt_eff=dt_eff))
+                                              dominant=dominant, pod_result=pod_result,
+                                              dt_eff=dt_eff))
     outputs.append("run.json")
     return RunResult(config=cfg, output_dir=out, outputs=outputs,
                      trajectories=trajectories, blocks=blocks, data=data,
                      pod_result=pod_result, dmd_result=dmd_result,
-                     frequency_rows=freq_rows)
+                     frequency_rows=freq_rows, dominant=dominant)
 
 
-def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, pod_result=None,
-                 dt_eff=None, suite=None) -> dict:
+def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=None,
+                 pod_result=None, dt_eff=None, suite=None) -> dict:
     summary: dict = {
         "recipe": cfg.recipe,
         "outputs": sorted(outputs),
         "version": __version__,
     }
     if dmd_result is not None:
-        idx = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt,
-                                           MIN_NONTRIVIAL_OMEGA)
         summary["dmd"] = {
             "algorithm": dmd_result.algorithm,
             "svd_threshold": cfg.dmd.svd_threshold,
@@ -628,8 +592,8 @@ def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, pod_result
             "rank_kept": dmd_result.rank_kept,
             "residual": float(dmd_result.residual),
             "dominant_nontrivial_freq": (
-                None if idx is None
-                else analysis.eig_to_freq(dmd_result.eigenvalues[idx], dmd_result.dt)),
+                None if dominant is None
+                else analysis.eig_to_freq(dmd_result.eigenvalues[dominant], dmd_result.dt)),
         }
     if pod_result is not None:
         summary["pod"] = {"k": pod_result.k,
@@ -761,13 +725,10 @@ def main(argv: list[str] | None = None) -> int:
         result = execute(parse_config(raw, recipe))
         where = result.output_dir
         print(f"wrote {len(result.outputs)} artifacts to {where}")
-        if result.dmd_result is not None:
-            idx = analysis.dominant_nontrivial(result.dmd_result.eigenvalues,
-                                               result.dmd_result.dt, MIN_NONTRIVIAL_OMEGA)
-            if idx is not None:
-                omega = analysis.eig_to_freq(result.dmd_result.eigenvalues[idx],
-                                             result.dmd_result.dt)
-                print(f"dominant nontrivial frequency: {omega:.6f} rad/s")
+        if result.dominant is not None:
+            omega = analysis.eig_to_freq(result.dmd_result.eigenvalues[result.dominant],
+                                         result.dmd_result.dt)
+            print(f"dominant nontrivial frequency: {omega:.6f} rad/s")
         if result.suite_report is not None:
             status = "pass" if result.suite_report["pass"] else "FAIL"
             print(f"equivalence suite: {status} "

@@ -237,11 +237,13 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
     )
 
 
-def _parse_lines(path, lines: list[str], width: int) -> np.ndarray:
-    """float() on every field of every data line; a ValueError names the
-    first line it refuses, counting non-blank lines from the header as 1."""
+def _parse_lines(path, text: str, width: int) -> np.ndarray:
+    """float() on every field of every data line (each non-blank line after
+    the header); a ValueError names the first line it refuses by its number
+    in the file, as str.splitlines counts lines."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
     rows = []
-    for ln_no, ln in enumerate(lines, start=2):
+    for ln_no, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != width:
             raise ValueError(f"{path}:{ln_no}: expected {width} fields, got {len(parts)}")
@@ -284,7 +286,7 @@ def read_timeseries_csv(path) -> list[TimeSeries]:
         except ValueError:
             pass
     if data is None or data.shape[1] != len(header):
-        data = _parse_lines(path, body, len(header))
+        data = _parse_lines(path, text, len(header))
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     if not np.all(np.isfinite(data)):

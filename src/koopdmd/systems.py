@@ -272,26 +272,36 @@ class Observable:
     kinds: coordinate (z_{index+1}), sum (sum of listed coordinates),
     cos_angle (cos of one angle coordinate), kinetic_energy
     (0.5 * |z|^2), custom (expression over z1..zd, pi and numbers with
-    + - * / ** and cos sin tan exp log sqrt abs). An index beyond the
-    state dimension, an expression outside this grammar or one that does
-    not give one value per sample is a ValueError when evaluated;
-    cli.parse_config evaluates each observable on the first start state.
+    + - * / ** and cos sin tan exp log sqrt abs). Construction checks
+    every field, and each ValueError message starts with the field's
+    name. An index beyond the state dimension, an expression outside this
+    grammar or one that does not give one value per sample is a ValueError
+    when evaluated; cli.parse_config evaluates each observable on the
+    first start state.
     """
 
-    kind: str
+    kind: str = ""
     index: int = 0
     indices: tuple[int, ...] = ()
     expression: str = ""
     label: str = ""
 
     def __post_init__(self):
+        for name in ("kind", "expression", "label"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name}: string expected")
+        if not isinstance(self.index, int):
+            raise ValueError(f"index: integer expected, got {self.index!r}")
+        if not (isinstance(self.indices, (list, tuple))
+                and all(isinstance(i, int) for i in self.indices)):
+            raise ValueError("indices: list of integers expected")
         kinds = ("coordinate", "sum", "cos_angle", "kinetic_energy", "custom")
         if self.kind not in kinds:
-            raise ValueError(f"unknown observable kind {self.kind!r}")
+            raise ValueError(f"kind: unknown observable kind {self.kind!r}")
         if self.kind == "sum" and not self.indices:
-            raise ValueError("sum observable needs a non-empty indices tuple")
+            raise ValueError("indices: sum observable needs a non-empty indices tuple")
         if self.kind == "custom" and not self.expression.strip():
-            raise ValueError("custom observable needs an expression")
+            raise ValueError("expression: custom observable needs an expression")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
         object.__setattr__(self, "indices", tuple(self.indices))

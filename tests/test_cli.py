@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import cli, embed, linalg, systems
+from koopdmd import analysis, cli, embed, linalg, systems
 from koopdmd.errors import ConfigError
 
 
@@ -123,6 +124,66 @@ class TestParseConfig:
         monkeypatch.setattr(cli.os, "sysconf", unknown)
         cfg = cli.parse_config(rotation_config(tmp_path, m=10**7, n=10**5))
         assert cfg.embedding.m == 10**7
+
+
+# The dataclass that owns each section's keys and defaults.
+SECTION_CLASSES = {"system": cli.SystemConfig, "suite": cli.SuiteConfig,
+                   "embedding": cli.EmbeddingConfig, "dmd": cli.DmdConfig,
+                   "analysis": cli.AnalysisConfig}
+
+
+def comparable(cfg):
+    """cfg with its start states as tuples, so that == compares it."""
+    system = cfg.system
+    if system is not None:
+        system = (system.kind, system.params, system.dt, system.steps, system.z0s, system.skip)
+    return dataclasses.replace(cfg, system=None), system
+
+
+def sections(raw):
+    """(path, dataclass) of every section of a raw config, observables included."""
+    for name, cls in SECTION_CLASSES.items():
+        if isinstance(raw.get(name), dict):
+            yield (name,), cls
+    for i in range(len(raw.get("observables") or [])):
+        yield ("observables", i), systems.Observable
+
+
+class TestSectionDefaults:
+    @pytest.mark.parametrize("name", sorted(cli.RECIPES))
+    def test_default_valued_keys_can_go(self, name):
+        full = comparable(cli.parse_config(cli.recipe_config(name), recipe=name))
+        removed = 0
+        for (key, *index), cls in sections(cli.recipe_config(name)):
+            for f in dataclasses.fields(cls):
+                trimmed = cli.recipe_config(name)
+                section = trimmed[key][index[0]] if index else trimmed[key]
+                if f.name in section and section[f.name] == f.default:
+                    del section[f.name]
+                    assert comparable(cli.parse_config(trimmed, recipe=name)) == full, f.name
+                    removed += 1
+        assert removed >= 1
+
+    @pytest.mark.parametrize("section, cls", [("dmd", cli.DmdConfig),
+                                              ("analysis", cli.AnalysisConfig)])
+    @pytest.mark.parametrize("value", ["absent", None, {}])
+    def test_empty_section_gives_defaults(self, tmp_path, section, cls, value):
+        raw = rotation_config(tmp_path)
+        if value == "absent":
+            del raw[section]
+        else:
+            raw[section] = value
+        assert getattr(cli.parse_config(raw), section) == cls()
+
+    def test_dt_override_is_an_unknown_key(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path / "out")
+        raw["analysis"]["dt_override"] = 2.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analysis: unknown keys ['dt_override']")
+        assert not (tmp_path / "out").exists()
 
 
 def never_integrate(spec):
@@ -322,6 +383,9 @@ class TestExecute:
         raw["output_dir"] = str(tmp_path / "vdp")
         result = cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
         assert "phase.csv" in result.outputs
+        res = result.dmd_result
+        assert result.dominant == analysis.dominant_nontrivial(res.eigenvalues, res.dt,
+                                                               cli.MIN_NONTRIVIAL_OMEGA)
         lines = (tmp_path / "vdp" / "phase.csv").read_text().splitlines()
         assert lines[0] == "t,trajectory,z1,z2,phase"
         table = np.loadtxt(lines[1:], delimiter=",")
@@ -341,6 +405,35 @@ class TestExecute:
             assert vals[j].imag > 0 and vals[j + 1] == np.conj(vals[j]), j
             j, pairs = j + 2, pairs + 1
         assert pairs >= 40
+
+
+class TestOneComputationPerValue:
+    def test_observe_and_dominant_run_once(self, tmp_path, monkeypatch, capsys):
+        raw = rotation_config(tmp_path / "out")
+        raw["system"]["z0"] = [[0.0], [0.5]]
+        raw["embedding"]["interleave"] = True
+        raw["observables"] = [{"kind": "cos_angle"}, {"kind": "custom", "expression": "sin(z1)"}]
+        raw["analysis"]["export_phase"] = True
+        observed, dominant = [], []
+        observe, dominant_nontrivial = systems.observe, analysis.dominant_nontrivial
+
+        def counting_observe(traj, obs):
+            observed.append(obs.label)
+            return observe(traj, obs)
+
+        def counting_dominant(*args):
+            dominant.append(dominant_nontrivial(*args))
+            return dominant[-1]
+
+        monkeypatch.setattr(systems, "observe", counting_observe)
+        monkeypatch.setattr(analysis, "dominant_nontrivial", counting_dominant)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 0
+        assert sorted(observed) == ["cos_z1", "cos_z1", "sin(z1)", "sin(z1)"]
+        assert len(dominant) == 1 and dominant[0] is not None
+        assert (tmp_path / "out" / "phase.csv").exists()
+        assert "dominant nontrivial frequency: 0.785398 rad/s" in capsys.readouterr().out
 
 
 def count_svd_calls(monkeypatch) -> list:

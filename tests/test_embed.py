@@ -293,12 +293,21 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"csv:3"):
             embed.read_timeseries_csv(path)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,f\n\n\n0,1\n1,x\n")
+        with pytest.raises(ValueError, match=r"blank\.csv:5: could not convert string to float: 'x'"):
+            embed.read_timeseries_csv(path)
+
 
 def read_csv_reference(path):
     """The per-line float() reader that read_timeseries_csv's loadtxt call
-    replaced, kept verbatim as the reference for values and messages."""
+    replaced, kept as the reference for values and messages. Its one edit:
+    an error names the line by its number in the file, blank lines
+    included."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -308,7 +317,7 @@ def read_csv_reference(path):
         )
     labels = header[1:]
     rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ValueError(
