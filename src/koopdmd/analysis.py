@@ -172,19 +172,12 @@ def lattice_eigenfunction(angles, k) -> np.ndarray:
 
 def write_frequency_table(path, rows: list[dict]) -> None:
     """Frequency table CSV: k, omega_computed, omega_lattice,
-    relative_error, eigfun_variance (blank when no reference exists)."""
+    relative_error, eigfun_variance. Every row carries these five keys; a
+    None value is a blank cell (eigfun_variance when no reference exists)."""
     header = ["k", "omega_computed", "omega_lattice", "relative_error", "eigfun_variance"]
     out = []
     for row in rows:
-        k = row.get("k")
+        k = row["k"]
         k_str = "" if k is None else "(" + ",".join(str(int(i)) for i in k) + ")"
-        out.append(
-            [
-                k_str,
-                row["omega_computed"],
-                row.get("omega_lattice"),
-                row.get("relative_error"),
-                row.get("eigfun_variance"),
-            ]
-        )
+        out.append([k_str] + [row[key] for key in header[1:]])
     write_csv(path, header, out)

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, analysis, dmd, embed, ioutil, linalg, pod, systems
 from .errors import ConfigError, KoopdmdError, NumericalError
 from .ioutil import write_json
-from .systems import _real
+from .systems import _integer, _real
 
 #: Eigenvalues with |omega| below this are treated as trivial (DC-like)
 #: when selecting the dominant mode for phase export.
@@ -65,7 +65,7 @@ class SystemConfig:
     z0s = property(lambda self: tuple(tuple(s.z0) for s in self.specs))
 
     def __post_init__(self):
-        _check(isinstance(self.skip, int) and 0 <= self.skip < self.steps,
+        _check(_integer(self.skip) and 0 <= self.skip < self.steps,
                f"skip: integer in [0, steps) required, got {self.skip!r}")
 
 
@@ -79,10 +79,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         _check(self.kind == "equivalence", f"kind: only 'equivalence' exists, got {self.kind!r}")
-        _check(isinstance(self.count, int) and self.count >= 1,
+        _check(_integer(self.count) and self.count >= 1,
                f"count: integer >= 1, got {self.count!r}")
-        _check(isinstance(self.dim, int) and self.dim >= 2, f"dim: integer >= 2, got {self.dim!r}")
-        _check(isinstance(self.seed_base, int) and self.seed_base >= 0,
+        _check(_integer(self.dim) and self.dim >= 2, f"dim: integer >= 2, got {self.dim!r}")
+        _check(_integer(self.seed_base) and self.seed_base >= 0,
                f"seed_base: integer >= 0 required, got {self.seed_base!r}")
         _check(_real(self.tol) and self.tol > 0, f"tol: positive number, got {self.tol!r}")
         object.__setattr__(self, "tol", float(self.tol))
@@ -97,11 +97,11 @@ class EmbeddingConfig:
     scale_mode: str = "last_column"
 
     def __post_init__(self):
-        _check(isinstance(self.m, int) and self.m >= 1,
+        _check(_integer(self.m) and self.m >= 1,
                f"m: integer >= 1 required, got {self.m!r}")
-        _check(isinstance(self.n, int) and self.n >= 0,
+        _check(_integer(self.n) and self.n >= 0,
                f"n: integer >= 0 required, got {self.n!r}")
-        _check(isinstance(self.stride, int) and self.stride >= 1,
+        _check(_integer(self.stride) and self.stride >= 1,
                f"stride: integer >= 1, got {self.stride!r}")
         _check(isinstance(self.interleave, bool), "interleave: true/false expected")
         _check(self.scale_mode in ("last_column", "norm_balance"),
@@ -138,7 +138,7 @@ class AnalysisConfig:
                    and all(_real(b) for b in self.basics),
                    "basics: list of finite numbers expected")
             object.__setattr__(self, "basics", tuple(float(b) for b in self.basics))
-        _check(isinstance(self.K, int) and self.K >= 0, f"K: integer >= 0, got {self.K!r}")
+        _check(_integer(self.K) and self.K >= 0, f"K: integer >= 0, got {self.K!r}")
         _check(isinstance(self.export_phase, bool), "export_phase: true/false expected")
 
 
@@ -188,7 +188,7 @@ def _parse_system(d: dict) -> SystemConfig:
     names = systems.REQUIRED_PARAMS.get(kind, ()) if isinstance(kind, str) else ()
     params = {p: d[p] for p in names if p in d}
     seed = d.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0,
+    _require(_integer(seed) and seed >= 0,
              f"system.seed: integer >= 0 required, got {seed!r}")
     z0 = d.get("z0")
     if z0 is None:
@@ -249,6 +249,8 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
 
     dmd_cfg = _section(DmdConfig, "dmd", raw.get("dmd"))
     ana = _section(AnalysisConfig, "analysis", raw.get("analysis"))
+    _require(csv_path is None or not ana.export_phase,
+             "analysis.export_phase: needs a system source")
     if system is not None and embedding is not None:
         _require(embedding.interleave or len(system.specs) == 1,
                  "embedding.interleave must be true when system.z0 lists several states")
@@ -423,38 +425,38 @@ def _build_series(cfg: RunConfig):
     return series_list, trajectories, observed
 
 
-def _run_decomposition(cfg: RunConfig, blocks, data, dt_eff: float,
-                       factors=None) -> dmd.DmdResult:
-    d = cfg.dmd
+def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdResult:
+    d, dt = cfg.dmd, blocks[0].dt
     if d.algorithm == "hankel":
-        return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt_eff,
+        return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt,
                               threshold_mode=d.threshold_mode,
                               sqrt_m_scaling=d.sqrt_m_scaling, factors=factors)
     if d.algorithm == "exact":
         return dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
-                             threshold_mode=d.threshold_mode, dt=dt_eff, factors=factors)
+                             threshold_mode=d.threshold_mode, dt=dt, factors=factors)
     if d.algorithm == "svd":
-        return dmd.svd_dmd(data.X, data.Y, dt=dt_eff, factors=factors)
+        return dmd.svd_dmd(data.X, data.Y, dt=dt, factors=factors)
     # companion: sequential delayed columns of the first block
     block = blocks[0]
-    return dmd.companion_dmd(block.H, k=block.n, dt=dt_eff)
+    return dmd.companion_dmd(block.H, k=block.n, dt=dt)
 
 
-def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories, dt_eff: float):
+def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     """Rows of the frequency table: positive-branch eigenvalues with their
-    lattice match and, for rotation systems, the eigenfunction variance."""
+    lattice match and, for a rotation system with one start state, the
+    eigenfunction variance."""
     ana = cfg.analysis
     if ana.basics is None:
         return None
     angles = None
     if (trajectories is not None and cfg.system.kind in ("circle", "torus")
-            and not cfg.embedding.interleave):
+            and len(trajectories) == 1):
         angles = trajectories[0].states[:: cfg.embedding.stride][: result.modes.shape[0]]
     rows = []
     for j, lam in enumerate(result.eigenvalues):
         if lam == 0:
             continue
-        omega = analysis.eig_to_freq(lam, dt_eff)
+        omega = analysis.eig_to_freq(lam, result.dt)
         if omega < 0:
             continue  # conjugate partner carries the same information
         match = analysis.match_lattice(omega, ana.basics, K=ana.K)
@@ -473,9 +475,9 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories, dt_eff:
 
 
 def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int | None, blocks,
-                     trajectories, dt_eff: float) -> bool:
+                     trajectories) -> bool:
     """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
-    if idx is None or trajectories is None:
+    if idx is None:
         return False
     phases = analysis.asymptotic_phase(result.modes[:, idx])
     c = blocks[0].channels
@@ -486,7 +488,7 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int | Non
     for r, phase in enumerate(phases):
         i, p = divmod(r, c)
         state = strided[p][i]
-        rows.append([i * dt_eff, p + 1] + [float(v) for v in state]
+        rows.append([i * result.dt, p + 1] + [float(v) for v in state]
                     + [float(phase) if np.isfinite(phase) else None])
     # Looked up at call time, so a traced run counts phase.csv among its writes.
     ioutil.write_csv(path, header, rows)
@@ -508,7 +510,6 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         return RunResult(config=cfg, output_dir=out, outputs=outputs, suite_report=report)
 
     series_list, trajectories, observed = _build_series(cfg)
-    dt_eff = series_list[0].dt
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
     scales = [1.0]
@@ -529,7 +530,7 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
             outputs.append(name)
 
     write_json(out / "hankel.json", {
-        "m": e.m, "n": e.n, "dt": dt_eff, "stride": e.stride,
+        "m": e.m, "n": e.n, "dt": blocks[0].dt, "stride": e.stride,
         "interleave": e.interleave, "rows": int(data.X.shape[0]),
         "cols": int(data.X.shape[1]),
         "blocks": [{"label": b.label, "channels": b.channels, "scale": s,
@@ -543,7 +544,7 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     # CSV workers inherit the parent's pages.
     factors = linalg.svd(data.X) if data.X is blocks[0].H else None
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
-    dmd_result = _run_decomposition(cfg, blocks, data, dt_eff, factors)
+    dmd_result = _run_decomposition(cfg, blocks, data, factors)
     del factors
 
     pod.write_result_json(pod_result, out / "pod.json")
@@ -555,21 +556,19 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     dmd.write_modes_csv(dmd_result, out / "modes.csv")
     outputs += ["dmd.json", "modes.csv"]
 
-    freq_rows = _frequency_rows(cfg, dmd_result, trajectories, dt_eff)
+    freq_rows = _frequency_rows(cfg, dmd_result, trajectories)
     if freq_rows is not None:
         analysis.write_frequency_table(out / "frequency_table.csv", freq_rows)
         outputs.append("frequency_table.csv")
 
-    dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dt_eff,
+    dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt,
                                             MIN_NONTRIVIAL_OMEGA)
     if cfg.analysis.export_phase:
-        if _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks,
-                            trajectories, dt_eff):
+        if _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks, trajectories):
             outputs.append("phase.csv")
 
     write_json(out / "run.json", _run_summary(cfg, outputs, dmd_result=dmd_result,
-                                              dominant=dominant, pod_result=pod_result,
-                                              dt_eff=dt_eff))
+                                              dominant=dominant, pod_result=pod_result))
     outputs.append("run.json")
     return RunResult(config=cfg, output_dir=out, outputs=outputs,
                      trajectories=trajectories, blocks=blocks, data=data,
@@ -578,7 +577,7 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
 
 
 def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=None,
-                 pod_result=None, dt_eff=None, suite=None) -> dict:
+                 pod_result=None, suite=None) -> dict:
     summary: dict = {
         "recipe": cfg.recipe,
         "outputs": sorted(outputs),
@@ -595,11 +594,10 @@ def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=N
                 None if dominant is None
                 else analysis.eig_to_freq(dmd_result.eigenvalues[dominant], dmd_result.dt)),
         }
+        summary["dt"] = float(dmd_result.dt)
     if pod_result is not None:
         summary["pod"] = {"k": pod_result.k,
                           "top_singular_values": [float(s) for s in pod_result.singular_values[:8]]}
-    if dt_eff is not None:
-        summary["dt"] = float(dt_eff)
     if suite is not None:
         summary["suite"] = {"pass": suite["pass"], "count": len(suite["per_seed"])}
     return summary
@@ -735,13 +733,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"(max eigenvalue disagreement "
                   f"{result.suite_report['max_eigenvalue_disagreement']:.3e})")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # A library precondition that only the data can break, such as a
-        # CSV too short for the embedding (embed.hankel), is a
-        # configuration problem too.
+    except (ConfigError, ValueError) as exc:
+        # A ValueError is a library precondition that only the data can
+        # break, such as a CSV too short for the embedding (embed.hankel):
+        # a configuration problem too.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -22,12 +22,14 @@ projected modes W w_j. Each variant computes only what it returns.
 
 Eigenvalues are ordered by descending data energy of their modes (least
 squares against the first data column), ties broken by descending
-modulus, then ascending phase in [0, 2*pi). Both members of a conjugate
-pair carry the pair's larger energy, so the positive-frequency member
-comes first. Projected modes W w_j are ordered in reduced coordinates,
-where the same least squares is k x k, and each is formed once, already
-ordered and normalized. An SVD of X computed elsewhere (cli shares the
-one of a lone Hankel block with pod.ergodic_pod) can be handed in.
+modulus, then ascending phase in [0, 2*pi). Keys are compared exactly, so
+a tie is an exact tie. Both members of a conjugate pair carry the pair's
+larger energy and the same modulus, so they tie and the positive-frequency
+member comes first. Projected modes W w_j are ordered in reduced
+coordinates, where the same least squares is k x k, and each is formed
+once, already ordered and normalized. An SVD of X computed elsewhere (cli
+shares the one of a lone Hankel block with pod.ergodic_pod) can be handed
+in.
 """
 from __future__ import annotations
 
@@ -83,10 +85,7 @@ def companion_matrix(coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError(f"coefficients must be a non-empty vector, got shape {c.shape}")
-    k = c.size
-    mat = np.zeros((k, k))
-    for i in range(k - 1):
-        mat[i + 1, i] = 1.0
+    mat = np.eye(c.size, k=-1)
     mat[:, -1] = c
     return mat
 
@@ -96,12 +95,6 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DecompositionError("decomposition produced a zero mode")
     return m / norms
-
-
-def _quantize(x: np.ndarray) -> np.ndarray:
-    # Collapse roundoff-level differences so the documented tie-breaks
-    # (modulus, then phase) actually engage for conjugate pairs.
-    return np.array([float(f"{v:.12g}") for v in x])
 
 
 def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -127,7 +120,7 @@ def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) ->
             j += 1
     phase = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     # lexsort: last key is primary.
-    return np.lexsort((phase, -_quantize(np.abs(eigenvalues)), -_quantize(energy)))
+    return np.lexsort((phase, -np.abs(eigenvalues), -energy))
 
 
 def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:

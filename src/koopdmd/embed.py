@@ -78,7 +78,6 @@ class HankelBlock:
     UH[i][j] = f[i+j+1], so UH[:, j] == H[:, j+1] and H[1:, :] == UH[:-1, :].
     For channels == c: H has m*c rows, row c*i+p holds trajectory p, and
     the shift relations hold with row offset c instead of 1.
-    scale: multiplier applied when this block enters a composite matrix.
     """
 
     H: np.ndarray
@@ -87,7 +86,6 @@ class HankelBlock:
     n: int
     dt: float
     channels: int = 1
-    scale: float = 1.0
     label: str = "f"
 
 
@@ -126,8 +124,7 @@ def hankel(series: TimeSeries, m: int, n: int) -> HankelBlock:
     buf = windows[:, ::c].copy()
     buf.flags.writeable = False
     return HankelBlock(
-        H=buf[:, :-1], UH=buf[:, 1:], m=m, n=n, dt=series.dt, channels=c, scale=1.0,
-        label=series.label,
+        H=buf[:, :-1], UH=buf[:, 1:], m=m, n=n, dt=series.dt, channels=c, label=series.label,
     )
 
 
@@ -201,13 +198,13 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
     """Concatenate scaled blocks column-wise into one (X, Y) pair.
 
     All blocks must share the same number of rows (same m and channels).
-    scales defaults to each block's own scale attribute. A single block with
-    scale 1.0 is returned as is: X and Y are its H and UH arrays.
+    scales defaults to 1.0 for every block. A single block with scale 1.0
+    is returned as is: X and Y are its H and UH arrays.
     """
     if not blocks:
         raise ValueError("composite needs at least one block")
     if scales is None:
-        scales = [b.scale for b in blocks]
+        scales = [1.0] * len(blocks)
     if len(scales) != len(blocks):
         raise ValueError(f"got {len(scales)} scales for {len(blocks)} blocks")
     rows = blocks[0].H.shape[0]

@@ -40,7 +40,6 @@ class SvdResult:
     W: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    rank_kept: int
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def svd(X) -> SvdResult:
         w, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(W=w, S=s, V=vh.T.copy(), rank_kept=s.size)
+    return SvdResult(W=w, S=s, V=vh.T.copy())
 
 
 def svd_of(X, factors: SvdResult | None = None) -> SvdResult:

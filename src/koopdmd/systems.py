@@ -53,6 +53,11 @@ def _real(x) -> bool:
         return False
 
 
+def _integer(x) -> bool:
+    """x is a JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite_array(x, ndim: int) -> np.ndarray | None:
     """x as a float array of ndim dimensions whose entries are all finite
     numbers (bools count as 0/1), or None if it is not one."""
@@ -87,7 +92,7 @@ class SystemSpec:
                 raise ValueError(f"{p}: finite number required, got {self.params[p]!r}")
         if not (_real(self.dt) and self.dt > 0):
             raise ValueError(f"dt: positive number required, got {self.dt!r}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+        if not ((_integer(self.steps) or isinstance(self.steps, np.integer)) and self.steps >= 1):
             raise ValueError(f"steps: integer >= 1 required, got {self.steps!r}")
         dim = _STATE_DIM.get(self.kind)
         if self.kind == "linear":
@@ -186,11 +191,8 @@ def integrate_flow(deriv, z0, dt: float, steps: int,
 
 def integrate(spec: SystemSpec) -> Trajectory:
     """Sample the system for spec.steps steps (steps+1 recorded states)."""
-    if spec.kind == "lorenz":
-        deriv = _lorenz_deriv(**spec.params)
-        states = integrate_flow(deriv, spec.z0, spec.dt, spec.steps)
-    elif spec.kind == "vanderpol":
-        deriv = _vdp_deriv(**spec.params)
+    if spec.kind in FLOW_KINDS:
+        deriv = {"lorenz": _lorenz_deriv, "vanderpol": _vdp_deriv}[spec.kind](**spec.params)
         states = integrate_flow(deriv, spec.z0, spec.dt, spec.steps)
     elif spec.kind in ("circle", "torus"):
         if spec.kind == "circle":
@@ -290,10 +292,10 @@ class Observable:
         for name in ("kind", "expression", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name}: string expected")
-        if not isinstance(self.index, int):
+        if not _integer(self.index):
             raise ValueError(f"index: integer expected, got {self.index!r}")
         if not (isinstance(self.indices, (list, tuple))
-                and all(isinstance(i, int) for i in self.indices)):
+                and all(_integer(i) for i in self.indices)):
             raise ValueError("indices: list of integers expected")
         kinds = ("coordinate", "sum", "cos_angle", "kinetic_energy", "custom")
         if self.kind not in kinds:

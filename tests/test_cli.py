@@ -393,6 +393,16 @@ class TestExecute:
         phases = table[:, 4]
         assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
 
+    def test_one_start_state_has_variance_when_interleaved(self, tmp_path):
+        rows = {}
+        for interleave in (False, True):
+            raw = cli.recipe_config("rotation-check")
+            raw["embedding"]["interleave"] = interleave
+            raw["output_dir"] = str(tmp_path / str(interleave))
+            rows[interleave] = cli.execute(cli.parse_config(raw)).frequency_rows
+        assert rows[True] == rows[False]
+        assert all(r["eigfun_variance"] is not None for r in rows[True])
+
     def test_vdp_phase_pairs_lead_with_positive_member(self, tmp_path):
         raw = cli.recipe_config("vdp-phase")
         raw["output_dir"] = str(tmp_path / "vdp")
@@ -575,6 +585,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: suite.seed_base") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("section, field", [
+        ("embedding", "m"), ("embedding", "n"), ("embedding", "stride"), ("analysis", "K"),
+        ("suite", "count"), ("suite", "dim"), ("suite", "seed_base"),
+        ("system", "skip"), ("system", "seed"), ("system", "steps"),
+        ("observables[0]", "index"), ("observables[0]", "indices"),
+    ])
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys, section, field):
+        raw = rotation_config(tmp_path / "out")
+        if section == "suite":
+            raw = {"output_dir": str(tmp_path / "out"), "suite": {"count": 2}}
+        if section == "observables[0]":
+            kind = "sum" if field == "indices" else "cos_angle"
+            raw["observables"] = [{"kind": kind, field: [True] if field == "indices" else True}]
+        else:
+            raw[section][field] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}.{field}:")
+        assert not (tmp_path / "out").exists()
+
+    def test_phase_export_needs_a_system(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f\n" + "".join(f"{i},{np.cos(i)}\n" for i in range(40)))
+        raw = {"output_dir": str(tmp_path / "out"), "csv": str(csv),
+               "embedding": {"m": 20, "n": 4}, "analysis": {"export_phase": True}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: analysis.export_phase: needs a system source\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_threshold_is_refused(self, capsys):
         assert cli.main(["run", "rotation-check", "--threshold", "nan"]) == 2

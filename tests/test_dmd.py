@@ -338,6 +338,13 @@ class TestConjugatePairEnergy:
         order = dmd._energy_order(vals, np.eye(4, dtype=complex), x0)
         assert list(order) == [2, 3, 0, 1]
 
+    def test_energies_are_compared_exactly(self):
+        # 1 + 1e-13 and 1 differ beyond twelve digits; the higher energy
+        # still leads, although its modulus is the smaller one.
+        vals = np.array([0.5, 0.9])
+        order = dmd._energy_order(vals, np.eye(2, dtype=complex), np.array([1.0 + 1e-13, 1.0]))
+        assert list(order) == [0, 1]
+
 
 def read_only(a):
     a = a.copy()

@@ -34,3 +34,9 @@ def test_algorithm_agreement():
     out = run_script("algorithm_agreement.py", "--dims", "2", "3", "--count", "3")
     assert "DISAGREE" not in out
     assert out.splitlines()[-1].startswith("worst gap overall:")
+
+
+def test_compare_artifacts_of_one_tree():
+    src = str(ROOT / "src")
+    out = run_script("compare_artifacts.py", src, src, "--targets", "rotation-check")
+    assert out == "rotation-check: 10 artifacts byte-identical, stdout identical\n"
