@@ -18,6 +18,10 @@ from .ioutil import write_csv
 #: Floor in the relative-error denominator, guarding lattice value 0.
 LATTICE_EPS = 1e-12
 
+#: Eigenvalues with |omega| below this are treated as trivial (DC-like)
+#: when selecting the dominant mode for phase export.
+MIN_NONTRIVIAL_OMEGA = 1e-2
+
 
 @dataclass(frozen=True)
 class FrequencyMatch:
@@ -141,7 +145,8 @@ def effective_dimension(singular_values, threshold: float) -> int:
     return int(np.sum(s >= threshold))
 
 
-def dominant_nontrivial(eigenvalues, dt: float, min_omega: float = 1e-2) -> int | None:
+def dominant_nontrivial(eigenvalues, dt: float,
+                        min_omega: float = MIN_NONTRIVIAL_OMEGA) -> int | None:
     """Index of the most energetic eigenvalue with |omega| >= min_omega.
 
     Assumes the energy ordering every decomposition in this package

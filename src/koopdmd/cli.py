@@ -10,7 +10,12 @@ the pipeline, and writes its artifacts into the output directory:
 trajectory and observable CSVs, Hankel metadata, POD and DMD
 serializations, a frequency table when basic frequencies are configured,
 and a per-state phase table when requested. Identical config and seed
-produce byte-identical outputs.
+produce byte-identical outputs. --seed seeds the Lorenz default start
+(system.seed) or the equivalence suite (suite.seed_base).
+
+parse_config refuses keys that a run would ignore: dmd or analysis next
+to a suite, system.seed next to system.z0, and the companion algorithm
+with more than one Hankel block (for a CSV source, when the file is read).
 
 Each config section's dataclass owns its defaults and checks (SuiteConfig,
 EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
@@ -19,7 +24,9 @@ the field name; parse_config prefixes the section and checks only what
 spans sections.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 i/o error.
+4 i/o error. A requested phase export with no nontrivial mode still exits
+0, since every decomposition succeeded; the reason goes to stderr as one
+warning line and into run.json.
 """
 from __future__ import annotations
 
@@ -34,13 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dmd, embed, ioutil, linalg, pod, systems
+from .analysis import MIN_NONTRIVIAL_OMEGA
 from .errors import ConfigError, KoopdmdError, NumericalError
 from .ioutil import write_json
 from .systems import _integer, _real
-
-#: Eigenvalues with |omega| below this are treated as trivial (DC-like)
-#: when selecting the dominant mode for phase export.
-MIN_NONTRIVIAL_OMEGA = 1e-2
 
 
 # ----------------------------------------------------------------------
@@ -71,14 +75,12 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    kind: str = "equivalence"
     count: int = 20
     dim: int = 4
     seed_base: int = 0
     tol: float = 1e-8
 
     def __post_init__(self):
-        _check(self.kind == "equivalence", f"kind: only 'equivalence' exists, got {self.kind!r}")
         _check(_integer(self.count) and self.count >= 1,
                f"count: integer >= 1, got {self.count!r}")
         _check(_integer(self.dim) and self.dim >= 2, f"dim: integer >= 2, got {self.dim!r}")
@@ -94,7 +96,6 @@ class EmbeddingConfig:
     n: int = None
     stride: int = 1
     interleave: bool = False
-    scale_mode: str = "last_column"
 
     def __post_init__(self):
         _check(_integer(self.m) and self.m >= 1,
@@ -104,8 +105,6 @@ class EmbeddingConfig:
         _check(_integer(self.stride) and self.stride >= 1,
                f"stride: integer >= 1, got {self.stride!r}")
         _check(isinstance(self.interleave, bool), "interleave: true/false expected")
-        _check(self.scale_mode in ("last_column", "norm_balance"),
-               f"scale_mode: 'last_column' or 'norm_balance', got {self.scale_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ class DmdConfig:
     algorithm: str = "hankel"
     svd_threshold: float = dmd.DEFAULT_HANKEL_THRESHOLD
     threshold_mode: str = "abs"
-    sqrt_m_scaling: bool = False
 
     def __post_init__(self):
         _check(self.algorithm in dmd.ALGORITHMS,
@@ -122,7 +120,6 @@ class DmdConfig:
                f"svd_threshold: finite number >= 0 required, got {self.svd_threshold!r}")
         _check(self.threshold_mode in ("abs", "rel"),
                f"threshold_mode: 'abs' or 'rel', got {self.threshold_mode!r}")
-        _check(isinstance(self.sqrt_m_scaling, bool), "sqrt_m_scaling: true/false expected")
         object.__setattr__(self, "svd_threshold", float(self.svd_threshold))
 
 
@@ -201,9 +198,12 @@ def _parse_system(d: dict) -> SystemConfig:
     try:
         specs = tuple(systems.SystemSpec(kind, params, z, d.get("dt"), d.get("steps"))
                       for z in z0s)
-        return SystemConfig(specs, d.get("skip", SystemConfig.skip))
+        system = SystemConfig(specs, d.get("skip", SystemConfig.skip))
     except ValueError as exc:
         raise ConfigError(f"system.{exc}") from None
+    _require(z0 is None or "seed" not in d,
+             "system.seed: seeds only the lorenz default start; drop it or system.z0")
+    return system
 
 
 def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
@@ -221,7 +221,7 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
     observables: tuple[systems.Observable, ...] = ()
     if raw.get("suite") is not None:
         suite = _section(SuiteConfig, "suite", raw["suite"])
-        for key in ("observables", "embedding"):
+        for key in ("observables", "embedding", "dmd", "analysis"):
             _require(raw.get(key) is None, f"{key}: not applicable to a suite run")
     else:
         if raw.get("system") is not None:
@@ -251,6 +251,8 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
     ana = _section(AnalysisConfig, "analysis", raw.get("analysis"))
     _require(csv_path is None or not ana.export_phase,
              "analysis.export_phase: needs a system source")
+    _require(dmd_cfg.algorithm != "companion" or len(observables) <= 1,
+             f"dmd.algorithm: companion takes one Hankel block, got {len(observables)} observables")
     if system is not None and embedding is not None:
         _require(embedding.interleave or len(system.specs) == 1,
                  "embedding.interleave must be true when system.z0 lists several states")
@@ -349,7 +351,7 @@ def _torus_synth_config() -> dict:
 
 def _equivalence_suite_config() -> dict:
     return {
-        "suite": {"kind": "equivalence", "count": 20, "dim": 4, "seed_base": 0, "tol": 1e-8},
+        "suite": {"count": 20, "dim": 4, "seed_base": 0, "tol": 1e-8},
         "output_dir": "out/equivalence-suite",
     }
 
@@ -393,6 +395,7 @@ class RunResult:
     dmd_result: dmd.DmdResult | None = None
     frequency_rows: list[dict] | None = None
     dominant: int | None = None  # index of analysis.dominant_nontrivial's mode
+    phase_skipped: str | None = None  # why a requested phase.csv was not written
     suite_report: dict | None = None
 
 
@@ -412,6 +415,9 @@ def _build_series(cfg: RunConfig):
             columns = embed.read_timeseries_csv(path)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        _require(e.interleave or len(columns) == 1 or cfg.dmd.algorithm != "companion",
+                 f"dmd.algorithm: companion takes one Hankel block, but {path} has "
+                 f"{len(columns)} columns and embedding.interleave is false")
         columns = [embed.strided_series(s, e.stride) for s in columns]
         return ([embed.interleave(columns)] if e.interleave else columns), None, None
 
@@ -429,8 +435,7 @@ def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdRes
     d, dt = cfg.dmd, blocks[0].dt
     if d.algorithm == "hankel":
         return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt,
-                              threshold_mode=d.threshold_mode,
-                              sqrt_m_scaling=d.sqrt_m_scaling, factors=factors)
+                              threshold_mode=d.threshold_mode, factors=factors)
     if d.algorithm == "exact":
         return dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
                              threshold_mode=d.threshold_mode, dt=dt, factors=factors)
@@ -474,11 +479,9 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     return rows
 
 
-def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int | None, blocks,
-                     trajectories) -> bool:
+def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, blocks,
+                     trajectories) -> None:
     """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
-    if idx is None:
-        return False
     phases = analysis.asymptotic_phase(result.modes[:, idx])
     c = blocks[0].channels
     dim = trajectories[0].states.shape[1]
@@ -492,7 +495,6 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int | Non
                     + [float(phase) if np.isfinite(phase) else None])
     # Looked up at call time, so a traced run counts phase.csv among its writes.
     ioutil.write_csv(path, header, rows)
-    return True
 
 
 def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
@@ -514,7 +516,7 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
     scales = [1.0]
     for b in blocks[1:]:
-        scales.append(embed.scale_factor(b, blocks[0], mode=e.scale_mode))
+        scales.append(embed.scale_factor(b, blocks[0]))
     data = embed.composite(blocks, scales)
 
     if trajectories is not None:
@@ -561,23 +563,26 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         analysis.write_frequency_table(out / "frequency_table.csv", freq_rows)
         outputs.append("frequency_table.csv")
 
-    dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt,
-                                            MIN_NONTRIVIAL_OMEGA)
-    if cfg.analysis.export_phase:
-        if _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks, trajectories):
-            outputs.append("phase.csv")
+    dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt)
+    phase_skipped = None
+    if cfg.analysis.export_phase and dominant is None:
+        phase_skipped = f"no eigenvalue has |omega| >= {MIN_NONTRIVIAL_OMEGA:g} rad/s"
+    elif cfg.analysis.export_phase:
+        _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks, trajectories)
+        outputs.append("phase.csv")
 
     write_json(out / "run.json", _run_summary(cfg, outputs, dmd_result=dmd_result,
-                                              dominant=dominant, pod_result=pod_result))
+                                              dominant=dominant, pod_result=pod_result,
+                                              phase_skipped=phase_skipped))
     outputs.append("run.json")
     return RunResult(config=cfg, output_dir=out, outputs=outputs,
                      trajectories=trajectories, blocks=blocks, data=data,
                      pod_result=pod_result, dmd_result=dmd_result,
-                     frequency_rows=freq_rows, dominant=dominant)
+                     frequency_rows=freq_rows, dominant=dominant, phase_skipped=phase_skipped)
 
 
 def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=None,
-                 pod_result=None, suite=None) -> dict:
+                 pod_result=None, suite=None, phase_skipped=None) -> dict:
     summary: dict = {
         "recipe": cfg.recipe,
         "outputs": sorted(outputs),
@@ -595,6 +600,8 @@ def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=N
                 else analysis.eig_to_freq(dmd_result.eigenvalues[dominant], dmd_result.dt)),
         }
         summary["dt"] = float(dmd_result.dt)
+    if phase_skipped is not None:
+        summary["phase_skipped"] = phase_skipped
     if pod_result is not None:
         summary["pod"] = {"k": pod_result.k,
                           "top_singular_values": [float(s) for s in pod_result.singular_values[:8]]}
@@ -684,7 +691,7 @@ def _apply_overrides(raw, args) -> None:
         return  # parse_config refuses the root
     if args.out is not None:
         raw["output_dir"] = args.out
-    if raw.get("dmd") is None:
+    if (args.threshold, args.threshold_mode) != (None, None) and raw.get("dmd") is None:
         raw["dmd"] = {}
     for section, key, value in (("dmd", "svd_threshold", args.threshold),
                                 ("dmd", "threshold_mode", args.threshold_mode),
@@ -703,7 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a config file or a named recipe")
     run_p.add_argument("target", help="path to a JSON config, or a recipe name")
     run_p.add_argument("--out", help="output directory (overrides config output_dir)")
-    run_p.add_argument("--seed", type=int, help="seed for randomized initial conditions")
+    run_p.add_argument("--seed", type=int, help="seed of lorenz's default start or the suite")
     run_p.add_argument("--threshold", type=float, help="SVD truncation threshold override")
     run_p.add_argument("--threshold-mode", choices=("abs", "rel"), dest="threshold_mode",
                        help="interpret the threshold as absolute or relative to sigma_max")
@@ -723,6 +730,8 @@ def main(argv: list[str] | None = None) -> int:
         result = execute(parse_config(raw, recipe))
         where = result.output_dir
         print(f"wrote {len(result.outputs)} artifacts to {where}")
+        if result.phase_skipped is not None:
+            print(f"warning: phase.csv not written: {result.phase_skipped}", file=sys.stderr)
         if result.dominant is not None:
             omega = analysis.eig_to_freq(result.dmd_result.eigenvalues[result.dominant],
                                          result.dmd_result.dt)

@@ -56,9 +56,9 @@ _ZERO_EIG = 1e-300
 class DmdResult:
     """Eigenvalues and modes of one decomposition.
 
-    modes: complex columns, unit 2-norm unless sqrt_m rescaling was
-        requested; for the hankel algorithm these are the projected modes,
-        i.e. eigenfunction samples along the trajectory (row = sample).
+    modes: complex columns of unit 2-norm; for the hankel algorithm these
+        are the projected modes, i.e. eigenfunction samples along the
+        trajectory (row = sample).
     projected_modes: the projected modes chi_j when the algorithm also
         produces exact modes (exact only), else None.
     residual: companion fit residual, or SVD truncation tail energy
@@ -219,19 +219,15 @@ def _projected_modes(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float,
-                      scale: float = 1.0) -> DmdResult:
+def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float) -> DmdResult:
     """The core with projected modes, ordered in reduced coordinates: the
     modes w e_j keep the norms of e_j, and w^T x0 = s * v[0] for the first
     data column x0."""
     vals, vecs = _core(y, w, s, v)
     order = _energy_order(vals, vecs, s * v[0])
-    modes = _projected_modes(w, vecs[:, order])
-    if scale != 1.0:
-        modes *= scale
     return DmdResult(
         eigenvalues=vals[order],
-        modes=modes,
+        modes=_projected_modes(w, vecs[:, order]),
         projected_modes=None,
         rank_kept=s.size,
         residual=residual,
@@ -296,26 +292,23 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
 
 def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
                dt: float = 1.0, threshold_mode: str = "abs",
-               sqrt_m_scaling: bool = False,
                factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on composite Hankel data; modes are eigenfunction samples.
 
     The returned modes are the projected modes chi_j = W w_j, whose rows
     sample the Koopman eigenfunctions along the trajectory (row i is
     sample i; with interleaved trajectories row c*i+p is trajectory p at
-    sample i). Exact modes are not computed. With sqrt_m_scaling the
-    columns are multiplied by sqrt(rows), normalizing them to unit
-    empirical norm instead of unit 2-norm. The default threshold is
-    absolute, which matches the hard cutoff customarily applied to
-    order-one signals. factors, when given, is the SVD of data.X (for a
-    lone unscaled block, the one ergodic_pod also uses).
+    sample i), with unit 2-norm. Exact modes are not computed. The
+    default threshold is absolute, which matches the hard cutoff
+    customarily applied to order-one signals. factors, when given, is the
+    SVD of data.X (for a lone unscaled block, the one ergodic_pod also
+    uses).
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
     x, y = data.X, data.Y
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
-    scale = float(np.sqrt(x.shape[0])) if sqrt_m_scaling else 1.0
-    return _projected_result(w, s, v, y, residual, "hankel", dt, scale)
+    return _projected_result(w, s, v, y, residual, "hankel", dt)
 
 
 @dataclass(frozen=True)

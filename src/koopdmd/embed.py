@@ -171,22 +171,11 @@ def interleave(series_list: list[TimeSeries]) -> TimeSeries:
     )
 
 
-def scale_factor(block: HankelBlock, reference: HankelBlock, mode: str = "last_column") -> float:
-    """Relative scale of one observable's block against the reference block.
-
-    mode="last_column": ratio of last-column norms ||H[:, -1]|| / ||Href[:, -1]||.
-    mode="norm_balance": ratio of first-column (observation vector) norms
-        ||Href[:, 0]|| / ||H[:, 0]||, which rescales the block to the
-        reference block's sample norm.
-    """
-    if mode == "last_column":
-        num = float(np.linalg.norm(block.H[:, -1]))
-        den = float(np.linalg.norm(reference.H[:, -1]))
-    elif mode == "norm_balance":
-        num = float(np.linalg.norm(reference.H[:, 0]))
-        den = float(np.linalg.norm(block.H[:, 0]))
-    else:
-        raise ValueError(f"unknown scale mode {mode!r} (use 'last_column' or 'norm_balance')")
+def scale_factor(block: HankelBlock, reference: HankelBlock) -> float:
+    """Relative scale of one observable's block against the reference block:
+    the ratio of last-column norms ||H[:, -1]|| / ||Href[:, -1]||."""
+    num = float(np.linalg.norm(block.H[:, -1]))
+    den = float(np.linalg.norm(reference.H[:, -1]))
     if den == 0.0:
         raise ValueError("scale_factor reference column has zero norm")
     if num == 0.0:

@@ -55,7 +55,7 @@ def _flag_degenerate(sigma: np.ndarray) -> bool:
     return bool(np.any(gaps <= _DEGENERACY_RTOL * sigma[0]))
 
 
-def pod_snapshots(G, F_samples, rank_tol: float = DEFAULT_RANK_TOL) -> PodResult:
+def pod_snapshots(G, F_samples) -> PodResult:
     """Method of snapshots from a Gramian G of inner products.
 
     G[i][j] approximates the inner product of snapshots i and j; F_samples
@@ -90,7 +90,7 @@ def pod_snapshots(G, F_samples, rank_tol: float = DEFAULT_RANK_TOL) -> PodResult
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
     evecs = evecs[:, order]
-    keep = evals > rank_tol * lam_max
+    keep = evals > DEFAULT_RANK_TOL * lam_max
     evals = evals[keep]
     evecs = evecs[:, keep]
     sigma = np.sqrt(evals)
@@ -105,8 +105,7 @@ def pod_snapshots(G, F_samples, rank_tol: float = DEFAULT_RANK_TOL) -> PodResult
     )
 
 
-def ergodic_pod(block: HankelBlock, rank_tol: float = DEFAULT_RANK_TOL,
-                factors: linalg.SvdResult | None = None) -> PodResult:
+def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
     The SVD H = W diag(S) V^T (m = row count) gives the POD of the
@@ -121,7 +120,7 @@ def ergodic_pod(block: HankelBlock, rank_tol: float = DEFAULT_RANK_TOL,
     if r.S[0] == 0.0:
         raise ValueError("Hankel block is identically zero; nothing to decompose")
     # S is descending, so the kept triplets are a prefix.
-    k = int(np.count_nonzero(r.S > rank_tol * r.S[0]))
+    k = int(np.count_nonzero(r.S > DEFAULT_RANK_TOL * r.S[0]))
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,

@@ -227,6 +227,57 @@ class TestParseTimeChecks:
             cli.parse_config(raw)
 
 
+class TestIgnoredKeysAreRefused:
+    """A key that a run would ignore exits 2 with one line that names it,
+    before anything is integrated or written."""
+
+    @pytest.fixture(autouse=True)
+    def no_integration(self, monkeypatch):
+        monkeypatch.setattr(systems, "integrate", never_integrate)
+
+    def refused(self, capsys, tmp_path, target, key, *flags):
+        if isinstance(target, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(target))
+            target = str(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", target, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:") and len(err.splitlines()) == 1, err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("section, value", [
+        ("dmd", {"algorithm": "companion"}),
+        ("analysis", {"export_phase": True, "basics": [1.0]}),
+    ])
+    def test_suite_with_a_pipeline_section(self, tmp_path, capsys, section, value):
+        raw = {"suite": {"count": 2}, section: value}
+        self.refused(capsys, tmp_path, raw, section)
+
+    def test_threshold_on_a_suite(self, tmp_path, capsys):
+        self.refused(capsys, tmp_path, "equivalence-suite", "dmd", "--threshold", "1e-3")
+
+    def test_seed_next_to_z0(self, tmp_path, capsys):
+        self.refused(capsys, tmp_path, "vdp-phase", "system.seed", "--seed", "3")
+
+    def test_bad_z0_is_named_before_seed(self, tmp_path, capsys):
+        raw = cli.recipe_config("vdp-phase")
+        raw["system"].update(seed=3, z0=[[4.0, 4.0], [0, 4, 1]])
+        self.refused(capsys, tmp_path, raw, "system.z0")
+
+    def test_companion_with_two_observables(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path, algorithm="companion")
+        raw["observables"].append({"kind": "custom", "expression": "sin(z1)"})
+        self.refused(capsys, tmp_path, raw, "dmd.algorithm")
+
+    def test_companion_with_two_csv_columns(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f,g\n" + "".join(f"{i},{np.cos(i)},{np.sin(i)}\n" for i in range(40)))
+        raw = {"csv": str(csv), "embedding": {"m": 20, "n": 4},
+               "dmd": {"algorithm": "companion"}}
+        self.refused(capsys, tmp_path, raw, "dmd.algorithm")
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -368,7 +419,7 @@ class TestExecute:
     def test_equivalence_suite_small(self, tmp_path):
         raw = {
             "output_dir": str(tmp_path / "suite"),
-            "suite": {"kind": "equivalence", "count": 3, "dim": 4, "tol": 1e-8},
+            "suite": {"count": 3, "dim": 4, "tol": 1e-8},
         }
         result = cli.execute(cli.parse_config(raw))
         report = result.suite_report
@@ -382,7 +433,7 @@ class TestExecute:
         raw = cli.recipe_config("vdp-phase")
         raw["output_dir"] = str(tmp_path / "vdp")
         result = cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
-        assert "phase.csv" in result.outputs
+        assert "phase.csv" in result.outputs and result.phase_skipped is None
         res = result.dmd_result
         assert result.dominant == analysis.dominant_nontrivial(res.eigenvalues, res.dt,
                                                                cli.MIN_NONTRIVIAL_OMEGA)
@@ -618,6 +669,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "config error: analysis.export_phase: needs a system source\n"
         assert not (tmp_path / "out").exists()
+
+    def test_phase_export_without_a_nontrivial_mode(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path / "out")
+        raw["system"]["omega"] = 0.001
+        raw["analysis"]["export_phase"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 0
+        reason = "no eigenvalue has |omega| >= 0.01 rad/s"
+        assert capsys.readouterr().err == f"warning: phase.csv not written: {reason}\n"
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["phase_skipped"] == reason
+        assert not (tmp_path / "out" / "phase.csv").exists()
 
     def test_non_finite_threshold_is_refused(self, capsys):
         assert cli.main(["run", "rotation-check", "--threshold", "nan"]) == 2

@@ -218,12 +218,10 @@ class TestHankelDmd:
         assert res.projected_modes is None
         assert res.modes.shape == (64, 2)
 
-    def test_modes_are_unit_vectors_unless_scaled(self):
+    def test_modes_are_unit_vectors(self):
         blk = rotation_block(m=32, n=8)
-        plain = dmd.hankel_dmd(embed.composite([blk]))
-        assert_allclose(np.linalg.norm(plain.modes, axis=0), 1.0, atol=1e-12)
-        scaled = dmd.hankel_dmd(embed.composite([blk]), sqrt_m_scaling=True)
-        assert_allclose(np.linalg.norm(scaled.modes, axis=0), np.sqrt(32), atol=1e-10)
+        res = dmd.hankel_dmd(embed.composite([blk]))
+        assert_allclose(np.linalg.norm(res.modes, axis=0), 1.0, atol=1e-12)
 
     def test_measure_preserving_spectrum_on_torus(self):
         spec = systems.torus_rotation(omega1=0.97624, omega2=0.60892, z0=(0.0, 0.0), dt=0.1, steps=700)

@@ -169,24 +169,13 @@ class TestScaleFactor:
         ref = self._block([1.0, 1.0, 1.0, 1.0])
         blk = self._block([2.0, 2.0, 2.0, 2.0])
         # last columns have norms 2*sqrt(2) and sqrt(2)
-        assert_allclose(embed.scale_factor(blk, ref, mode="last_column"), 2.0)
-
-    def test_norm_balance_mode(self):
-        ref = self._block([3.0, 3.0, 3.0, 3.0])
-        blk = self._block([1.0, 1.0, 1.0, 1.0])
-        # ratio of first-column norms, reference over block
-        assert_allclose(embed.scale_factor(blk, ref, mode="norm_balance"), 3.0)
+        assert_allclose(embed.scale_factor(blk, ref), 2.0)
 
     def test_zero_norm_rejected(self):
         ref = self._block([1.0, 1.0, 1.0, 1.0])
         blk = self._block([0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            embed.scale_factor(blk, ref, mode="last_column")
-
-    def test_unknown_mode(self):
-        ref = self._block([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            embed.scale_factor(ref, ref, mode="bogus")
+            embed.scale_factor(blk, ref)
 
 
 class TestComposite:

@@ -38,5 +38,7 @@ def test_algorithm_agreement():
 
 def test_compare_artifacts_of_one_tree():
     src = str(ROOT / "src")
-    out = run_script("compare_artifacts.py", src, src, "--targets", "rotation-check")
-    assert out == "rotation-check: 10 artifacts byte-identical, stdout identical\n"
+    out = run_script("compare_artifacts.py", src, src,
+                     "--targets", "rotation-check", "equivalence-suite")
+    assert out == ("rotation-check: 10 artifacts byte-identical, stdout identical\n"
+                   "equivalence-suite: 2 artifacts byte-identical, stdout identical\n")
