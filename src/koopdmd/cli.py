@@ -11,11 +11,15 @@ trajectory and observable CSVs, Hankel metadata, POD and DMD
 serializations, a frequency table when basic frequencies are configured,
 and a per-state phase table when requested. Identical config and seed
 produce byte-identical outputs. --seed seeds the Lorenz default start
-(system.seed) or the equivalence suite (suite.seed_base).
+(system.seed) or the equivalence suite (suite.seed_base); on a CSV source
+it is refused. The output directory is created once the input is read and
+embedded, so a refused input leaves none behind.
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
-to a suite, system.seed next to system.z0, and the companion algorithm
-with more than one Hankel block (for a CSV source, when the file is read).
+to a suite, system.seed next to system.z0, dmd.svd_threshold and
+dmd.threshold_mode with the svd or companion algorithm, analysis.K
+without analysis.basics, and the companion algorithm with more than one
+Hankel block (for a CSV source, when the file is read).
 
 Each config section's dataclass owns its defaults and checks (SuiteConfig,
 EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
@@ -109,33 +113,54 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class DmdConfig:
+    """The threshold keys act only on the truncating algorithms (hankel,
+    exact), where they default to DEFAULT_HANKEL_THRESHOLD and abs; svd and
+    companion refuse them and leave both None."""
+
     algorithm: str = "hankel"
-    svd_threshold: float = dmd.DEFAULT_HANKEL_THRESHOLD
-    threshold_mode: str = "abs"
+    svd_threshold: float | None = None
+    threshold_mode: str | None = None
 
     def __post_init__(self):
         _check(self.algorithm in dmd.ALGORITHMS,
                f"algorithm: expected one of {dmd.ALGORITHMS}, got {self.algorithm!r}")
-        _check(_real(self.svd_threshold) and self.svd_threshold >= 0,
-               f"svd_threshold: finite number >= 0 required, got {self.svd_threshold!r}")
-        _check(self.threshold_mode in ("abs", "rel"),
-               f"threshold_mode: 'abs' or 'rel', got {self.threshold_mode!r}")
-        object.__setattr__(self, "svd_threshold", float(self.svd_threshold))
+        if self.algorithm in ("svd", "companion"):
+            for name in ("svd_threshold", "threshold_mode"):
+                _check(getattr(self, name) is None,
+                       f"{name}: the {self.algorithm} algorithm truncates nothing; "
+                       "drop the key (or --threshold/--threshold-mode)")
+            return
+        threshold = (dmd.DEFAULT_HANKEL_THRESHOLD if self.svd_threshold is None
+                     else self.svd_threshold)
+        mode = "abs" if self.threshold_mode is None else self.threshold_mode
+        _check(_real(threshold) and threshold >= 0,
+               f"svd_threshold: finite number >= 0 required, got {threshold!r}")
+        _check(mode in ("abs", "rel"), f"threshold_mode: 'abs' or 'rel', got {mode!r}")
+        object.__setattr__(self, "svd_threshold", float(threshold))
+        object.__setattr__(self, "threshold_mode", mode)
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """K bounds the lattice search over basics, so it defaults to 6 with
+    basics and is refused without them."""
+
     basics: tuple[float, ...] | None = None
-    K: int = 6
+    K: int | None = None
     export_phase: bool = False
 
     def __post_init__(self):
-        if self.basics is not None:
+        if self.basics is None:
+            _check(self.K is None,
+                   "K: bounds the lattice of analysis.basics; set basics or drop K")
+        else:
             _check(isinstance(self.basics, (list, tuple)) and self.basics
                    and all(_real(b) for b in self.basics),
                    "basics: list of finite numbers expected")
             object.__setattr__(self, "basics", tuple(float(b) for b in self.basics))
-        _check(_integer(self.K) and self.K >= 0, f"K: integer >= 0, got {self.K!r}")
+            K = 6 if self.K is None else self.K
+            _check(_integer(K) and K >= 0, f"K: integer >= 0, got {K!r}")
+            object.__setattr__(self, "K", K)
         _check(isinstance(self.export_phase, bool), "export_phase: true/false expected")
 
 
@@ -500,11 +525,11 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, bloc
 def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     """Run a validated config; write artifacts; return in-memory results."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
     if cfg.suite is not None:
         report = run_equivalence_suite(cfg.suite)
+        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "equivalence.json", report)
         outputs.append("equivalence.json")
         write_json(out / "run.json", _run_summary(cfg, outputs, suite=report))
@@ -518,6 +543,9 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     for b in blocks[1:]:
         scales.append(embed.scale_factor(b, blocks[0]))
     data = embed.composite(blocks, scales)
+    # Only now: a refusal while the input is read or embedded leaves no
+    # directory behind.
+    out.mkdir(parents=True, exist_ok=True)
 
     if trajectories is not None:
         for i, traj in enumerate(trajectories, start=1):
@@ -691,6 +719,8 @@ def _apply_overrides(raw, args) -> None:
         return  # parse_config refuses the root
     if args.out is not None:
         raw["output_dir"] = args.out
+    _require(args.seed is None or raw.get("csv") is None,
+             "--seed: a CSV source has nothing to seed; drop it")
     if (args.threshold, args.threshold_mode) != (None, None) and raw.get("dmd") is None:
         raw["dmd"] = {}
     for section, key, value in (("dmd", "svd_threshold", args.threshold),

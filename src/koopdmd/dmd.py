@@ -27,9 +27,12 @@ a tie is an exact tie. Both members of a conjugate pair carry the pair's
 larger energy and the same modulus, so they tie and the positive-frequency
 member comes first. Projected modes W w_j are ordered in reduced
 coordinates, where the same least squares is k x k, and each is formed
-once, already ordered and normalized. An SVD of X computed elsewhere (cli
-shares the one of a lone Hankel block with pod.ergodic_pod) can be handed
-in.
+once, already ordered and normalized. Each conjugate pair of projected
+modes is formed once: only its lead column is multiplied by W, and the
+second column is set to its conjugate, so the two columns of a pair in
+modes.csv (hankel and svd) are exact conjugates, bit for bit. An SVD of
+X computed elsewhere (cli shares the one of a lone Hankel block with
+pod.ergodic_pod) can be handed in.
 """
 from __future__ import annotations
 
@@ -50,6 +53,10 @@ DEFAULT_HANKEL_THRESHOLD = 1e-10
 #: Eigenvalues at or below this magnitude have no exact mode (division by
 #: the eigenvalue would overflow); the projected mode is substituted.
 _ZERO_EIG = 1e-300
+
+#: Mode cells per row block when _projected_modes expands its products,
+#: so the block's copy stays small next to the mode array.
+_EXPAND_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,27 +104,40 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+def _conjugate_pairs(eigenvalues: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the columns that are the second member of a conjugate pair:
+    column j + 1 whose nonreal eigenvalue is the exact conjugate of column
+    j's, and so is its vector when vectors are given. Pairs are taken left
+    to right."""
+    second = np.zeros(eigenvalues.size, dtype=bool)
+    j = 0
+    while j < eigenvalues.size - 1:
+        if (eigenvalues[j].imag != 0.0 and eigenvalues[j + 1] == np.conj(eigenvalues[j])
+                and (vectors is None
+                     or np.array_equal(vectors[:, j + 1], np.conj(vectors[:, j])))):
+            second[j + 1] = True
+            j += 2
+        else:
+            j += 1
+    return second
+
+
 def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Permutation ordering modes by their least-squares share of x0.
 
     modes and x0 may be given in any coordinates in which the modes keep
     their norms (for projected modes W e_j: the reduced vectors e_j and
-    W^T x0). The two members of a conjugate pair (adjacent, the second
-    equal to the conjugate of the first) share the pair's larger energy,
-    so roundoff never splits them and the positive phase comes first.
+    W^T x0). The two members of a conjugate pair of eigenvalues (see
+    _conjugate_pairs) share the pair's larger energy, so roundoff never
+    splits them and the positive phase comes first.
     """
     try:
         coeffs, *_ = np.linalg.lstsq(modes, x0.astype(complex), rcond=None)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"mode energy least squares did not converge: {exc}") from exc
     energy = np.abs(coeffs) * np.linalg.norm(modes, axis=0)
-    j = 0
-    while j < energy.size - 1:
-        if eigenvalues[j].imag != 0.0 and eigenvalues[j + 1] == np.conj(eigenvalues[j]):
-            energy[j] = energy[j + 1] = max(energy[j], energy[j + 1])
-            j += 2
-        else:
-            j += 1
+    second = np.flatnonzero(_conjugate_pairs(eigenvalues))
+    energy[second] = energy[second - 1] = np.maximum(energy[second], energy[second - 1])
     phase = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     # lexsort: last key is primary.
     return np.lexsort((phase, -np.abs(eigenvalues), -energy))
@@ -208,14 +228,31 @@ def _core(y: np.ndarray, w: np.ndarray, s: np.ndarray, v: np.ndarray):
     return er.eigenvalues, er.eigenvectors
 
 
-def _projected_modes(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _projected_modes(w: np.ndarray, eigenvalues: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Unit projected modes w @ e_j. w has orthonormal columns, so each e_j
-    is normalized in reduced coordinates, and the complex product is two
-    real ones."""
+    is normalized in reduced coordinates.
+
+    Only lead columns, those that are not the second member of a conjugate
+    pair, are multiplied: two real products, written into the leading
+    columns of the modes' own float64 view, whose strides BLAS takes as
+    they are. Each row block is then expanded in place, a pair's second
+    member as the conjugate of its lead.
+    """
     vecs = _unit_columns(vecs)
+    paired = _conjugate_pairs(eigenvalues, vecs)
+    lead, second = np.flatnonzero(~paired), np.flatnonzero(paired)
+    nl = lead.size
     modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex)
-    np.matmul(w, vecs.real, out=modes.real)
-    np.matmul(w, vecs.imag, out=modes.imag)
+    flat = modes.view(np.float64)  # re, im interleaved
+    np.matmul(w, vecs.real[:, lead], out=flat[:, :nl])
+    np.matmul(w, vecs.imag[:, lead], out=flat[:, nl:2 * nl])
+    rows = max(1, _EXPAND_CELLS // modes.shape[1])
+    for r in range(0, modes.shape[0], rows):
+        products = flat[r:r + rows, :2 * nl].copy()
+        block = modes[r:r + rows]
+        block.real[:, lead] = products[:, :nl]
+        block.imag[:, lead] = products[:, nl:]
+        block[:, second] = np.conj(block[:, second - 1])
     return modes
 
 
@@ -227,7 +264,7 @@ def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float) ->
     order = _energy_order(vals, vecs, s * v[0])
     return DmdResult(
         eigenvalues=vals[order],
-        modes=_projected_modes(w, vecs[:, order]),
+        modes=_projected_modes(w, vals[order], vecs[:, order]),
         projected_modes=None,
         rank_kept=s.size,
         residual=residual,
@@ -269,7 +306,7 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
     x, y = _pair(X, Y)
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
     vals, vecs = _core(y, w, s, v)
-    projected = _projected_modes(w, vecs)
+    projected = _projected_modes(w, vals, vecs)
     # Exact modes: eigenvectors of the full-size one-step operator,
     # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
     # eigenvalues divide by 1 and then take their projected mode instead.

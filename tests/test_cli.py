@@ -244,7 +244,7 @@ class TestIgnoredKeysAreRefused:
         assert cli.main(["run", target, "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}:") and len(err.splitlines()) == 1, err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, value", [
         ("dmd", {"algorithm": "companion"}),
@@ -271,11 +271,56 @@ class TestIgnoredKeysAreRefused:
         self.refused(capsys, tmp_path, raw, "dmd.algorithm")
 
     def test_companion_with_two_csv_columns(self, tmp_path, capsys):
+        # Refused when the file is read, before the output directory exists.
         csv = tmp_path / "f.csv"
         csv.write_text("t,f,g\n" + "".join(f"{i},{np.cos(i)},{np.sin(i)}\n" for i in range(40)))
         raw = {"csv": str(csv), "embedding": {"m": 20, "n": 4},
                "dmd": {"algorithm": "companion"}}
         self.refused(capsys, tmp_path, raw, "dmd.algorithm")
+
+    def test_seed_on_a_csv_source(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f\n" + "".join(f"{i},{np.cos(i)}\n" for i in range(40)))
+        raw = {"csv": str(csv), "embedding": {"m": 20, "n": 4}}
+        self.refused(capsys, tmp_path, raw, "--seed", "--seed", "5")
+
+    @pytest.mark.parametrize("algorithm", ["svd", "companion"])
+    @pytest.mark.parametrize("key, value", [("svd_threshold", 1e-10), ("threshold_mode", "abs")])
+    def test_threshold_key_without_truncation(self, tmp_path, capsys, algorithm, key, value):
+        raw = rotation_config(tmp_path, n=1, algorithm=algorithm, **{key: value})
+        self.refused(capsys, tmp_path, raw, f"dmd.{key}")
+
+    @pytest.mark.parametrize("flags, key", [(("--threshold", "0.5"), "svd_threshold"),
+                                            (("--threshold-mode", "rel"), "threshold_mode")])
+    def test_threshold_flag_without_truncation(self, tmp_path, capsys, flags, key):
+        self.refused(capsys, tmp_path, rotation_config(tmp_path, n=1, algorithm="svd"),
+                     f"dmd.{key}", *flags)
+
+    def test_lattice_bound_without_basics(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path)
+        raw["analysis"] = {"K": 6}
+        self.refused(capsys, tmp_path, raw, "analysis.K")
+
+
+class TestOutputDirectory:
+    def test_csv_too_short_leaves_no_directory(self, tmp_path, capsys):
+        # embed.hankel refuses the window once the file is read.
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f\n" + "".join(f"{i},{np.cos(i)}\n" for i in range(10)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"csv": str(csv), "embedding": {"m": 20, "n": 4}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_untruncated_runs_record_no_threshold(self, tmp_path):
+        raw = rotation_config(tmp_path / "out", n=1, algorithm="svd")
+        raw["analysis"] = None
+        cli.execute(cli.parse_config(raw))
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())["dmd"]
+        assert meta["algorithm"] == "svd"
+        assert meta["svd_threshold"] is None and meta["threshold_mode"] is None
 
 
 JSON = st.recursive(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import dmd, embed, linalg, pod, systems
+from koopdmd import cli, dmd, embed, linalg, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError, RankDeficiencyError
 
@@ -342,6 +346,138 @@ class TestConjugatePairEnergy:
         vals = np.array([0.5, 0.9])
         order = dmd._energy_order(vals, np.eye(2, dtype=complex), np.array([1.0 + 1e-13, 1.0]))
         assert list(order) == [0, 1]
+
+
+def adjacent_pairs(vals):
+    """Indices j whose eigenvalue at j + 1 is its conjugate, left to right."""
+    return np.flatnonzero(dmd._conjugate_pairs(vals)) - 1
+
+
+def recipe_decomposition(name):
+    """The decomposition a recipe run writes to modes.csv, without the files."""
+    cfg = cli.load_config(name)
+    series, _, _ = cli._build_series(cfg)
+    blocks = [embed.hankel(s, cfg.embedding.m, cfg.embedding.n) for s in series]
+    scales = [1.0] + [embed.scale_factor(b, blocks[0]) for b in blocks[1:]]
+    return cli._run_decomposition(cfg, blocks, embed.composite(blocks, scales))
+
+
+def orthonormal(m, k, seed=0):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))[0]
+
+
+def conjugate_vectors(k, seed):
+    """Reduced unit vectors a + ib and a - ib."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    e /= np.linalg.norm(e)
+    return e, np.conj(e)
+
+
+class TestPairedModes:
+    """Projected modes are formed from the lead column of each conjugate
+    pair; the second member is its exact conjugate."""
+
+    @pytest.mark.parametrize("name", ["rotation-check", "vdp-phase", "torus-synth",
+                                      "lorenz-pod"])
+    def test_recipe_pairs_are_exact_conjugates(self, name):
+        res = recipe_decomposition(name)
+        leads = adjacent_pairs(res.eigenvalues)
+        assert leads.size >= 1
+        for j in leads:
+            assert np.array_equal(res.modes[:, j + 1], np.conj(res.modes[:, j])), j
+
+    def test_suite_pairs_are_exact_conjugates(self):
+        pairs = 0
+        for seed in range(20):
+            d = systems.integrate(systems.seeded_linear_system(seed, dim=4)).states.T
+            x, y = d[:, :4], d[:, 1:5]
+            exact = dmd.exact_dmd(x, y, svd_threshold=1e-12, threshold_mode="rel")
+            svd = dmd.svd_dmd(x, y)
+            for vals, modes in [(exact.eigenvalues, exact.projected_modes),
+                                (svd.eigenvalues, svd.modes)]:
+                for j in adjacent_pairs(vals):
+                    assert np.array_equal(modes[:, j + 1], np.conj(modes[:, j]))
+                    pairs += 1
+        assert pairs >= 20
+
+    def assert_direct(self, w, vals, vecs, paired):
+        modes = dmd._projected_modes(w, vals, vecs)
+        direct = dmd._unit_columns(w.astype(complex) @ vecs)
+        assert np.all(np.max(np.abs(modes - direct), axis=0) <= 1e-15)
+        assert list(adjacent_pairs(vals)) == paired
+        for j in paired:
+            assert np.array_equal(modes[:, j + 1], np.conj(modes[:, j]))
+
+    def test_all_real_spectrum(self):
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        er = linalg.eig(a + a.T)
+        assert er.eigenvalues.dtype == float
+        self.assert_direct(orthonormal(50, 6), er.eigenvalues, er.eigenvectors, [])
+
+    def test_one_mode(self):
+        self.assert_direct(orthonormal(50, 1), np.array([0.5]), np.array([[-1.0]]), [])
+
+    def test_lone_real_mode_between_pairs(self):
+        k = 5
+        e1, f1 = conjugate_vectors(k, 2)
+        e2, f2 = conjugate_vectors(k, 3)
+        real = np.random.default_rng(4).standard_normal(k)
+        lam, mu = 0.9 * np.exp(0.4j), 0.8 * np.exp(1.1j)
+        vals = np.array([lam, np.conj(lam), 0.7, mu, np.conj(mu)])
+        vecs = np.stack([e1, f1, real / np.linalg.norm(real), e2, f2], axis=1)
+        self.assert_direct(orthonormal(40, k), vals, vecs, [0, 3])
+
+    def test_conjugates_split_by_the_phase_key(self):
+        # Equal energies and moduli (exactly 5): ascending phase lists lam,
+        # mu, conj(mu), conj(lam), so lam's pair is not adjacent and both its
+        # members are formed as leads.
+        e1, f1 = conjugate_vectors(4, 5)
+        e2, f2 = conjugate_vectors(4, 6)
+        lam, mu = 4 + 3j, 3 + 4j
+        vals = np.array([lam, np.conj(lam), mu, np.conj(mu)])
+        vecs = np.stack([e1, f1, e2, f2], axis=1)
+        order = dmd._energy_order(vals, vecs, np.zeros(4))
+        assert list(order) == [0, 2, 3, 1]
+        self.assert_direct(orthonormal(30, 4), vals[order], vecs[:, order], [1])
+
+    def test_no_mode_sized_temporary(self):
+        m, k = 20000, 60
+        w = orthonormal(m, k)
+        er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
+        tracemalloc.start()
+        try:
+            modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * modes.nbytes
+
+    def test_peak_rss_holds_one_mode_array(self):
+        # tracemalloc does not see every temporary (a product written into a
+        # strided view such as modes.real makes numpy take a mode-sized
+        # buffer it misses), so also watch the peak RSS of a fresh process
+        # around the call. One BLAS thread: a second thread's first call
+        # touches buffers of its own.
+        script = """
+import resource, sys
+import numpy as np
+from koopdmd import dmd, linalg
+m, k = 10000, 300
+w = np.random.default_rng(0).standard_normal((m, k))
+w /= np.sqrt(m)
+er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
+unit = 1 if sys.platform == "darwin" else 1024
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * unit / modes.nbytes)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmd.__file__)),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        grown = float(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                     text=True, check=True, env=env).stdout)
+        assert grown <= 1.25
 
 
 def read_only(a):
