@@ -18,8 +18,9 @@ embedded, so a refused input leaves none behind.
 parse_config refuses keys that a run would ignore: dmd or analysis next
 to a suite, system.seed next to system.z0, dmd.svd_threshold and
 dmd.threshold_mode with the svd or companion algorithm, analysis.K
-without analysis.basics, and the companion algorithm with more than one
-Hankel block (for a CSV source, when the file is read).
+without analysis.basics, an observable key that its kind does not read,
+and the companion algorithm with more than one Hankel block (for a CSV
+source, when the file is read) or with embedding.n = 0.
 
 Each config section's dataclass owns its defaults and checks (SuiteConfig,
 EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
@@ -194,7 +195,7 @@ def _section(cls, name: str, d):
     whose construction checks their values. Absent or null gives cls()."""
     d = {} if d is None else d
     _require(isinstance(d, dict), f"{name}: object expected")
-    _take(d, name, tuple(f.name for f in fields(cls)))
+    _take(d, name, tuple(f.name for f in fields(cls) if f.init))
     try:
         return cls(**d)
     except ValueError as exc:
@@ -260,8 +261,7 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
             state = system.specs[0].z0[None, :]
             for i, obs in enumerate(observables):
                 try:
-                    with np.errstate(all="ignore"):
-                        obs.evaluate(state)
+                    obs.evaluate(state)
                 except ValueError as exc:
                     raise ConfigError(f"observables[{i}]: {exc}") from None
         else:
@@ -278,6 +278,8 @@ def parse_config(raw: dict, recipe: str | None = None) -> RunConfig:
              "analysis.export_phase: needs a system source")
     _require(dmd_cfg.algorithm != "companion" or len(observables) <= 1,
              f"dmd.algorithm: companion takes one Hankel block, got {len(observables)} observables")
+    _require(dmd_cfg.algorithm != "companion" or embedding is None or embedding.n >= 1,
+             "embedding.n: the companion algorithm needs n >= 1 delayed columns, got 0")
     if system is not None and embedding is not None:
         _require(embedding.interleave or len(system.specs) == 1,
                  "embedding.interleave must be true when system.z0 lists several states")
@@ -326,12 +328,10 @@ def _validate_lengths(cfg: RunConfig) -> None:
 
 def _lorenz_pod_config() -> dict:
     return {
-        "system": {"kind": "lorenz", **systems.LORENZ_PARAMS, "z0": None, "seed": 2,
+        "system": {"kind": "lorenz", **systems.LORENZ_PARAMS, "seed": 2,
                    "dt": 0.01, "steps": 11500, "skip": 1000},
-        "observables": [{"kind": "coordinate", "index": 0}],
+        "observables": [{"kind": "coordinate"}],
         "embedding": {"m": 10000, "n": 500},
-        "dmd": {"algorithm": "hankel", "svd_threshold": 1e-10, "threshold_mode": "abs"},
-        "analysis": {},
         "output_dir": "out/lorenz-pod",
     }
 
@@ -343,7 +343,6 @@ def _vdp_phase_config() -> dict:
                    "dt": 0.1, "steps": 350},
         "observables": [{"kind": "sum", "indices": [0, 1]}],
         "embedding": {"m": 250, "n": 100, "interleave": True},
-        "dmd": {"algorithm": "hankel", "svd_threshold": 1e-10, "threshold_mode": "abs"},
         "analysis": {"export_phase": True},
         "output_dir": "out/vdp-phase",
     }
@@ -353,10 +352,9 @@ def _rotation_check_config() -> dict:
     return {
         "system": {"kind": "circle", "omega": math.pi / 4, "z0": [0.0],
                    "dt": 1.0, "steps": 2008},
-        "observables": [{"kind": "cos_angle", "index": 0}],
+        "observables": [{"kind": "cos_angle"}],
         "embedding": {"m": 2000, "n": 8},
-        "dmd": {"algorithm": "hankel", "svd_threshold": 1e-10, "threshold_mode": "abs"},
-        "analysis": {"basics": [math.pi / 4], "K": 6},
+        "analysis": {"basics": [math.pi / 4]},
         "output_dir": "out/rotation-check",
     }
 
@@ -368,17 +366,13 @@ def _torus_synth_config() -> dict:
         "observables": [{"kind": "custom",
                          "expression": "cos(z1) + 0.6*cos(z2) + 0.3*cos(z1 - z2)"}],
         "embedding": {"m": 6000, "n": 500},
-        "dmd": {"algorithm": "hankel", "svd_threshold": 1e-10, "threshold_mode": "abs"},
-        "analysis": {"basics": [0.97624, 0.60892], "K": 6},
+        "analysis": {"basics": [0.97624, 0.60892]},
         "output_dir": "out/torus-synth",
     }
 
 
 def _equivalence_suite_config() -> dict:
-    return {
-        "suite": {"count": 20, "dim": 4, "seed_base": 0, "tol": 1e-8},
-        "output_dir": "out/equivalence-suite",
-    }
+    return {"suite": {}, "output_dir": "out/equivalence-suite"}
 
 
 RECIPES = {
@@ -448,7 +442,12 @@ def _build_series(cfg: RunConfig):
 
     trajectories = [systems.transient_skip(systems.integrate(spec), cfg.system.skip)
                     for spec in cfg.system.specs]
-    observed = [[systems.observe(t, obs) for t in trajectories] for obs in cfg.observables]
+    observed = []
+    for k, obs in enumerate(cfg.observables):
+        try:
+            observed.append([systems.observe(t, obs) for t in trajectories])
+        except ValueError as exc:
+            raise ConfigError(f"observables[{k}]: {exc}") from None
     series_list = []
     for per_traj in observed:
         per_traj = [embed.strided_series(s, e.stride) for s in per_traj]

@@ -31,6 +31,14 @@ from .ioutil import atomic_write_text, format_rows
 # Relative tolerance for the uniform-spacing check on CSV time columns.
 SPACING_RTOL = 1e-6
 
+# A CSV column label holds none of these: the field separator and each line
+# break of str.splitlines, which read_timeseries_csv splits files with.
+LABEL_BREAKS = ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def is_label(text: str) -> bool:
+    return not any(c in text for c in LABEL_BREAKS)
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -40,7 +48,7 @@ class TimeSeries:
         interleaved trajectories: values[c*i + p] is trajectory p at time
         step i, and the length must be divisible by c.
     dt: sampling interval in seconds, > 0.
-    label: column label used in CSV output (no commas).
+    label: column label used in CSV output (see is_label).
     """
 
     values: np.ndarray
@@ -52,8 +60,9 @@ class TimeSeries:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError(f"series must be 1-D with at least 2 samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("series contains non-finite samples")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{self.label!r} is not finite at sample {bad[0]}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.channels < 1:
@@ -62,8 +71,8 @@ class TimeSeries:
             raise ValueError(
                 f"series length {v.size} is not divisible by channels={self.channels}"
             )
-        if "," in self.label or "\n" in self.label:
-            raise ValueError(f"label must not contain commas or newlines: {self.label!r}")
+        if not is_label(self.label):
+            raise ValueError(f"label must not contain commas or line breaks: {self.label!r}")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:

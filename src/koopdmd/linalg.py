@@ -14,7 +14,8 @@ import numpy as np
 from .errors import DecompositionError
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero
-# wherever a numerical rank decision is needed (pinv, rank checks).
+# wherever a numerical rank decision is needed (pinv, rank checks, and the
+# POD rank cut, which pod_snapshots applies to the Gramian's eigenvalues).
 DEFAULT_RANK_TOL = 1e-12
 
 

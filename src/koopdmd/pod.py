@@ -16,11 +16,8 @@ import numpy as np
 
 from . import linalg
 from .embed import HankelBlock
+from .errors import DecompositionError
 from .ioutil import write_csv, write_json
-
-#: Eigenvalues (snapshot path) or singular values (ergodic path) below
-#: this relative cut are treated as zero rank.
-DEFAULT_RANK_TOL = 1e-12
 
 #: Adjacent singular values closer than this (relative) flag degeneracy.
 _DEGENERACY_RTOL = 1e-10
@@ -90,7 +87,7 @@ def pod_snapshots(G, F_samples) -> PodResult:
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
     evecs = evecs[:, order]
-    keep = evals > DEFAULT_RANK_TOL * lam_max
+    keep = evals > linalg.DEFAULT_RANK_TOL * lam_max
     evals = evals[keep]
     evecs = evecs[:, keep]
     sigma = np.sqrt(evals)
@@ -113,14 +110,15 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     coordinates V, and basis functions sampled along the trajectory as
     sqrt(m) W. factors, when given, is the SVD of block.H computed
     elsewhere (for a lone unscaled block, the one Hankel DMD also uses).
+    An identically zero block is a DecompositionError.
     """
     h = block.H
     m = h.shape[0]
     r = linalg.svd_of(h, factors)
     if r.S[0] == 0.0:
-        raise ValueError("Hankel block is identically zero; nothing to decompose")
+        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
     # S is descending, so the kept triplets are a prefix.
-    k = int(np.count_nonzero(r.S > DEFAULT_RANK_TOL * r.S[0]))
+    k = int(np.count_nonzero(r.S > linalg.DEFAULT_RANK_TOL * r.S[0]))
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,

@@ -6,18 +6,19 @@ min(dt, 0.005). One RK4 core serves both. It steps the state as Python
 floats, because on a 2- or 3-element state numpy's per-call overhead costs
 several times the arithmetic. Maps (circle, torus, linear) are applied
 exactly; angles are reduced mod 2*pi. Trajectories are deterministic
-given the spec.
+given the spec. An Observable is an expression over the state's
+coordinates z1..zd; its fixed kinds are shorthands for such expressions.
 """
 from __future__ import annotations
 
 import ast
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embed import TimeSeries
+from .embed import LABEL_BREAKS, TimeSeries, is_label
 from .errors import DecompositionError, IntegrationError
 
 # Largest RK4 substep used when integrating flows, in seconds.
@@ -227,7 +228,7 @@ def transient_skip(traj: Trajectory, skip: int) -> Trajectory:
     return replace(traj, states=traj.states[skip:])
 
 
-# The grammar of custom observable expressions: z1..zd, pi, int and float
+# The grammar of observable expressions: z1..zd, pi, int and float
 # literals, + - * / ** and unary +/-, and one-argument calls of these.
 _FUNCTIONS = {"cos": np.cos, "sin": np.sin, "tan": np.tan, "exp": np.exp,
               "log": np.log, "sqrt": np.sqrt, "abs": np.abs}
@@ -259,94 +260,81 @@ def _evaluate(node: ast.AST, env: dict):
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
-def _evaluate_expression(expression: str, env: dict):
-    """Value of a custom expression; ValueError outside the grammar."""
-    try:
-        return _evaluate(ast.parse(expression, mode="eval").body, env)
-    except Exception as exc:
-        raise ValueError(f"bad observable expression {expression!r}: {exc}") from exc
+# A custom expression's default label replaces what a label must not hold.
+_FOLD = str.maketrans(dict.fromkeys(LABEL_BREAKS, ";"))
+
+# Each observable kind reads one key and stands for an expression of the
+# grammar: kind -> (key, the key's value -> (expression, default label)).
+_KINDS = {
+    "coordinate": ("index", lambda i: (f"z{i + 1}", f"z{i + 1}")),
+    "sum": ("indices", lambda indices: ("+".join(f"z{i + 1}" for i in indices),) * 2),
+    "cos_angle": ("index", lambda i: (f"cos(z{i + 1})", f"cos_z{i + 1}")),
+    "custom": ("expression", lambda text: (text, text.translate(_FOLD))),
+}
 
 
 @dataclass(frozen=True)
 class Observable:
     """Scalar function of the state, evaluated along a trajectory.
 
-    kinds: coordinate (z_{index+1}), sum (sum of listed coordinates),
-    cos_angle (cos of one angle coordinate), kinetic_energy
-    (0.5 * |z|^2), custom (expression over z1..zd, pi and numbers with
-    + - * / ** and cos sin tan exp log sqrt abs). Construction checks
-    every field, and each ValueError message starts with the field's
-    name. An index beyond the state dimension, an expression outside this
-    grammar or one that does not give one value per sample is a ValueError
-    when evaluated; cli.parse_config evaluates each observable on the
-    first start state.
+    Each kind reads one key and is resolved at construction to an
+    expression of the grammar above: coordinate to z{index+1}, sum to
+    z{i+1}+... over indices, cos_angle to cos(z{index+1}) (index defaults
+    to 0), custom to its expression. Construction checks every field, and
+    each ValueError message starts with the field's name. The default
+    label is z1, z1+z2, cos_z1, or the expression with ';' for each
+    character that embed.is_label refuses. An index beyond the state
+    dimension, an expression outside the grammar or one that does not give
+    one value per sample is a ValueError when evaluated.
     """
 
     kind: str = ""
-    index: int = 0
-    indices: tuple[int, ...] = ()
-    expression: str = ""
+    index: int | None = None
+    indices: tuple[int, ...] | None = None
+    expression: str | None = None
     label: str = ""
+    _formula: str = field(init=False, repr=False, compare=False)  # the expression evaluated
 
     def __post_init__(self):
-        for name in ("kind", "expression", "label"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name}: string expected")
-        if not _integer(self.index):
-            raise ValueError(f"index: integer expected, got {self.index!r}")
-        if not (isinstance(self.indices, (list, tuple))
-                and all(_integer(i) for i in self.indices)):
-            raise ValueError("indices: list of integers expected")
-        kinds = ("coordinate", "sum", "cos_angle", "kinetic_energy", "custom")
-        if self.kind not in kinds:
-            raise ValueError(f"kind: unknown observable kind {self.kind!r}")
-        if self.kind == "sum" and not self.indices:
-            raise ValueError("indices: sum observable needs a non-empty indices tuple")
-        if self.kind == "custom" and not self.expression.strip():
-            raise ValueError("expression: custom observable needs an expression")
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
-        object.__setattr__(self, "indices", tuple(self.indices))
-
-    def _default_label(self) -> str:
-        if self.kind == "coordinate":
-            return f"z{self.index + 1}"
-        if self.kind == "sum":
-            return "+".join(f"z{i + 1}" for i in self.indices)
-        if self.kind == "cos_angle":
-            return f"cos_z{self.index + 1}"
-        if self.kind == "kinetic_energy":
-            return "ke"
-        return self.expression.replace(",", ";")
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
+            raise ValueError(f"kind: expected one of {tuple(_KINDS)}, got {self.kind!r}")
+        key, shorthand = _KINDS[self.kind]
+        for name in ("index", "indices", "expression"):
+            if name != key and getattr(self, name) is not None:
+                raise ValueError(f"{name}: the {self.kind} kind reads only {key}; drop the key")
+        value = getattr(self, key)
+        if key == "index":
+            value = 0 if value is None else value
+            if not (_integer(value) and value >= 0):
+                raise ValueError(f"index: integer >= 0 required, got {value!r}")
+        elif key == "indices":
+            if not (isinstance(value, (list, tuple)) and value
+                    and all(_integer(i) and i >= 0 for i in value)):
+                raise ValueError(f"indices: non-empty list of integers >= 0 required, got {value!r}")
+            value = tuple(value)
+        elif not (isinstance(value, str) and value.strip()):
+            raise ValueError(f"expression: non-empty string required, got {value!r}")
+        if not (isinstance(self.label, str) and is_label(self.label)):
+            raise ValueError(f"label: string without commas or line breaks, got {self.label!r}")
+        formula, label = shorthand(value)
+        object.__setattr__(self, key, value)
+        object.__setattr__(self, "label", self.label or label)
+        object.__setattr__(self, "_formula", formula)
 
     def evaluate(self, states: np.ndarray) -> np.ndarray:
+        """One value per row of states; nan or inf samples give no warning."""
         dim = states.shape[1]
-        if self.kind == "coordinate":
-            self._check_index(self.index, dim)
-            return states[:, self.index].copy()
-        if self.kind == "sum":
-            for i in self.indices:
-                self._check_index(i, dim)
-            return states[:, list(self.indices)].sum(axis=1)
-        if self.kind == "cos_angle":
-            self._check_index(self.index, dim)
-            return np.cos(states[:, self.index])
-        if self.kind == "kinetic_energy":
-            return 0.5 * np.sum(states * states, axis=1)
-        env = {f"z{i + 1}": states[:, i] for i in range(dim)}
-        env["pi"] = np.pi
-        vals = _evaluate_expression(self.expression, env)
-        vals = np.asarray(vals, dtype=float)
+        env = {"pi": np.pi, **{f"z{i + 1}": states[:, i] for i in range(dim)}}
+        try:
+            with np.errstate(all="ignore"):
+                vals = _evaluate(ast.parse(self._formula, mode="eval").body, env)
+        except Exception as exc:
+            raise ValueError(f"bad observable expression {self._formula!r} "
+                             f"(state dimension {dim}): {exc}") from exc
+        vals = np.array(vals, dtype=float)
         if vals.shape != (states.shape[0],):
-            raise ValueError(
-                f"expression {self.expression!r} must map states to one scalar per sample"
-            )
+            raise ValueError(f"expression {self._formula!r} must give one value per sample")
         return vals
-
-    @staticmethod
-    def _check_index(i: int, dim: int) -> None:
-        if not 0 <= i < dim:
-            raise ValueError(f"coordinate index {i} out of range for dimension {dim}")
 
 
 def observe(traj: Trajectory, observable: Observable) -> TimeSeries:

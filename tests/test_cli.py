@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -152,17 +153,34 @@ def sections(raw):
 class TestSectionDefaults:
     @pytest.mark.parametrize("name", sorted(cli.RECIPES))
     def test_default_valued_keys_can_go(self, name):
+        # The recipes state no default (below), so each default is restated
+        # to see that a key holding it is the same as no key.
         full = comparable(cli.parse_config(cli.recipe_config(name), recipe=name))
-        removed = 0
+        restated = 0
         for (key, *index), cls in sections(cli.recipe_config(name)):
             for f in dataclasses.fields(cls):
-                trimmed = cli.recipe_config(name)
-                section = trimmed[key][index[0]] if index else trimmed[key]
-                if f.name in section and section[f.name] == f.default:
-                    del section[f.name]
-                    assert comparable(cli.parse_config(trimmed, recipe=name)) == full, f.name
-                    removed += 1
-        assert removed >= 1
+                raw = cli.recipe_config(name)
+                section = raw[key][index[0]] if index else raw[key]
+                if f.init and f.default is not dataclasses.MISSING and f.name not in section:
+                    section[f.name] = f.default
+                    assert comparable(cli.parse_config(raw, recipe=name)) == full, f.name
+                    restated += 1
+        assert restated >= 1
+
+    @pytest.mark.parametrize("name", sorted(cli.RECIPES))
+    def test_every_recipe_key_acts(self, name):
+        full = comparable(cli.parse_config(cli.recipe_config(name), recipe=name))
+        for path in field_paths(cli.recipe_config(name)):
+            raw = cli.recipe_config(name)
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict):
+                del parent[path[-1]]
+                try:
+                    assert comparable(cli.parse_config(raw, recipe=name)) != full, path
+                except ConfigError:
+                    pass
 
     @pytest.mark.parametrize("section, cls", [("dmd", cli.DmdConfig),
                                               ("analysis", cli.AnalysisConfig)])
@@ -224,6 +242,21 @@ class TestParseTimeChecks:
         raw = cli.recipe_config("lorenz-pod")
         raw["observables"] = [observable]
         with pytest.raises(ConfigError, match=r"observables\[0\]"):
+            cli.parse_config(raw)
+
+    def test_index_beyond_the_dimension_names_it(self):
+        raw = cli.recipe_config("lorenz-pod")
+        raw["observables"] = [{"kind": "coordinate", "index": 5}]
+        with pytest.raises(ConfigError, match=r"^observables\[0\]: .*'z6' \(state dimension 3\)"):
+            cli.parse_config(raw)
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_companion_without_delayed_columns(self, tmp_path, csv):
+        raw = rotation_config(tmp_path, n=0, algorithm="companion")
+        if csv:
+            raw = {"csv": str(tmp_path / "absent.csv"), "embedding": raw["embedding"],
+                   "dmd": raw["dmd"]}
+        with pytest.raises(ConfigError, match=r"^embedding\.n: the companion algorithm"):
             cli.parse_config(raw)
 
 
@@ -300,6 +333,23 @@ class TestIgnoredKeysAreRefused:
         raw = rotation_config(tmp_path)
         raw["analysis"] = {"K": 6}
         self.refused(capsys, tmp_path, raw, "analysis.K")
+
+    @pytest.mark.parametrize("observable, key", [
+        ({"kind": "coordinate", "index": 0, "expression": "cos(z2)"}, "expression"),
+        ({"kind": "cos_angle", "indices": [0]}, "indices"),
+        ({"kind": "sum", "indices": [0], "index": 0}, "index"),
+        ({"kind": "custom", "expression": "z1", "index": 0}, "index"),
+    ])
+    def test_observable_key_its_kind_does_not_read(self, tmp_path, capsys, observable, key):
+        raw = rotation_config(tmp_path)
+        raw["observables"] = [{"kind": "cos_angle"}, observable]
+        self.refused(capsys, tmp_path, raw, f"observables[1].{key}")
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb"])
+    def test_label_that_is_no_csv_field(self, tmp_path, capsys, label):
+        raw = rotation_config(tmp_path)
+        raw["observables"][0]["label"] = label
+        self.refused(capsys, tmp_path, raw, "observables[0].label")
 
 
 class TestOutputDirectory:
@@ -613,6 +663,37 @@ class TestMain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=60, n=8, steps=30)))
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("expression, sample", [("log(z1 - 10)", 0), ("log(1 - z1)", 2)])
+    def test_non_finite_observable_is_one_named_line(self, tmp_path, capsys, expression, sample):
+        raw = rotation_config(tmp_path / "out")
+        raw["observables"] = [{"kind": "cos_angle"}, {"kind": "custom", "expression": expression}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would print lines of its own
+            assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: observables[1]: '{expression}' is not finite "
+                              f"at sample {sample}")
+        assert len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_observable_exits_3(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path / "out")
+        raw["observables"] = [{"kind": "custom", "expression": "0*z1"}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Hankel block is identically zero; nothing to decompose\n")
+
+    def test_expression_with_a_line_break(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["observables"] = [{"kind": "custom", "expression": "(cos(z1)\n+ 1)"}]
+        cli.execute(cli.parse_config(raw))
+        back = embed.read_timeseries_csv(tmp_path / "out" / "series_1.csv")
+        assert back[0].label == "(cos(z1);+ 1)"
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         raw = rotation_config(tmp_path / "out", m=40, n=10, algorithm="companion")

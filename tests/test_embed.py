@@ -28,10 +28,18 @@ class TestTimeSeries:
         dict(values=np.array([1.0, 2.0]), dt=-0.1),
         dict(values=np.array([1.0, 2.0, 3.0]), dt=1.0, channels=2),
         dict(values=np.array([1.0, 2.0]), dt=1.0, label="a,b"),
+        dict(values=np.array([1.0, 2.0]), dt=1.0, label="a\nb"),
+        dict(values=np.array([1.0, 2.0]), dt=1.0, label="a\rb"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             TimeSeries(**bad)
+
+    @given(st.text(max_size=6) | st.sampled_from([c + "x" for c in embed.LABEL_BREAKS]))
+    def test_a_label_is_one_field_of_one_line(self, label):
+        header = "t," + label
+        one_field = header.splitlines() == [header] and header.count(",") == 1
+        assert embed.is_label(label) == one_field
 
 
 class TestHankel:

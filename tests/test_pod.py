@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from koopdmd import embed, linalg, pod, systems
 from koopdmd.embed import TimeSeries
+from koopdmd.errors import DecompositionError
 
 
 def rotation_block(omega=1.0, theta0=0.5, m=200, n=8, dt=1.0):
@@ -66,6 +67,11 @@ class TestSnapshots:
 
 
 class TestErgodic:
+    def test_zero_block_is_a_decomposition_error(self):
+        blk = embed.hankel(TimeSeries(np.zeros(20), 1.0), m=10, n=4)
+        with pytest.raises(DecompositionError, match="identically zero"):
+            pod.ergodic_pod(blk)
+
     def test_rotation_two_directions(self):
         blk = rotation_block(m=2000, n=8)
         res = pod.ergodic_pod(blk)

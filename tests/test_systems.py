@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,9 +252,12 @@ class TestObservables:
         assert ts.label == "cos_z1"
 
     def test_kinetic_energy(self):
-        ts = systems.observe(self._traj(), Observable("kinetic_energy"))
+        # kinetic_energy is no kind: the custom form below says the same.
+        with pytest.raises(ValueError, match="^kind: .*'kinetic_energy'"):
+            Observable("kinetic_energy")
+        ts = systems.observe(self._traj(), Observable("custom", expression="0.5*(z1**2 + z2**2)"))
         assert_allclose(ts.values, 0.5 * np.array([0.05, 0.25, 0.61]))
-        assert ts.label == "ke"
+        assert ts.label == "0.5*(z1**2 + z2**2)"
 
     def test_custom_expression(self):
         obs = Observable("custom", expression="cos(z1) + 0.6*cos(z2) + 0.3*cos(z1 - z2)")
@@ -298,8 +302,63 @@ class TestObservables:
             systems.observe(self._traj(), obs)
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'z6' \(state dimension 2\): 'z6' is not allowed"):
             systems.observe(self._traj(), Observable("coordinate", index=5))
+
+    @pytest.mark.parametrize("kind, key, expression", [
+        ("coordinate", "index", "z2"),
+        ("sum", "indices", "z1+z2"),
+        ("cos_angle", "index", "cos(z2)"),
+        ("custom", "expression", "cos(z2)"),
+    ])
+    def test_kinds_are_expressions(self, kind, key, expression):
+        value = {"index": 1, "indices": [0, 1], "expression": "cos(z2)"}[key]
+        obs = Observable(kind, **{key: value})
+        assert obs._formula == expression
+        want = Observable("custom", expression=expression).evaluate(self._traj().states)
+        assert np.array_equal(obs.evaluate(self._traj().states), want)
+
+    def test_index_defaults_to_the_first_coordinate(self):
+        assert Observable("coordinate") == Observable("coordinate", index=0)
+        assert Observable("cos_angle").label == "cos_z1"
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("coordinate", "expression", "cos(z2)"),
+        ("coordinate", "indices", [1]),
+        ("sum", "index", 0),
+        ("cos_angle", "expression", "z1"),
+        ("custom", "index", 0),
+        ("custom", "indices", [0]),
+    ])
+    def test_key_that_the_kind_does_not_read(self, kind, key, value):
+        given = {"indices": [0]} if kind == "sum" else {"expression": "z1"} if kind == "custom" else {}
+        with pytest.raises(ValueError, match=f"^{key}: the {kind} kind reads only"):
+            Observable(kind, **given, **{key: value})
+
+    @pytest.mark.parametrize("index", [-1, True, 1.0])
+    def test_index_is_an_integer_from_zero(self, index):
+        with pytest.raises(ValueError, match="^index:"):
+            Observable("coordinate", index=index)
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b"])
+    def test_label_with_comma_or_line_break(self, label):
+        with pytest.raises(ValueError, match="^label:"):
+            Observable("coordinate", label=label)
+
+    def test_default_label_folds_line_breaks(self):
+        obs = Observable("custom", expression="(cos(z1)\n+ 1,\r)")
+        assert obs.label == "(cos(z1);+ 1;;)"
+        ts = systems.observe(self._traj(), Observable("custom", expression="(cos(z1)\n+ 1)"))
+        assert ts.label == "(cos(z1);+ 1)"
+        assert np.array_equal(ts.values, np.cos(self._traj().states[:, 0]) + 1)
+
+    def test_non_finite_sample_is_named_without_a_warning(self):
+        obs = Observable("custom", expression="log(z1 - 0.2)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(obs.evaluate(self._traj().states)[0])
+            with pytest.raises(ValueError, match="^'log\\(z1 - 0.2\\)' is not finite at sample 0$"):
+                systems.observe(self._traj(), obs)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
