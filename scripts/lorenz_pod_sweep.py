@@ -19,7 +19,7 @@ from koopdmd import embed, pod, systems
 
 def pod_spectrum(seed: int, m: int, n: int = 500, dt: float = 0.01, skip: int = 1000):
     z0 = systems.lorenz_initial_state(seed)
-    spec = systems.lorenz(z0=tuple(z0), dt=dt, steps=skip + m + n)
+    spec = systems.SystemSpec("lorenz", dict(systems.LORENZ_PARAMS), z0, dt, skip + m + n)
     traj = systems.transient_skip(systems.integrate(spec), skip)
     ts = systems.observe(traj, systems.Observable("coordinate", index=0))
     return pod.ergodic_pod(embed.hankel(ts, m=m, n=n))

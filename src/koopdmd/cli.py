@@ -16,11 +16,12 @@ it is refused. The output directory is created once the input is read and
 embedded, so a refused input leaves none behind.
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
-to a suite, system.seed next to system.z0, dmd.svd_threshold and
-dmd.threshold_mode with the svd or companion algorithm, analysis.K
-without analysis.basics, an observable key that its kind does not read,
-and the companion algorithm with more than one Hankel block (for a CSV
-source, when the file is read) or with embedding.n = 0.
+to a suite, a system parameter that its kind does not read, system.seed
+next to system.z0, dmd.svd_threshold and dmd.threshold_mode with the svd
+or companion algorithm, analysis.K without analysis.basics, an observable
+key that its kind does not read, and the companion algorithm with more
+than one Hankel block (for a CSV source, when the file is read) or with
+embedding.n = 0. So is a run whose arrays exceed the physical memory.
 
 Each config section's dataclass owns its defaults and checks (SuiteConfig,
 EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
@@ -205,11 +206,10 @@ def _section(cls, name: str, d):
 def _parse_system(d: dict) -> SystemConfig:
     """JSON's part of a system: known keys, z0 as one state or a list of
     states, and seed. systems.SystemSpec and SystemConfig check the rest."""
-    _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed")
-          + tuple(p for names in systems.REQUIRED_PARAMS.values() for p in names))
+    keys = tuple(p for names in systems.REQUIRED_PARAMS.values() for p in names)
+    _take(d, "system", ("kind", "z0", "dt", "steps", "skip", "seed") + keys)
     kind = d.get("kind")
-    names = systems.REQUIRED_PARAMS.get(kind, ()) if isinstance(kind, str) else ()
-    params = {p: d[p] for p in names if p in d}
+    params = {p: d[p] for p in keys if p in d}
     seed = d.get("seed", 0)
     _require(_integer(seed) and seed >= 0,
              f"system.seed: integer >= 0 required, got {seed!r}")
@@ -298,23 +298,28 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _validate_lengths(cfg: RunConfig) -> None:
-    if cfg.embedding is None:
+def _require_memory(cfg: RunConfig, columns: int) -> None:
+    """Refuse a run whose trajectories (8 (steps+1) d bytes per start state)
+    and Hankel pairs (8 m (n+2) per column: each observable of each
+    trajectory, or CSV column) exceed the physical memory."""
+    e, memory = cfg.embedding, _physical_memory()
+    if memory is None:
         return
-    e = cfg.embedding
-    # Each block's Hankel pair shares one buffer of 8 * m * c * (n + 2) bytes
-    # (c interleaved trajectories; CSV sources count as one block of one).
-    blocks = max(1, len(cfg.observables))
-    channels = len(cfg.system.specs) if cfg.system is not None else 1
-    need = 8 * e.m * channels * (e.n + 2) * blocks
-    memory = _physical_memory()
-    if memory is not None:
-        _require(need <= memory,
-                 f"embedding: m={e.m}, n={e.n} need at least {need >> 30} GiB for the "
-                 f"Hankel pair, more than the {memory >> 30} GiB of physical memory")
-    if cfg.system is None:
-        return  # a CSV's length is known when it is read; embed.hankel checks it
-    samples = cfg.system.steps + 1 - cfg.system.skip
+    states = sum(8 * (s.steps + 1) * s.z0.size for s in cfg.system.specs) if cfg.system else 0
+    hankel = 8 * e.m * (e.n + 2) * columns
+    key = (f"system.steps: {cfg.system.steps} steps" if states > hankel
+           else f"embedding: m={e.m}, n={e.n}")
+    _require(states + hankel <= memory,
+             f"{key} need at least {(states + hankel) >> 30} GiB, more than the "
+             f"{memory >> 30} GiB of physical memory")
+
+
+def _validate_lengths(cfg: RunConfig) -> None:
+    e, s = cfg.embedding, cfg.system
+    if s is None:
+        return  # _build_series and embed.hankel check a CSV once it is read
+    _require_memory(cfg, len(cfg.observables) * len(s.specs))
+    samples = s.steps + 1 - s.skip
     usable = 1 + (samples - 1) // e.stride
     needed = e.m + e.n + 1
     _require(usable >= needed,
@@ -437,6 +442,7 @@ def _build_series(cfg: RunConfig):
         _require(e.interleave or len(columns) == 1 or cfg.dmd.algorithm != "companion",
                  f"dmd.algorithm: companion takes one Hankel block, but {path} has "
                  f"{len(columns)} columns and embedding.interleave is false")
+        _require_memory(cfg, len(columns))
         columns = [embed.strided_series(s, e.stride) for s in columns]
         return ([embed.interleave(columns)] if e.interleave else columns), None, None
 
@@ -521,9 +527,9 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, bloc
     ioutil.write_csv(path, header, rows)
 
 
-def execute(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Run a validated config; write artifacts; return in-memory results."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+def execute(cfg: RunConfig) -> RunResult:
+    """Run a validated config; write artifacts into cfg.output_dir; return results."""
+    out = Path(cfg.output_dir)
     outputs: list[str] = []
 
     if cfg.suite is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import shutil
@@ -54,10 +55,7 @@ def _json_fragment(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        # Minimal escaping: our keys/values are plain ASCII labels and paths.
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)  # escapes every control character
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
         inner = ", ".join(f"{_json_fragment(str(k))}: {_json_fragment(v)}" for k, v in items)

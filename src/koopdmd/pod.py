@@ -58,7 +58,10 @@ def pod_snapshots(G, F_samples) -> PodResult:
     G[i][j] approximates the inner product of snapshots i and j; F_samples
     holds the snapshot sample vectors as columns (m samples x n snapshots).
     G must be symmetric and positive semidefinite up to roundoff. Basis
-    function j is F @ v_j / sigma_j, evaluated here on the samples.
+    function j is F @ v_j / sigma_j, evaluated here on the samples. It keeps
+    the eigenvalues of G above 1e-12 (linalg.DEFAULT_RANK_TOL) times the
+    largest, that is sigma_j / sigma_0 > 1e-6, the resolution of a route
+    that squares the condition number.
     """
     g = linalg.as_matrix(G, "G")
     f = linalg.as_matrix(F_samples, "F_samples")
@@ -110,7 +113,8 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     coordinates V, and basis functions sampled along the trajectory as
     sqrt(m) W. factors, when given, is the SVD of block.H computed
     elsewhere (for a lone unscaled block, the one Hankel DMD also uses).
-    An identically zero block is a DecompositionError.
+    It keeps sigma_j / sigma_0 > 1e-12 (linalg.DEFAULT_RANK_TOL). An
+    identically zero block is a DecompositionError.
     """
     h = block.H
     m = h.shape[0]

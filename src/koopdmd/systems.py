@@ -1,13 +1,14 @@
 """Built-in dynamical systems used to generate benchmark time series.
 
-Flows (lorenz, vanderpol) are integrated with classical fixed-step RK4,
-subdividing each sampling interval so the local step never exceeds
-min(dt, 0.005). One RK4 core serves both. It steps the state as Python
-floats, because on a 2- or 3-element state numpy's per-call overhead costs
-several times the arithmetic. Maps (circle, torus, linear) are applied
-exactly; angles are reduced mod 2*pi. Trajectories are deterministic
-given the spec. An Observable is an expression over the state's
-coordinates z1..zd; its fixed kinds are shorthands for such expressions.
+A SystemSpec names a kind, exactly the parameters REQUIRED_PARAMS lists for
+it, a start state and a sampling grid. Flows (lorenz, vanderpol) are
+integrated with classical fixed-step RK4, subdividing each sampling interval
+so the local step never exceeds min(dt, 0.005). One RK4 core serves both. It
+steps the state as Python floats, because on a 2- or 3-element state numpy's
+per-call overhead costs several times the arithmetic. Maps are exact: circle
+and torus rotate by their omega vector mod 2*pi, linear iterates its matrix.
+Trajectories are deterministic given the spec. An Observable is an
+expression over z1..zd; its fixed kinds are shorthands for such expressions.
 """
 from __future__ import annotations
 
@@ -24,11 +25,8 @@ from .errors import DecompositionError, IntegrationError
 # Largest RK4 substep used when integrating flows, in seconds.
 MAX_SUBSTEP = 0.005
 
-FLOW_KINDS = ("lorenz", "vanderpol")
-MAP_KINDS = ("circle", "torus", "linear")
-
-# Parameters each system kind requires; the CLI derives its config keys
-# from this table.
+# The parameters each system kind reads, all required and no others; the
+# CLI derives its config keys from this table. Its keys are the kinds.
 REQUIRED_PARAMS = {
     "lorenz": ("sigma", "rho", "beta"),
     "vanderpol": ("mu",),
@@ -73,8 +71,9 @@ def _finite_array(x, ndim: int) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One system, one initial state, one sampling grid. Construction checks
-    every field, and each ValueError message starts with the field's name."""
+    """One system, one initial state, one sampling grid, such as
+    SystemSpec("circle", {"omega": 0.5}, (0.0,), 1.0, 100). Construction
+    checks every field, and each ValueError message starts with its name."""
 
     kind: str
     params: dict
@@ -83,10 +82,14 @@ class SystemSpec:
     steps: int
 
     def __post_init__(self):
-        kinds = FLOW_KINDS + MAP_KINDS
-        if not (isinstance(self.kind, str) and self.kind in kinds):
-            raise ValueError(f"kind: expected one of {kinds}, got {self.kind!r}")
-        for p in REQUIRED_PARAMS[self.kind]:
+        if not (isinstance(self.kind, str) and self.kind in REQUIRED_PARAMS):
+            raise ValueError(f"kind: expected one of {tuple(REQUIRED_PARAMS)}, got {self.kind!r}")
+        names = REQUIRED_PARAMS[self.kind]
+        for p in self.params:
+            if p not in names:
+                raise ValueError(f"{p}: the {self.kind} kind reads only {', '.join(names)}; "
+                                 "drop the key")
+        for p in names:
             if p not in self.params:
                 raise ValueError(f"{p}: required for kind={self.kind}")
             if p != "matrix" and not _real(self.params[p]):
@@ -118,27 +121,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-
-def lorenz(z0, dt: float, steps: int, sigma: float = LORENZ_PARAMS["sigma"],
-           rho: float = LORENZ_PARAMS["rho"], beta: float = LORENZ_PARAMS["beta"]) -> SystemSpec:
-    return SystemSpec("lorenz", {"sigma": sigma, "rho": rho, "beta": beta}, z0, dt, steps)
-
-
-def van_der_pol(z0, dt: float, steps: int, mu: float = VDP_MU) -> SystemSpec:
-    return SystemSpec("vanderpol", {"mu": mu}, z0, dt, steps)
-
-
-def circle_rotation(omega: float, z0, dt: float, steps: int) -> SystemSpec:
-    return SystemSpec("circle", {"omega": omega}, z0, dt, steps)
-
-
-def torus_rotation(omega1: float, omega2: float, z0, dt: float, steps: int) -> SystemSpec:
-    return SystemSpec("torus", {"omega1": omega1, "omega2": omega2}, z0, dt, steps)
-
-
-def linear_map(matrix, z0, dt: float, steps: int) -> SystemSpec:
-    return SystemSpec("linear", {"matrix": np.asarray(matrix, dtype=float)}, z0, dt, steps)
 
 
 def lorenz_initial_state(seed: int) -> np.ndarray:
@@ -192,16 +174,9 @@ def integrate_flow(deriv, z0, dt: float, steps: int,
 
 def integrate(spec: SystemSpec) -> Trajectory:
     """Sample the system for spec.steps steps (steps+1 recorded states)."""
-    if spec.kind in FLOW_KINDS:
-        deriv = {"lorenz": _lorenz_deriv, "vanderpol": _vdp_deriv}[spec.kind](**spec.params)
-        states = integrate_flow(deriv, spec.z0, spec.dt, spec.steps)
-    elif spec.kind in ("circle", "torus"):
-        if spec.kind == "circle":
-            omega = np.array([spec.params["omega"]])
-        else:
-            omega = np.array([spec.params["omega1"], spec.params["omega2"]])
-        k = np.arange(spec.steps + 1)[:, None]
-        states = np.mod(spec.z0[None, :] + k * (omega[None, :] * spec.dt), 2.0 * np.pi)
+    flow = {"lorenz": _lorenz_deriv, "vanderpol": _vdp_deriv}.get(spec.kind)
+    if flow is not None:
+        states = integrate_flow(flow(**spec.params), spec.z0, spec.dt, spec.steps)
     elif spec.kind == "linear":
         mat = np.asarray(spec.params["matrix"], dtype=float)
         states = np.empty((spec.steps + 1, spec.z0.size))
@@ -212,8 +187,10 @@ def integrate(spec: SystemSpec) -> Trajectory:
             if not np.all(np.isfinite(z)):
                 raise IntegrationError(f"state became non-finite at step {i + 1}")
             states[i + 1] = z
-    else:  # pragma: no cover - rejected by SystemSpec
-        raise ValueError(f"unknown system kind {spec.kind!r}")
+    else:  # circle, torus: a rotation by the omega vector
+        omega = np.array([spec.params[p] for p in REQUIRED_PARAMS[spec.kind]])
+        k = np.arange(spec.steps + 1)[:, None]
+        states = np.mod(spec.z0[None, :] + k * (omega[None, :] * spec.dt), 2.0 * np.pi)
     return Trajectory(states=states, dt=spec.dt, kind=spec.kind)
 
 
@@ -263,11 +240,23 @@ def _evaluate(node: ast.AST, env: dict):
 # A custom expression's default label replaces what a label must not hold.
 _FOLD = str.maketrans(dict.fromkeys(LABEL_BREAKS, ";"))
 
+
+def _sum(terms: list[str]) -> str:
+    """terms added as a balanced tree, so _evaluate recurses log2(len(terms))
+    deep; up to three terms it is the left-to-right sum z1+z2+z3."""
+    if len(terms) == 1:
+        return terms[0]
+    half = (len(terms) + 1) // 2
+    left, right = _sum(terms[:half]), _sum(terms[half:])
+    return f"{left}+{right}" if len(terms) - half == 1 else f"{left}+({right})"
+
+
 # Each observable kind reads one key and stands for an expression of the
 # grammar: kind -> (key, the key's value -> (expression, default label)).
 _KINDS = {
     "coordinate": ("index", lambda i: (f"z{i + 1}", f"z{i + 1}")),
-    "sum": ("indices", lambda indices: ("+".join(f"z{i + 1}" for i in indices),) * 2),
+    "sum": ("indices", lambda indices: (_sum([f"z{i + 1}" for i in indices]),
+                                         "+".join(f"z{i + 1}" for i in indices))),
     "cos_angle": ("index", lambda i: (f"cos(z{i + 1})", f"cos_z{i + 1}")),
     "custom": ("expression", lambda text: (text, text.translate(_FOLD))),
 }
@@ -278,9 +267,9 @@ class Observable:
     """Scalar function of the state, evaluated along a trajectory.
 
     Each kind reads one key and is resolved at construction to an
-    expression of the grammar above: coordinate to z{index+1}, sum to
-    z{i+1}+... over indices, cos_angle to cos(z{index+1}) (index defaults
-    to 0), custom to its expression. Construction checks every field, and
+    expression of the grammar above: coordinate to z{index+1}, sum to a
+    balanced tree z{i+1}+... over indices, cos_angle to cos(z{index+1})
+    (index defaults to 0), custom to its expression. Construction checks every field, and
     each ValueError message starts with the field's name. The default
     label is z1, z1+z2, cos_z1, or the expression with ';' for each
     character that embed.is_label refuses. An index beyond the state
@@ -373,7 +362,7 @@ def seeded_linear_system(seed: int, dim: int = 4, steps: int | None = None) -> S
                 cols.append(a @ cols[-1])
             if np.linalg.cond(np.column_stack(cols)) > 1e6:
                 continue
-            return linear_map(a, z0, dt=1.0, steps=steps)
+            return SystemSpec("linear", {"matrix": a}, z0, 1.0, steps)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"seeded linear system {seed}: {exc}") from exc
     raise RuntimeError(f"no admissible linear system found for seed {seed}")  # pragma: no cover

@@ -195,7 +195,7 @@ def test_criterion_8_gramian_convergence_rate(capsys):
     limit = 0.5 * np.cos((idx[:, None] - idx[None, :]) * omega)
 
     def empirical_gap(m):
-        spec = systems.circle_rotation(omega=omega, z0=(theta0,), dt=1.0, steps=m + n)
+        spec = systems.SystemSpec("circle", {"omega": omega}, (theta0,), 1.0, m + n)
         traj = systems.integrate(spec)
         blk = embed.hankel(systems.observe(traj, systems.Observable("cos_angle")), m=m, n=n)
         return float(np.max(np.abs(linalg.gram(blk.H, 1.0 / m) - limit)))

@@ -132,7 +132,7 @@ class TestEigenfunctionError:
         # chi(theta) = e^{i theta} sampled along the orbit versus the
         # computed dominant mode of the cosine observable
         m, n, dt = 2000, 8, 1.0
-        spec = systems.circle_rotation(omega=np.pi / 4, z0=(0.0,), dt=dt, steps=m + n)
+        spec = systems.SystemSpec("circle", {"omega": np.pi / 4}, (0.0,), dt, m + n)
         traj = systems.integrate(spec)
         blk = embed.hankel(systems.observe(traj, systems.Observable("cos_angle")), m=m, n=n)
         res = dmd.hankel_dmd(embed.composite([blk]), dt=dt)

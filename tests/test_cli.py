@@ -118,6 +118,15 @@ class TestParseConfig:
         path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path)]) == 2
 
+    def test_trajectories_beyond_physical_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(systems, "integrate", never_integrate)
+        raw = rotation_config(tmp_path, steps=10**13)
+        with pytest.raises(ConfigError, match=r"^system\.steps: .* physical memory$"):
+            cli.parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+
     def test_memory_preflight_skipped_without_sysconf(self, tmp_path, monkeypatch):
         def unknown(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
@@ -229,6 +238,7 @@ class TestParseTimeChecks:
 
     def test_linear_matrix_must_be_square(self, tmp_path):
         raw = rotation_config(tmp_path)
+        del raw["system"]["omega"]
         raw["system"].update(kind="linear", matrix=[[1, 0]], z0=[1.0, 0.0])
         with pytest.raises(ConfigError, match="system.matrix"):
             cli.parse_config(raw)
@@ -345,6 +355,18 @@ class TestIgnoredKeysAreRefused:
         raw["observables"] = [{"kind": "cos_angle"}, observable]
         self.refused(capsys, tmp_path, raw, f"observables[1].{key}")
 
+    @pytest.mark.parametrize("recipe, key, value", [
+        ("rotation-check", "mu", 0.3),
+        ("lorenz-pod", "omega", 1.0),
+        ("vdp-phase", "matrix", [[1.0, 0.0], [0.0, 1.0]]),
+        ("torus-synth", "omega", 1.0),
+    ])
+    def test_system_parameter_its_kind_does_not_read(self, tmp_path, capsys, recipe, key,
+                                                     value):
+        raw = cli.recipe_config(recipe)
+        raw["system"][key] = value
+        self.refused(capsys, tmp_path, raw, f"system.{key}")
+
     @pytest.mark.parametrize("label", ["a,b", "a\nb"])
     def test_label_that_is_no_csv_field(self, tmp_path, capsys, label):
         raw = rotation_config(tmp_path)
@@ -363,6 +385,32 @@ class TestOutputDirectory:
         assert cli.main(["run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_csv_columns_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # One column's Hankel pair fits in memory, the file's three do not.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * 8 * 20 * (4 + 2))
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f,g,h\n" + "".join(f"{i},{np.cos(i)},{np.sin(i)},{i % 3}\n"
+                                             for i in range(40)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"csv": str(csv), "embedding": {"m": 20, "n": 4}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: embedding: m=20, n=4 need at least")
+        assert err.endswith(" physical memory\n") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_control_character_label_gives_valid_json(self, tmp_path):
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,a\x01b\n" + "".join(f"{i},{np.cos(i)}\n" for i in range(40)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"csv": str(csv), "embedding": {"m": 20, "n": 4}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        docs = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in out.glob("*.json")}
+        assert {"hankel.json", "pod.json", "dmd.json", "run.json"} <= set(docs)
+        assert docs["hankel.json"]["blocks"][0]["label"] == "a\x01b"
 
     def test_untruncated_runs_record_no_threshold(self, tmp_path):
         raw = rotation_config(tmp_path / "out", n=1, algorithm="svd")

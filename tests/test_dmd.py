@@ -16,7 +16,7 @@ from koopdmd.errors import DecompositionError, RankDeficiencyError
 
 
 def rotation_block(omega=np.pi / 4, theta0=0.0, m=32, n=8, dt=1.0):
-    spec = systems.circle_rotation(omega=omega / dt, z0=(theta0,), dt=dt, steps=m + n)
+    spec = systems.SystemSpec("circle", {"omega": omega / dt}, (theta0,), dt, m + n)
     traj = systems.integrate(spec)
     ts = systems.observe(traj, systems.Observable("cos_angle"))
     return embed.hankel(ts, m=m, n=n)
@@ -228,7 +228,8 @@ class TestHankelDmd:
         assert_allclose(np.linalg.norm(res.modes, axis=0), 1.0, atol=1e-12)
 
     def test_measure_preserving_spectrum_on_torus(self):
-        spec = systems.torus_rotation(omega1=0.97624, omega2=0.60892, z0=(0.0, 0.0), dt=0.1, steps=700)
+        spec = systems.SystemSpec("torus", {"omega1": 0.97624, "omega2": 0.60892},
+                                  (0.0, 0.0), 0.1, 700)
         traj = systems.integrate(spec)
         obs = systems.Observable("custom", expression="cos(z1) + 0.6*cos(z2)")
         blk = embed.hankel(systems.observe(traj, obs), m=600, n=100)
@@ -279,7 +280,8 @@ class TestHankelDmd:
 
 
 def lorenz_block(m=300, n=40):
-    spec = systems.lorenz(z0=tuple(systems.lorenz_initial_state(1)), dt=0.01, steps=500 + m + n)
+    spec = systems.SystemSpec("lorenz", dict(systems.LORENZ_PARAMS),
+                              systems.lorenz_initial_state(1), 0.01, 500 + m + n)
     traj = systems.transient_skip(systems.integrate(spec), 500)
     return embed.hankel(systems.observe(traj, systems.Observable("coordinate")), m=m, n=n)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -271,6 +272,18 @@ class TestModesCsv:
         lines = (tmp_path / "modes.csv").read_text().splitlines()
         assert lines[0] == "mode1_re,mode1_im,mode2_re,mode2_im"
         assert lines[1:] == ["0,0,1,0", "2,0,3,0", "4,0,5,0"]
+
+
+class TestJson:
+    def test_control_characters_are_escaped(self, tmp_path):
+        obj = {"a\x01b": ["\x00\x1f\x7f", "\b\f\n\r\t", "é\u2028\\\""]}
+        ioutil.write_json(tmp_path / "a.json", obj)
+        assert json.loads((tmp_path / "a.json").read_text(encoding="utf-8")) == obj
+
+    @given(st.text().filter(lambda s: all(c >= " " for c in s)))
+    def test_strings_without_control_characters_keep_their_bytes(self, s):
+        escaped = s.replace("\\", "\\\\").replace('"', '\\"')
+        assert ioutil._json_fragment(s) == f'"{escaped}"'
 
 
 class TestPermissions:

@@ -11,7 +11,7 @@ from koopdmd.errors import DecompositionError
 
 
 def rotation_block(omega=1.0, theta0=0.5, m=200, n=8, dt=1.0):
-    spec = systems.circle_rotation(omega=omega / dt, z0=(theta0,), dt=dt, steps=m + n)
+    spec = systems.SystemSpec("circle", {"omega": omega / dt}, (theta0,), dt, m + n)
     traj = systems.integrate(spec)
     ts = systems.observe(traj, systems.Observable("cos_angle"))
     return embed.hankel(ts, m=m, n=n)
@@ -64,6 +64,17 @@ class TestSnapshots:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             pod.pod_snapshots(np.eye(2), np.ones((5, 3)))
+
+
+def test_the_two_rank_rules():
+    # Singular values 1 and 1e-8: the Gramian route keeps sigma_j / sigma_0 >
+    # 1e-6, the singular-value route sigma_j / sigma_0 > 1e-12.
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((50, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    f = u @ np.diag([1.0, 1e-8]) @ v.T
+    assert pod.pod_snapshots(f.T @ f, f).k == 1
+    assert pod.ergodic_pod(embed.HankelBlock(H=f, UH=f, m=50, n=1, dt=1.0)).k == 2
 
 
 class TestErgodic:

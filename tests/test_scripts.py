@@ -1,6 +1,8 @@
 """Smoke runs of the example scripts with small arguments."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,16 @@ def test_compare_artifacts_of_one_tree():
                      "--targets", "rotation-check", "equivalence-suite")
     assert out == ("rotation-check: 10 artifacts byte-identical, stdout identical\n"
                    "equivalence-suite: 2 artifacts byte-identical, stdout identical\n")
+
+
+def test_readme_library_example(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    for line in lines:  # omega, then its lattice point k on (0.97624, 0.60892)
+        omega, k = line.split(" ", 1)
+        k = ast.literal_eval(k)
+        assert abs(float(omega) - (k[0] * 0.97624 + k[1] * 0.60892)) < 1e-9

@@ -21,30 +21,42 @@ class TestSpecValidation:
 
     def test_state_dimension(self):
         with pytest.raises(ValueError):
-            systems.circle_rotation(omega=1.0, z0=(0.0, 0.0), dt=1.0, steps=5)
+            SystemSpec("circle", {"omega": 1.0}, (0.0, 0.0), 1.0, 5)
         with pytest.raises(ValueError):
-            systems.lorenz(z0=(1.0, 1.0), dt=0.01, steps=5)
+            SystemSpec("lorenz", dict(systems.LORENZ_PARAMS), (1.0, 1.0), 0.01, 5)
 
     def test_linear_map_needs_square_matrix(self):
         with pytest.raises(ValueError):
-            systems.linear_map(matrix=[[1.0, 0.0]], z0=(1.0, 0.0), dt=1.0, steps=3)
+            SystemSpec("linear", {"matrix": [[1.0, 0.0]]}, (1.0, 0.0), 1.0, 3)
+
+    @pytest.mark.parametrize("kind, params, z0, message", [
+        ("lorenz", {**systems.LORENZ_PARAMS, "mu": 1}, (1.0, 1.0, 1.0),
+         "mu: the lorenz kind reads only sigma, rho, beta; drop the key"),
+        ("circle", {"omega": 1.0, "mu": 0.3}, (0.0,),
+         "mu: the circle kind reads only omega; drop the key"),
+        ("linear", {"matrix": [[1.0]], "omega": 1.0}, (1.0,),
+         "omega: the linear kind reads only matrix; drop the key"),
+    ], ids=["lorenz", "circle", "linear"])
+    def test_parameter_of_another_kind(self, kind, params, z0, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SystemSpec(kind, params, z0, 0.01, 5)
 
     def test_positive_steps_and_dt(self):
         with pytest.raises(ValueError):
-            systems.circle_rotation(omega=1.0, z0=(0.0,), dt=0.0, steps=5)
+            SystemSpec("circle", {"omega": 1.0}, (0.0,), 0.0, 5)
         with pytest.raises(ValueError):
-            systems.circle_rotation(omega=1.0, z0=(0.0,), dt=1.0, steps=0)
+            SystemSpec("circle", {"omega": 1.0}, (0.0,), 1.0, 0)
 
 
 class TestMaps:
     def test_circle_rotation_exact(self):
-        traj = systems.integrate(systems.circle_rotation(omega=0.3, z0=(0.7,), dt=2.0, steps=50))
+        traj = systems.integrate(SystemSpec("circle", {"omega": 0.3}, (0.7,), 2.0, 50))
         want = np.mod(0.7 + 0.3 * 2.0 * np.arange(51), 2.0 * np.pi)
         assert_allclose(traj.states[:, 0], want, rtol=0, atol=1e-12)
         assert traj.states.shape == (51, 1)
 
     def test_torus_rotation_exact(self):
-        spec = systems.torus_rotation(omega1=0.97624, omega2=0.60892, z0=(0.0, 1.0), dt=0.1, steps=40)
+        spec = SystemSpec("torus", {"omega1": 0.97624, "omega2": 0.60892}, (0.0, 1.0), 0.1, 40)
         traj = systems.integrate(spec)
         k = np.arange(41)
         assert_allclose(traj.states[:, 0], np.mod(0.97624 * 0.1 * k, 2 * np.pi), atol=1e-12)
@@ -53,7 +65,7 @@ class TestMaps:
     def test_torus_orbit_fills_in(self):
         # an incommensurate rotation never revisits a point, and the gap to
         # the nearest previously visited point shrinks as the orbit grows
-        spec = systems.torus_rotation(omega1=1.0, omega2=np.sqrt(2.0), z0=(0.0, 0.0), dt=1.0, steps=2000)
+        spec = SystemSpec("torus", {"omega1": 1.0, "omega2": np.sqrt(2.0)}, (0.0, 0.0), 1.0, 2000)
         states = systems.integrate(spec).states
 
         def min_gap(pts):
@@ -69,7 +81,7 @@ class TestMaps:
 
     def test_linear_map_powers(self):
         a = np.array([[0.0, 1.0], [-0.25, 0.0]])
-        traj = systems.integrate(systems.linear_map(matrix=a, z0=(1.0, 0.0), dt=1.0, steps=4))
+        traj = systems.integrate(SystemSpec("linear", {"matrix": a}, (1.0, 0.0), 1.0, 4))
         want = np.array([np.linalg.matrix_power(a, k) @ [1.0, 0.0] for k in range(5)])
         assert_allclose(traj.states, want, atol=1e-14)
 
@@ -89,20 +101,21 @@ class TestFlows:
         assert 12.0 < ratio < 30.0
 
     def test_lorenz_stays_bounded(self):
-        spec = systems.lorenz(z0=(1.0, 1.0, 1.0), dt=0.01, steps=20_000)
+        spec = SystemSpec("lorenz", dict(systems.LORENZ_PARAMS), (1.0, 1.0, 1.0), 0.01, 20_000)
         traj = systems.integrate(spec)
         assert np.max(np.abs(traj.states)) < 100.0
 
     def test_lorenz_halved_step_agreement(self):
         # chaotic, so only short-horizon agreement is meaningful
         z0 = (1.0, 1.0, 1.0)
-        coarse = systems.integrate(systems.lorenz(z0=z0, dt=0.01, steps=1000))
-        fine = systems.integrate(systems.lorenz(z0=z0, dt=0.005, steps=2000))
+        params = dict(systems.LORENZ_PARAMS)
+        coarse = systems.integrate(SystemSpec("lorenz", params, z0, 0.01, 1000))
+        fine = systems.integrate(SystemSpec("lorenz", params, z0, 0.005, 2000))
         gap = np.max(np.abs(coarse.states - fine.states[::2]))
         assert gap <= 1e-3
 
     def test_van_der_pol_amplitude_settles(self):
-        spec = systems.van_der_pol(mu=0.3, z0=(4.0, 4.0), dt=0.1, steps=1500)
+        spec = SystemSpec("vanderpol", {"mu": 0.3}, (4.0, 4.0), 0.1, 1500)
         traj = systems.integrate(spec)
         x = traj.states[:, 0]
         # peak amplitude per late window varies by well under a percent
@@ -113,8 +126,8 @@ class TestFlows:
     def test_van_der_pol_phase_locks_across_starts(self):
         # two starts converge to the same cycle: after the transient, states
         # at matching phase agree closely
-        a = systems.integrate(systems.van_der_pol(mu=0.3, z0=(4.0, 4.0), dt=0.1, steps=350)).states
-        b = systems.integrate(systems.van_der_pol(mu=0.3, z0=(0.0, 4.0), dt=0.1, steps=350)).states
+        a = systems.integrate(SystemSpec("vanderpol", {"mu": 0.3}, (4.0, 4.0), 0.1, 350)).states
+        b = systems.integrate(SystemSpec("vanderpol", {"mu": 0.3}, (0.0, 4.0), 0.1, 350)).states
         pa = np.arctan2(a[150:, 1], a[150:, 0])
         pb = np.arctan2(b[150:, 1], b[150:, 0])
         worst = 0.0
@@ -193,12 +206,12 @@ class TestRk4Reference:
             assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
 
     def test_integer_parameters_are_bitwise_equal(self):
-        spec = systems.lorenz((1.0, 2.0, 3.0), 0.01, 300, sigma=10, rho=28, beta=3)
+        spec = SystemSpec("lorenz", {"sigma": 10, "rho": 28, "beta": 3}, (1.0, 2.0, 3.0), 0.01, 300)
         want = rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps)
         assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
 
     def test_blow_up_names_the_same_step(self):
-        spec = systems.lorenz((1e3, 1e3, -1e3), 0.01, 50)
+        spec = SystemSpec("lorenz", dict(systems.LORENZ_PARAMS), (1e3, 1e3, -1e3), 0.01, 50)
         runs = [(lambda: rk4_reference(lambda z: z * z, [1.0], 0.25, 50),
                  lambda: systems.integrate_flow(lambda z: (z * z,), [1.0], 0.25, 50)),
                 (lambda: rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps),
@@ -215,17 +228,17 @@ class TestRk4Reference:
 
 class TestTransientSkip:
     def test_drops_leading_states(self):
-        traj = systems.integrate(systems.circle_rotation(omega=1.0, z0=(0.0,), dt=1.0, steps=10))
+        traj = systems.integrate(SystemSpec("circle", {"omega": 1.0}, (0.0,), 1.0, 10))
         kept = systems.transient_skip(traj, 4)
         assert kept.states.shape == (7, 1)
         assert_allclose(kept.states[0], traj.states[4])
 
     def test_zero_skip_identity(self):
-        traj = systems.integrate(systems.circle_rotation(omega=1.0, z0=(0.0,), dt=1.0, steps=5))
+        traj = systems.integrate(SystemSpec("circle", {"omega": 1.0}, (0.0,), 1.0, 5))
         assert systems.transient_skip(traj, 0) is traj
 
     def test_skip_too_large(self):
-        traj = systems.integrate(systems.circle_rotation(omega=1.0, z0=(0.0,), dt=1.0, steps=5))
+        traj = systems.integrate(SystemSpec("circle", {"omega": 1.0}, (0.0,), 1.0, 5))
         with pytest.raises(ValueError):
             systems.transient_skip(traj, 6)
 
@@ -234,6 +247,17 @@ class TestObservables:
     def _traj(self):
         states = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         return systems.Trajectory(states, 0.5, "vanderpol")
+
+    def test_sum_over_many_indices(self):
+        # A balanced tree of additions: no recursion limit, exact on integers.
+        obs = Observable("sum", indices=[0] * 2000)
+        states = np.array([[1.0], [2.0], [3.0]])
+        assert np.array_equal(obs.evaluate(states), 2000 * states[:, 0])
+        assert obs.label == "+".join(["z1"] * 2000)
+
+    def test_sum_of_three_adds_left_to_right(self):
+        states = np.array([[1.0, 1e16, -1e16]])
+        assert Observable("sum", indices=[0, 1, 2]).evaluate(states)[0] == (1.0 + 1e16) - 1e16
 
     def test_coordinate(self):
         ts = systems.observe(self._traj(), Observable("coordinate", index=1))
