@@ -4,8 +4,10 @@
 Runs every target once under each tree, each in a fresh `koopdmd run`
 process at one BLAS thread (the thread count can move roundoff), and
 compares the two output directories file by file and the two stdouts with
-the output path masked. The targets are the five recipes and the
-csv-ingest config of perfbench (its generator, seed 0).
+the output path masked. The targets are the five recipes, the csv-ingest
+config of perfbench (its generator, seed 0), and `companion`, `svd` and
+`exact`: lorenz-pod shortened to 4000 steps, m = 2000 and n = 8, decomposed
+by that algorithm, so each algorithm runs on one Hankel block.
 
 Usage: python3 scripts/compare_artifacts.py OLD_SRC NEW_SRC [--targets T ...]
 
@@ -16,6 +18,7 @@ one line per target and exits 1 if any target differs.
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -26,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RECIPES = ("rotation-check", "vdp-phase", "torus-synth", "equivalence-suite", "lorenz-pod")
 CSV_INGEST = "csv-ingest"
+LONE_BLOCK = ("companion", "svd", "exact")
+TARGETS = RECIPES + (CSV_INGEST,) + LONE_BLOCK
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -49,6 +54,21 @@ def csv_ingest_config(work: Path, src: Path) -> str:
     return str(CsvIngest(work, 0).config)
 
 
+def lone_block_config(work: Path, src: Path, algorithm: str) -> str:
+    """lorenz-pod at 4000 steps, m = 2000 and n = 8, decomposed by
+    algorithm, written into work."""
+    sys.path[:0] = [str(src)]
+    from koopdmd import cli
+
+    config = cli.recipe_config("lorenz-pod")
+    config["system"]["steps"] = 4000
+    config["embedding"] = {"m": 2000, "n": 8}
+    config["dmd"] = {"algorithm": algorithm}
+    path = work / f"{algorithm}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
 def differing_files(a: Path, b: Path) -> list[str]:
     """Names present in only one directory or whose bytes differ."""
     names_a = {p.name for p in a.iterdir()} if a.is_dir() else set()
@@ -62,15 +82,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--targets", nargs="+", choices=RECIPES + (CSV_INGEST,),
-                        default=list(RECIPES + (CSV_INGEST,)))
+    parser.add_argument("--targets", nargs="+", choices=TARGETS, default=list(TARGETS))
     args = parser.parse_args()
     sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in args.targets:
-            target = csv_ingest_config(work, sides["new"]) if name == CSV_INGEST else name
+            if name == CSV_INGEST:
+                target = csv_ingest_config(work, sides["new"])
+            elif name in LONE_BLOCK:
+                target = lone_block_config(work, sides["new"], name)
+            else:
+                target = name
             runs = {side: run(src, target, work / side / name) for side, src in sides.items()}
             files = differing_files(work / "old" / name, work / "new" / name)
             problems = []

@@ -301,7 +301,9 @@ def _physical_memory() -> int | None:
 def _require_memory(cfg: RunConfig, columns: int) -> None:
     """Refuse a run whose trajectories (8 (steps+1) d bytes per start state)
     and Hankel pairs (8 m (n+2) per column: each observable of each
-    trajectory, or CSV column) exceed the physical memory."""
+    trajectory, or CSV column) exceed the physical memory. A Hankel pair
+    is a view of its series, so its count stands for the copy that the
+    factorization makes of each block: a lower bound on what a run holds."""
     e, memory = cfg.embedding, _physical_memory()
     if memory is None:
         return
@@ -574,9 +576,10 @@ def execute(cfg: RunConfig) -> RunResult:
     })
     outputs.append("hankel.json")
 
-    # A lone unscaled block is both the POD input and X: factor it once.
-    # The factors are dropped before any CSV is written, because forked
-    # CSV workers inherit the parent's pages.
+    # A lone unscaled block is both the POD input and X, a view of its
+    # series: factor it once. On lorenz-pod that SVD, with its own copy of
+    # H, sets the run's peak RSS. The factors are dropped before any CSV is
+    # written, because forked CSV workers inherit the parent's pages.
     factors = linalg.svd(data.X) if data.X is blocks[0].H else None
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
     dmd_result = _run_decomposition(cfg, blocks, data, factors)

@@ -180,7 +180,10 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     c = ((r.V / sv) @ r.W.T) @ target
     er = linalg.eig(companion_matrix(c))
     modes = _unit_columns(x.astype(complex) @ er.eigenvectors)
-    residual = float(np.linalg.norm(target - x @ c))
+    # The columns of a Hankel block overlap in memory, and BLAS cannot take
+    # them: numpy's own matrix-vector loop would give other bits than BLAS
+    # does on a copy.
+    residual = float(np.linalg.norm(target - np.ascontiguousarray(x) @ c))
     order = _energy_order(er.eigenvalues, modes, d[:, 0])
     return DmdResult(
         eigenvalues=er.eigenvalues[order],

@@ -4,8 +4,8 @@ A length-L series f sampled every dt seconds embeds into an m x (n+1)
 Hankel matrix H with H[i][j] = f[i + j], together with its one-step
 shift UH[i][j] = f[i + j + 1]. Columns are successive delayed copies of
 the series; rows index time along the trajectory. H and UH are read-only
-views of one m x (n+2) copy of the windows, so the pair costs
-8 m (n+2) bytes rather than twice 8 m (n+1). Multiple observables
+views of the series' own samples: a block holds no memory of its own, and
+it changes if the array behind its series is written. Multiple observables
 embed into separate blocks that are scaled and concatenated column-wise
 into one composite data matrix pair (X, Y) for the DMD stage.
 
@@ -86,7 +86,9 @@ class HankelBlock:
     For channels == 1: H is m x (n+1) with H[i][j] = f[i+j] and
     UH[i][j] = f[i+j+1], so UH[:, j] == H[:, j+1] and H[1:, :] == UH[:-1, :].
     For channels == c: H has m*c rows, row c*i+p holds trajectory p, and
-    the shift relations hold with row offset c instead of 1.
+    the shift relations hold with row offset c instead of 1. H and UH are
+    read-only views of the series' values: the block holds no memory of
+    its own and changes if the array behind its series is written.
     """
 
     H: np.ndarray
@@ -116,7 +118,8 @@ def hankel(series: TimeSeries, m: int, n: int) -> HankelBlock:
 
     Requires channels * (m + n + 1) samples: every trajectory must supply
     m + n + 1 samples so that both H and the shifted UH fit. H and UH are
-    read-only views of one m*c x (n+2) buffer, offset by one column.
+    read-only views of series.values, one column apart, so the block
+    copies nothing and changes if the array behind the series is written.
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
@@ -127,11 +130,10 @@ def hankel(series: TimeSeries, m: int, n: int) -> HankelBlock:
             f"series too short for m={m}, n={n}, channels={c}: "
             f"need {needed} samples, have {len(series)}"
         )
-    # windows[r, k] = v[r + k]; every c-th of its columns gives the
-    # m*c x (n+2) buffer whose first n+1 columns are H and last n+1 are UH.
+    # windows[r, k] = v[r + k]; every c-th of its columns gives the read-only
+    # m*c x (n+2) view whose first n+1 columns are H and last n+1 are UH.
     windows = np.lib.stride_tricks.sliding_window_view(series.values[:needed], c * (n + 1) + 1)
-    buf = windows[:, ::c].copy()
-    buf.flags.writeable = False
+    buf = windows[:, ::c]
     return HankelBlock(
         H=buf[:, :-1], UH=buf[:, 1:], m=m, n=n, dt=series.dt, channels=c, label=series.label,
     )
@@ -197,7 +199,8 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
 
     All blocks must share the same number of rows (same m and channels).
     scales defaults to 1.0 for every block. A single block with scale 1.0
-    is returned as is: X and Y are its H and UH arrays.
+    is returned as is: X and Y are its H and UH arrays. Otherwise X and Y
+    are allocated once and each scaled block is written into its columns.
     """
     if not blocks:
         raise ValueError("composite needs at least one block")
@@ -225,8 +228,10 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
         # 1.0 * H is bitwise H, so a lone unscaled block is shared, not copied.
         X, Y = blocks[0].H, blocks[0].UH
     else:
-        X = np.hstack([s * b.H for s, b in zip(scales, blocks)])
-        Y = np.hstack([s * b.UH for s, b in zip(scales, blocks)])
+        X, Y = np.empty((rows, start)), np.empty((rows, start))
+        for s, b, (lo, hi) in zip(scales, blocks, offsets):
+            np.multiply(b.H, s, out=X[:, lo:hi])
+            np.multiply(b.UH, s, out=Y[:, lo:hi])
     return CompositeData(
         X=X, Y=Y, block_offsets=tuple(offsets), scales=tuple(float(s) for s in scales)
     )

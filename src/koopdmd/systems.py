@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,12 +153,14 @@ def integrate_flow(deriv, z0, dt: float, steps: int,
     """Fixed-step RK4 sampling every dt; substeps keep the local step
     at or below min(dt, max_substep). Returns (steps+1) x dim states.
     deriv(*z) takes the state's coordinates as floats and returns their
-    derivatives as a sequence of floats."""
+    derivatives as a sequence of floats. Each state is appended to one
+    flat array("d"), so the run holds about 8 (steps+1) dim bytes, and the
+    result is a view of that array."""
     nsub = max(1, math.ceil(dt / max_substep))
     h = dt / nsub
     half, sixth = 0.5 * h, h / 6.0
     z = [float(v) for v in z0]
-    out = [z]
+    out = array("d", z)
     for i in range(steps):
         for _ in range(nsub):
             k1 = deriv(*z)
@@ -168,8 +171,8 @@ def integrate_flow(deriv, z0, dt: float, steps: int,
                  for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
         if not all(map(math.isfinite, z)):
             raise IntegrationError(f"state became non-finite at step {i + 1}")
-        out.append(z)
-    return np.array(out)
+        out.extend(z)
+    return np.frombuffer(out).reshape(steps + 1, len(z))
 
 
 def integrate(spec: SystemSpec) -> Trajectory:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -130,6 +131,26 @@ class TestHankelBuffer:
         with pytest.raises(ValueError):
             blk.H[0, 0] = 1.0
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_a_view_of_its_series(self, channels):
+        raw = np.arange(40.0)
+        s = TimeSeries(raw, 1.0, channels=channels)
+        blk = embed.hankel(s, m=4, n=6)
+        assert np.shares_memory(blk.H, s.values) and np.shares_memory(blk.UH, s.values)
+        raw[channels] = -1.0  # the block reads the array behind its series
+        assert blk.H[0, 1] == blk.H[channels, 0] == blk.UH[0, 0] == -1.0
+
+    def test_allocates_nothing_of_its_size(self):
+        s = series(np.random.default_rng(0).standard_normal(10501))
+        tracemalloc.start()
+        try:
+            blk = embed.hankel(s, m=10000, n=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blk.H.shape == (10000, 501)
+        assert peak < 2**20  # a copy would take 8 * 10000 * 502 bytes
+
 
 class TestStride:
     def test_subsamples(self):
@@ -212,6 +233,23 @@ class TestComposite:
         scaled = embed.composite([a], scales=[2.0])
         assert scaled.X is not a.H
         assert_allclose(scaled.X, 2.0 * a.H)
+
+    def test_writes_each_scaled_block_in_place(self):
+        rng = np.random.default_rng(4)
+        blocks = [embed.hankel(series(rng.standard_normal(4151)), m=4000, n=150)
+                  for _ in range(3)]
+        scales = [1.0, 0.3, 7.0]
+        tracemalloc.start()
+        try:
+            data = embed.composite(blocks, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.X.nbytes + data.Y.nbytes + 2**20  # no per-block temporaries
+        want_x = np.hstack([s * b.H for s, b in zip(scales, blocks)])
+        want_y = np.hstack([s * b.UH for s, b in zip(scales, blocks)])
+        assert np.array_equal(data.X.view(np.int64), want_x.view(np.int64))
+        assert np.array_equal(data.Y.view(np.int64), want_y.view(np.int64))
 
     def test_row_mismatch(self):
         a = embed.hankel(series(np.arange(8.0)), m=3, n=2)

@@ -41,9 +41,10 @@ def test_algorithm_agreement():
 def test_compare_artifacts_of_one_tree():
     src = str(ROOT / "src")
     out = run_script("compare_artifacts.py", src, src,
-                     "--targets", "rotation-check", "equivalence-suite")
+                     "--targets", "rotation-check", "equivalence-suite", "companion")
     assert out == ("rotation-check: 10 artifacts byte-identical, stdout identical\n"
-                   "equivalence-suite: 2 artifacts byte-identical, stdout identical\n")
+                   "equivalence-suite: 2 artifacts byte-identical, stdout identical\n"
+                   "companion: 9 artifacts byte-identical, stdout identical\n")
 
 
 def test_readme_library_example(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,6 +174,26 @@ def rk4_reference(deriv, z0, dt, steps, max_substep=systems.MAX_SUBSTEP):
     return out
 
 
+def list_flow(deriv, z0, dt, steps, max_substep=systems.MAX_SUBSTEP):
+    """integrate_flow as it was before its states went into an array("d"):
+    one Python list per state."""
+    nsub = max(1, math.ceil(dt / max_substep))
+    h = dt / nsub
+    half, sixth = 0.5 * h, h / 6.0
+    z = [float(v) for v in z0]
+    out = [z]
+    for _ in range(steps):
+        for _ in range(nsub):
+            k1 = deriv(*z)
+            k2 = deriv(*[a + half * k for a, k in zip(z, k1)])
+            k3 = deriv(*[a + half * k for a, k in zip(z, k2)])
+            k4 = deriv(*[a + h * k for a, k in zip(z, k3)])
+            z = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
+        out.append(z)
+    return np.array(out)
+
+
 def array_deriv(spec):
     """spec's vector field on a numpy state, as the reference integrates it."""
     if spec.kind == "lorenz":
@@ -202,8 +223,26 @@ class TestRk4Reference:
         specs = cli.load_config(recipe).system.specs
         assert len(specs) == (1 if recipe == "lorenz-pod" else 2)
         for spec in specs:
+            got = bits(systems.integrate(spec).states)
             want = rk4_reference(array_deriv(spec), spec.z0, spec.dt, spec.steps)
-            assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
+            assert np.array_equal(got, bits(want))
+            deriv = {"lorenz": systems._lorenz_deriv,
+                     "vanderpol": systems._vdp_deriv}[spec.kind](**spec.params)
+            assert np.array_equal(got, bits(list_flow(deriv, spec.z0, spec.dt, spec.steps)))
+
+    def test_holds_about_what_the_memory_guard_counts(self):
+        # The guard counts 8 (steps+1) d bytes per trajectory; a list of
+        # per-step float lists held about 9 times that.
+        spec = SystemSpec("lorenz", dict(systems.LORENZ_PARAMS), (1.0, 1.0, 1.0), 0.005, 30_000)
+        tracemalloc.start()
+        try:
+            states = systems.integrate(spec).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = 8 * (spec.steps + 1) * spec.z0.size
+        assert states.shape == (spec.steps + 1, 3)
+        assert peak < 2 * counted
 
     def test_integer_parameters_are_bitwise_equal(self):
         spec = SystemSpec("lorenz", {"sigma": 10, "rho": 28, "beta": 3}, (1.0, 2.0, 3.0), 0.01, 300)
