@@ -2,7 +2,8 @@
 """Check that two source trees of koopdmd write the same bytes.
 
 Runs every target once under each tree, each in a fresh `koopdmd run`
-process at one BLAS thread (the thread count can move roundoff), and
+process at one BLAS thread unless --blas-threads says otherwise (the
+thread count can move roundoff, so compare at each count that matters), and
 compares the two output directories file by file and the two stdouts with
 the output path masked. The targets are the five recipes, the csv-ingest
 config of perfbench (its generator, seed 0), and `companion`, `svd` and
@@ -10,6 +11,7 @@ config of perfbench (its generator, seed 0), and `companion`, `svd` and
 by that algorithm, so each algorithm runs on one Hankel block.
 
 Usage: python3 scripts/compare_artifacts.py OLD_SRC NEW_SRC [--targets T ...]
+                                           [--blas-threads N]
 
 OLD_SRC and NEW_SRC are directories holding a `koopdmd` package, such as
 `src` and a copy made with `git archive HEAD src | tar -x -C old`. Prints
@@ -34,9 +36,10 @@ TARGETS = RECIPES + (CSV_INGEST,) + LONE_BLOCK
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(src: Path, target: str, out: Path) -> tuple[int, str]:
-    """Exit code and stdout (output path masked) of one run under src."""
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
+def run(src: Path, target: str, out: Path, threads: int) -> tuple[int, str]:
+    """Exit code and stdout (output path masked) of one run under src at
+    the given BLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: str(threads) for var in BLAS_VARS})
     out.parent.mkdir(parents=True, exist_ok=True)
     # `python -m` puts its working directory first on sys.path, ahead of src.
     proc = subprocess.run([sys.executable, "-m", "koopdmd.cli", "run", target, "--out", str(out)],
@@ -83,7 +86,11 @@ def main() -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--targets", nargs="+", choices=TARGETS, default=list(TARGETS))
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                        help="BLAS threads of every run (default 1)")
     args = parser.parse_args()
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be >= 1")
     sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,7 +102,8 @@ def main() -> int:
                 target = lone_block_config(work, sides["new"], name)
             else:
                 target = name
-            runs = {side: run(src, target, work / side / name) for side, src in sides.items()}
+            runs = {side: run(src, target, work / side / name, args.blas_threads)
+                    for side, src in sides.items()}
             files = differing_files(work / "old" / name, work / "new" / name)
             problems = []
             if runs["old"][0] or runs["new"][0]:

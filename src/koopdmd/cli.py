@@ -30,9 +30,9 @@ the field name; parse_config prefixes the section and checks only what
 spans sections.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 i/o error. A requested phase export with no nontrivial mode still exits
-0, since every decomposition succeeded; the reason goes to stderr as one
-warning line and into run.json.
+4 i/o error, 5 out of memory. A requested phase export with no nontrivial
+mode still exits 0, since every decomposition succeeded; the reason goes
+to stderr as one warning line and into run.json.
 """
 from __future__ import annotations
 
@@ -302,8 +302,9 @@ def _require_memory(cfg: RunConfig, columns: int) -> None:
     """Refuse a run whose trajectories (8 (steps+1) d bytes per start state)
     and Hankel pairs (8 m (n+2) per column: each observable of each
     trajectory, or CSV column) exceed the physical memory. A Hankel pair
-    is a view of its series, so its count stands for the copy that the
-    factorization makes of each block: a lower bound on what a run holds."""
+    is a view of its series, so its count stands for what factoring a
+    block holds: one copy of it, plus the kept columns of W. That is a
+    lower bound on what a run holds."""
     e, memory = cfg.embedding, _physical_memory()
     if memory is None:
         return
@@ -478,6 +479,18 @@ def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdRes
     return dmd.companion_dmd(block.H, k=block.n, dt=dt)
 
 
+def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
+    """Rank rule of the factorization that POD and DMD share: the larger of
+    pod.kept_rank and the configured DMD's rule. svd keeps every column;
+    companion factors its own columns of the block, so only POD's counts."""
+    if d.algorithm == "svd":
+        return None
+    if d.algorithm == "companion":
+        return pod.kept_rank
+    return lambda s: max(pod.kept_rank(s),
+                         dmd.threshold_rank(s, d.svd_threshold, d.threshold_mode))
+
+
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     """Rows of the frequency table: positive-branch eigenvalues with their
     lattice match and, for a rotation system with one start state, the
@@ -577,10 +590,13 @@ def execute(cfg: RunConfig) -> RunResult:
     outputs.append("hankel.json")
 
     # A lone unscaled block is both the POD input and X, a view of its
-    # series: factor it once. On lorenz-pod that SVD, with its own copy of
-    # H, sets the run's peak RSS. The factors are dropped before any CSV is
-    # written, because forked CSV workers inherit the parent's pages.
-    factors = linalg.svd(data.X) if data.X is blocks[0].H else None
+    # series: factor it once, keeping the columns of W that POD or DMD
+    # keeps. That SVD holds one copy of H and the kept W; lorenz-pod's peak
+    # RSS is set later, while _projected_modes forms the modes beside W and
+    # POD's basis. The factors are dropped before any CSV is written,
+    # because forked CSV workers inherit the parent's pages.
+    factors = (linalg.svd(data.X, _shared_rank(cfg.dmd)) if data.X is blocks[0].H
+               else None)
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
     dmd_result = _run_decomposition(cfg, blocks, data, factors)
     del factors
@@ -792,6 +808,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("out of memory: the run needs more memory than is free; "
+              "lower embedding.m, embedding.n or system.steps", file=sys.stderr)
+        return 5
     except KoopdmdError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -32,11 +32,13 @@ modes is formed once: only its lead column is multiplied by W, and the
 second column is set to its conjugate, so the two columns of a pair in
 modes.csv (hankel and svd) are exact conjugates, bit for bit. An SVD of
 X computed elsewhere (cli shares the one of a lone Hankel block with
-pod.ergodic_pod) can be handed in.
+pod.ergodic_pod) can be handed in; its W needs only the columns that
+threshold_rank keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -197,6 +199,15 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     )
 
 
+def threshold_rank(S: np.ndarray, svd_threshold: float, threshold_mode: str) -> int:
+    """Number of leading singular values the hard threshold keeps: those
+    at or above svd_threshold (times S[0] in rel mode). Exact zeros never
+    survive, not even a zero cutoff: the core divides by every kept
+    singular value. S is descending, so the kept triplets are a prefix."""
+    cutoff = svd_threshold * S[0] if threshold_mode == "rel" else svd_threshold
+    return int(np.count_nonzero((S >= cutoff) & (S > 0.0)))
+
+
 def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
                    factors: linalg.SvdResult | None = None):
     """Singular triplets (W, S, V) of x above the hard threshold, and the
@@ -206,13 +217,11 @@ def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
         raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
     if threshold_mode not in ("abs", "rel"):
         raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    r = linalg.svd_of(x, factors)
-    cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
-    # Exact zeros never survive, not even a zero cutoff: the core divides
-    # by every kept singular value. S is descending, so the kept triplets
-    # are a prefix.
-    k = int(np.count_nonzero((r.S >= cutoff) & (r.S > 0.0)))
+    rank = partial(threshold_rank, svd_threshold=svd_threshold, threshold_mode=threshold_mode)
+    r = linalg.svd_of(x, factors, rank)
+    k = rank(r.S)
     if k == 0:
+        cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
         raise DecompositionError(
             f"all singular values fall below the threshold ({cutoff:.3e}); "
             "nothing to decompose"
@@ -376,7 +385,9 @@ def check_linear_consistency(X, Y, tol: float = 1e-10) -> LinearConsistencyRepor
     x, y = _pair(X, Y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    _, s, vh = np.linalg.svd(x, full_matrices=True)
+    # Only a wide X has null directions beyond its singular values; a tall
+    # one would form, and drop, an m x m U.
+    _, s, vh = np.linalg.svd(x, full_matrices=x.shape[0] < x.shape[1])
     padded = np.zeros(x.shape[1])
     padded[: s.size] = s
     null_mask = padded < tol

@@ -4,12 +4,20 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy). The contract
 is the returned structure and its invariants (orthonormality, descending
 singular values, bounded residuals), not the factorization algorithm.
 All functions are pure and safe to call concurrently.
+
+svd forms only the left singular vectors its caller keeps: given a rank
+rule, the W of a tall matrix holds just the leading rank(S) columns. It
+factors a tall matrix the way LAPACK's dgesdd does (a QR, then the SVD of
+the small R; Chan, ACM TOMS 1982), but in one copy of its input, and it
+returns the bits np.linalg.svd returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DecompositionError
 
@@ -17,6 +25,14 @@ from .errors import DecompositionError
 # wherever a numerical rank decision is needed (pinv, rank checks, and the
 # POD rank cut, which pod_snapshots applies to the Gramian's eigenvalues).
 DEFAULT_RANK_TOL = 1e-12
+
+#: A rank rule maps the descending singular values to the number of
+#: leading singular triplets a caller keeps.
+RankRule = Callable[[np.ndarray], int]
+
+#: dgesdd rescales an input whose largest entry lies outside
+#: [_SAFE_MIN, 1 / _SAFE_MIN]; such input takes np.linalg.svd itself.
+_SAFE_MIN = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -33,7 +49,8 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 class SvdResult:
     """Reduced SVD X = W @ diag(S) @ V.T.
 
-    W: (rows x r) column-orthonormal left singular vectors.
+    W: (rows x w) column-orthonormal leading left singular vectors, where
+        w >= the count the rank rule of svd keeps; w = r without a rule.
     S: (r,) singular values, descending, r = min(rows, cols).
     V: (cols x r) column-orthonormal right singular vectors.
     """
@@ -55,34 +72,102 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def svd(X) -> SvdResult:
+def _lapack(routine, *args) -> None:
+    """Run a lapack_lite routine, whose last three arguments are work,
+    lwork and info, with its optimal workspace."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    work = np.empty(int(work[0]))
+    info = routine(*args, work, work.size, 0)["info"]
+    if info != 0:  # pragma: no cover - only an illegal argument sets it
+        raise DecompositionError(f"{routine.__name__} failed (info {info})")
+
+
+def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
+    """Row ranges in which svd overwrites Q by Q @ U_R.
+
+    Each block is a product of its own, and BLAS must give each row the
+    bits of one product over all rows. OpenBLAS forms a 16-row tile alike
+    in any product, so a block is a multiple of 32 rows (two threads split
+    it into whole tiles), with at least 256 rows and 2**16 cells so that
+    blocks are few. Narrower kernels form the last rows % 16 rows, and
+    their bits depend on how the call splits its rows: when rows is no
+    multiple of 32 the final block holds at least three blocks, which
+    gave those rows the bits of the whole product at one to three threads
+    on every shape tested.
+    """
+    block = -(-max(256, -(-(1 << 16) // cols)) // 32) * 32
+    last = block if rows % 32 == 0 else 3 * block
+    starts = list(range(0, rows - last + 1, block)) or [0]
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _tall_svd(a: np.ndarray, rank: RankRule | None) -> SvdResult:
+    """dgesdd's path for rows >= 11 cols / 6, in one copy of a.
+
+    dgeqrf and dorgqr turn a Fortran-ordered copy into Q in place, R is
+    factored by np.linalg.svd, and Q is overwritten, block by block, with
+    the full-width product Q @ U_R in Fortran order, as dgesdd's one dgemm
+    forms it. Only the leading rank(S) columns are copied out.
+    """
+    rows, cols = a.shape
+    qt = np.empty((cols, rows))  # lapack_lite takes C order: Q transposed
+    qt[...] = a.T
+    tau = np.empty(cols)
+    _lapack(lapack_lite.dgeqrf, rows, cols, qt, rows, tau)
+    q = qt.T
+    r = np.triu(q[:cols])
+    _lapack(lapack_lite.dorgqr, rows, cols, cols, qt, rows, tau)
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    u = np.asfortranarray(u)
+    for lo, hi in _row_blocks(rows, cols):
+        q[lo:hi] = np.matmul(q[lo:hi], u, out=np.empty((hi - lo, cols), order="F"))
+    k = cols if rank is None else rank(s)
+    return SvdResult(W=np.ascontiguousarray(q[:, :k]), S=s, V=vh.T.copy())
+
+
+def svd(X, rank: RankRule | None = None) -> SvdResult:
     """Reduced singular value decomposition of a real matrix.
 
-    Returns all min(rows, cols) singular triplets; callers apply their own
-    truncation policy. Raises DecompositionError if the underlying
-    iteration does not converge (LAPACK's internal cap).
+    Returns all min(rows, cols) singular values and right singular
+    vectors, and the left singular vectors that rank(S) keeps (all of them
+    without a rule); callers apply their own truncation policy. The values
+    are those of np.linalg.svd, bit for bit. A tall matrix (rows at least
+    11 cols / 6, where dgesdd takes a QR first) is factored in one copy
+    and forms only the kept columns of W. Raises DecompositionError if
+    the underlying iteration does not converge (LAPACK's internal cap).
     """
     a = as_matrix(X, "X")
+    rows, cols = a.shape
+    largest = max(a.max(), -a.min())
     try:
+        if rows >= 11 * cols // 6 and (largest == 0.0 or _SAFE_MIN <= largest <= 1 / _SAFE_MIN):
+            return _tall_svd(a, rank)
         w, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
     return SvdResult(W=w, S=s, V=vh.T.copy())
 
 
-def svd_of(X, factors: SvdResult | None = None) -> SvdResult:
-    """svd(X), or factors when the caller already holds the SVD of X.
+def svd_of(X, factors: SvdResult | None = None, rank: RankRule | None = None) -> SvdResult:
+    """svd(X, rank), or factors when the caller already holds the SVD of X.
 
-    Only the shapes of given factors are checked (ValueError on a
-    mismatch); that they factor X is the caller's promise.
+    Only the shapes of given factors are checked: ValueError when they do
+    not fit X, or when W holds fewer columns than rank keeps (all of them
+    without a rule). That they factor X is the caller's promise.
     """
     if factors is None:
-        return svd(X)
+        return svd(X, rank)
     rows, cols = np.shape(X)
     if factors.W.shape[0] != rows or factors.V.shape[0] != cols:
         raise ValueError(
             f"factors have shape {factors.W.shape[0]} x {factors.V.shape[0]}, "
             f"X has {rows} x {cols}"
+        )
+    needed = factors.S.size if rank is None else rank(factors.S)
+    if factors.W.shape[1] < needed:
+        raise ValueError(
+            f"factors keep {factors.W.shape[1]} left singular vectors, the caller needs {needed}"
         )
     return factors
 

@@ -105,6 +105,12 @@ def pod_snapshots(G, F_samples) -> PodResult:
     )
 
 
+def kept_rank(S: np.ndarray) -> int:
+    """Number of leading singular values ergodic_pod keeps: those above
+    1e-12 (linalg.DEFAULT_RANK_TOL) times the largest, none of a zero S."""
+    return int(np.count_nonzero(S > linalg.DEFAULT_RANK_TOL * S[0]))
+
+
 def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
@@ -112,17 +118,17 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     empirical Gramian (1/m) H^T H: singular values S / sqrt(m), principal
     coordinates V, and basis functions sampled along the trajectory as
     sqrt(m) W. factors, when given, is the SVD of block.H computed
-    elsewhere (for a lone unscaled block, the one Hankel DMD also uses).
-    It keeps sigma_j / sigma_0 > 1e-12 (linalg.DEFAULT_RANK_TOL). An
-    identically zero block is a DecompositionError.
+    elsewhere (for a lone unscaled block, the one Hankel DMD also uses),
+    whose W holds at least the kept columns. It keeps sigma_j / sigma_0 >
+    1e-12 (kept_rank). An identically zero block is a DecompositionError.
     """
     h = block.H
     m = h.shape[0]
-    r = linalg.svd_of(h, factors)
+    r = linalg.svd_of(h, factors, kept_rank)
     if r.S[0] == 0.0:
         raise DecompositionError("Hankel block is identically zero; nothing to decompose")
     # S is descending, so the kept triplets are a prefix.
-    k = int(np.count_nonzero(r.S > linalg.DEFAULT_RANK_TOL * r.S[0]))
+    k = kept_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,

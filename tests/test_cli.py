@@ -644,9 +644,9 @@ def count_svd_calls(monkeypatch) -> list:
     calls = []
     svd = linalg.svd
 
-    def counting(x):
+    def counting(x, *args, **kwargs):
         calls.append(np.shape(x))
-        return svd(x)
+        return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "svd", counting)
     return calls
@@ -658,6 +658,28 @@ class TestSharedFactorization:
         result = cli.execute(cli.parse_config(rotation_config(tmp_path)))
         assert calls == [result.data.X.shape]
         assert result.pod_result.k == result.dmd_result.rank_kept == 2
+
+    @pytest.mark.parametrize("algorithm,extra", [
+        ("hankel", {}), ("hankel", {"svd_threshold": 0.0}), ("exact", {"svd_threshold": 0.5}),
+        ("svd", {}), ("companion", {}),
+    ])
+    def test_shared_factors_keep_what_pod_or_dmd_keeps(self, tmp_path, monkeypatch,
+                                                       algorithm, extra):
+        widths = []
+        svd = linalg.svd
+
+        def recording(x, *args, **kwargs):
+            r = svd(x, *args, **kwargs)
+            widths.append(r.W.shape[1])
+            return r
+
+        monkeypatch.setattr(linalg, "svd", recording)
+        n = {"svd": 1, "companion": 2}.get(algorithm, 8)  # full column rank for these
+        raw = rotation_config(tmp_path, n=n, algorithm=algorithm, **extra)
+        result = cli.execute(cli.parse_config(raw))
+        pod_k, dmd_k = result.pod_result.k, result.dmd_result.rank_kept
+        want = {"svd": n + 1, "companion": pod_k}.get(algorithm, max(pod_k, dmd_k))
+        assert widths[0] == want
 
     def test_three_block_composite_keeps_two_factorizations(self, tmp_path, monkeypatch):
         raw = {
@@ -752,6 +774,18 @@ class TestMain:
         assert cli.main(["run", str(path)]) == 3
         err = capsys.readouterr().err
         assert "rank deficient" in err
+
+    def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(linalg, "svd", exhausted)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        assert cli.main(["run", str(path)]) == 5
+        assert capsys.readouterr().err == (
+            "out of memory: the run needs more memory than is free; "
+            "lower embedding.m, embedding.n or system.steps\n")
 
     def test_lstsq_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

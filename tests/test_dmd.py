@@ -532,6 +532,32 @@ class TestLinearConsistency:
         rep = dmd.check_linear_consistency(x, rng.standard_normal((6, 3)))
         assert rep.consistent and rep.null_dim == 0
 
+    def test_tall_pair_forms_no_square_left_basis(self):
+        # A tall X has no null direction beyond its singular values, so the
+        # check needs no m x m U (288 MB at m = 6000). Watched in a fresh
+        # process, whose peak RSS is the check's own.
+        script = """
+import resource, sys
+import numpy as np
+from koopdmd import dmd
+x = np.random.default_rng(3).standard_normal((6000, 4))
+x[:, 3] = x[:, 0]
+y = 3.0 * x  # Y = A X with A = 3 I
+dmd.check_linear_consistency(x[:50], y[:50])
+unit = 1 if sys.platform == "darwin" else 1024
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = dmd.check_linear_consistency(x, y)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(rep.consistent, rep.null_dim, (after - before) * unit)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmd.__file__)),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        consistent, null_dim, grown = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env=env).stdout.split()
+        assert consistent == "True" and null_dim == "1"
+        assert int(grown) <= 16 << 20
+
     def test_corrupted_pair_detected(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 5))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +59,97 @@ class TestSvd:
             linalg.svd([[np.nan, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             linalg.svd(np.empty((0, 3)))
+
+
+def assert_bits_of_numpy(x, rank=None):
+    """linalg.svd(x, rank) holds the bits of np.linalg.svd: all of S and
+    V, and the leading columns of W that rank keeps."""
+    w, s, vh = np.linalg.svd(x, full_matrices=False)
+    r = linalg.svd(x, rank)
+    k = s.size if rank is None else rank(s)
+    assert r.W.shape[1] >= k
+    assert np.array_equal(r.S, s) and np.array_equal(r.V, vh.T)
+    assert np.array_equal(r.W[:, :k], w[:, :k])
+    return r
+
+
+class TestTallSvd:
+    # A matrix with rows >= 11 cols / 6 (dgesdd's own crossover to a QR
+    # first) is factored in one copy; the bits stay those of numpy.
+
+    @pytest.mark.parametrize("rows,cols", [
+        (500, 101),  # vdp-phase
+        (2000, 9),  # rotation-check, and compare_artifacts' lone blocks
+        (6000, 501),  # torus-synth
+        (10000, 501),  # lorenz-pod
+        (4000, 453),  # csv-ingest's composite
+        (4000, 151),  # csv-ingest's blocks
+    ])
+    def test_bits_of_numpy_at_the_pipeline_shapes(self, rows, cols):
+        x = random_matrix(rows, cols, rows + cols)
+        r = assert_bits_of_numpy(x, lambda s: cols // 3)
+        assert r.W.shape == (rows, cols // 3) and r.W.flags.c_contiguous
+
+    @pytest.mark.parametrize("cols", [1, 2, 7, 40, 101])
+    def test_both_sides_of_the_crossover(self, cols):
+        rows = 11 * cols // 6
+        tall = assert_bits_of_numpy(random_matrix(rows, cols, cols), lambda s: 1)
+        assert tall.W.shape[1] == 1
+        if rows > 1:
+            short = assert_bits_of_numpy(random_matrix(rows - 1, cols, cols), lambda s: 1)
+            assert short.W.shape[1] == min(rows - 1, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(700, 30), (2049, 200), (1500, 101)])
+    @pytest.mark.parametrize("k", [0, 1, 2, None])
+    def test_kept_columns(self, rows, cols, k):
+        # Row counts off a multiple of 32 put BLAS's narrow kernels at the
+        # last rows.
+        r = assert_bits_of_numpy(random_matrix(rows, cols, k or 0),
+                                 None if k is None else lambda s: k)
+        assert r.W.shape == (rows, cols if k is None else k)
+
+    def test_all_zero_input(self):
+        r = assert_bits_of_numpy(np.zeros((300, 12)), lambda s: 0)
+        assert r.W.shape == (300, 0) and not np.any(r.S)
+
+    def test_extreme_scale_keeps_numpy_bits(self):
+        # dgesdd rescales such input first, so numpy factors it.
+        assert_bits_of_numpy(1e-150 * random_matrix(300, 12, 1), lambda s: 3)
+
+    def test_peak_rss_holds_one_copy(self):
+        # np.linalg.svd holds about three copies of a 10000 x 400 matrix
+        # (its own, a work buffer and the full W). A warm-up factorization
+        # with as many columns leaves BLAS buffers and the cols x cols work
+        # of the SVD of R in place, so the growth is what scales with rows.
+        script = """
+import resource, sys
+import numpy as np
+from koopdmd import linalg
+linalg.svd(np.random.default_rng(1).standard_normal((1000, 400)))
+x = np.random.default_rng(0).standard_normal((10000, 400))
+unit = 1 if sys.platform == "darwin" else 1024
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+r = linalg.svd(x, lambda s: 40)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * unit / x.nbytes)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        grown = float(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                     text=True, check=True, env=env).stdout)
+        assert grown <= 1.3
+
+
+class TestSvdOf:
+    def test_refuses_narrow_factors(self):
+        x = random_matrix(60, 8, 0)
+        factors = linalg.svd(x, lambda s: 3)
+        assert linalg.svd_of(x, factors, lambda s: 3) is factors
+        with pytest.raises(ValueError, match="factors keep 3 left singular vectors, "
+                                             "the caller needs 4"):
+            linalg.svd_of(x, factors, lambda s: 4)
+        with pytest.raises(ValueError, match="the caller needs 8"):
+            linalg.svd_of(x, factors)
 
 
 class TestEig:
