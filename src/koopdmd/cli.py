@@ -13,7 +13,8 @@ and a per-state phase table when requested. Identical config and seed
 produce byte-identical outputs. --seed seeds the Lorenz default start
 (system.seed) or the equivalence suite (suite.seed_base); on a CSV source
 it is refused. The output directory is created once the input is read and
-embedded, so a refused input leaves none behind.
+embedded, so a refused input leaves none behind. POD and DMD cut their one
+SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-12.
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
 to a suite, a system parameter that its kind does not read, system.seed
@@ -42,6 +43,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +118,8 @@ class EmbeddingConfig:
 @dataclass(frozen=True)
 class DmdConfig:
     """The threshold keys act only on the truncating algorithms (hankel,
-    exact), where they default to DEFAULT_HANKEL_THRESHOLD and abs; svd and
-    companion refuse them and leave both None."""
+    exact), where they default to linalg.DEFAULT_RANK_TOL and rel, the rank
+    rule of POD; svd and companion refuse them and leave both None."""
 
     algorithm: str = "hankel"
     svd_threshold: float | None = None
@@ -132,9 +134,9 @@ class DmdConfig:
                        f"{name}: the {self.algorithm} algorithm truncates nothing; "
                        "drop the key (or --threshold/--threshold-mode)")
             return
-        threshold = (dmd.DEFAULT_HANKEL_THRESHOLD if self.svd_threshold is None
+        threshold = (linalg.DEFAULT_RANK_TOL if self.svd_threshold is None
                      else self.svd_threshold)
-        mode = "abs" if self.threshold_mode is None else self.threshold_mode
+        mode = "rel" if self.threshold_mode is None else self.threshold_mode
         _check(_real(threshold) and threshold >= 0,
                f"svd_threshold: finite number >= 0 required, got {threshold!r}")
         _check(mode in ("abs", "rel"), f"threshold_mode: 'abs' or 'rel', got {mode!r}")
@@ -480,15 +482,18 @@ def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdRes
 
 
 def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
-    """Rank rule of the factorization that POD and DMD share: the larger of
-    pod.kept_rank and the configured DMD's rule. svd keeps every column;
-    companion factors its own columns of the block, so only POD's counts."""
+    """Rank rule of the factorization that POD and DMD share:
+    linalg.numerical_rank at the looser of POD's cutoff and the configured
+    DMD's. svd keeps every column; companion factors its own columns of the
+    block, so only POD's cutoff counts."""
     if d.algorithm == "svd":
         return None
     if d.algorithm == "companion":
-        return pod.kept_rank
-    return lambda s: max(pod.kept_rank(s),
-                         dmd.threshold_rank(s, d.svd_threshold, d.threshold_mode))
+        return linalg.numerical_rank
+    if d.threshold_mode == "rel":
+        return partial(linalg.numerical_rank, tol=min(d.svd_threshold, linalg.DEFAULT_RANK_TOL))
+    return lambda s: linalg.numerical_rank(
+        s, min(d.svd_threshold, linalg.DEFAULT_RANK_TOL * s[0]), absolute=True)
 
 
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
@@ -682,7 +687,7 @@ def run_equivalence_suite(cfg: SuiteConfig) -> dict:
         results = {
             "companion": dmd.companion_dmd(d_mat, k=cfg.dim),
             "svd": dmd.svd_dmd(x, y),
-            "exact": dmd.exact_dmd(x, y, svd_threshold=1e-12, threshold_mode="rel"),
+            "exact": dmd.exact_dmd(x, y),
         }
 
         def _sorted_eigs(r):
@@ -765,7 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("target", help="path to a JSON config, or a recipe name")
     run_p.add_argument("--out", help="output directory (overrides config output_dir)")
     run_p.add_argument("--seed", type=int, help="seed of lorenz's default start or the suite")
-    run_p.add_argument("--threshold", type=float, help="SVD truncation threshold override")
+    run_p.add_argument("--threshold", type=float, help="DMD truncation threshold (1e-12)")
     run_p.add_argument("--threshold-mode", choices=("abs", "rel"), dest="threshold_mode",
                        help="interpret the threshold as absolute or relative to sigma_max")
     sub.add_parser("recipes", help="list built-in recipes")

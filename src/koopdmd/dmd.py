@@ -12,13 +12,16 @@ projected modes W w_j. Each variant computes only what it returns.
   Cheap, but ill-conditioned for noisy or nearly dependent data; refuses
   rank-deficient input. Independent of the core, so it serves as the
   reference the SVD variants are checked against.
-* svd_dmd: the core without truncation; refuses X with numerically zero
-  singular values.
+* svd_dmd: the core without truncation; refuses rank-deficient X.
 * exact_dmd: the core on a hard-thresholded SVD of X; the only variant
   that also computes exact modes (eigenvectors of the full-size one-step
   operator for eigenvalues inside the data range).
 * hankel_dmd: the core on a composite Hankel pair; returns the projected
   modes only, which sample Koopman eigenfunctions along the trajectory.
+
+Every rank decision is linalg.numerical_rank. By default the truncating
+variants keep sigma_j / sigma_0 > 1e-12, the rank pod.ergodic_pod keeps;
+threshold_mode "abs" makes svd_threshold the cutoff itself.
 
 Eigenvalues are ordered by descending data energy of their modes (least
 squares against the first data column), ties broken by descending
@@ -33,7 +36,7 @@ second column is set to its conjugate, so the two columns of a pair in
 modes.csv (hankel and svd) are exact conjugates, bit for bit. An SVD of
 X computed elsewhere (cli shares the one of a lone Hankel block with
 pod.ergodic_pod) can be handed in; its W needs only the columns that
-threshold_rank keeps.
+the threshold keeps.
 """
 from __future__ import annotations
 
@@ -48,9 +51,6 @@ from .errors import DecompositionError, RankDeficiencyError
 from .ioutil import write_csv, write_json
 
 ALGORITHMS = ("companion", "svd", "exact", "hankel")
-
-#: Default hard singular-value threshold for Hankel data (absolute mode).
-DEFAULT_HANKEL_THRESHOLD = 1e-10
 
 #: Eigenvalues at or below this magnitude have no exact mode (division by
 #: the eigenvalue would overflow); the projected mode is substituted.
@@ -159,8 +159,8 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     Uses the first k columns of D as the basis X, fits column k as X @ c
     in least squares, and eigendecomposes the companion matrix of c.
     Modes are X @ w_j, normalized. Requires X to have full numerical
-    column rank; rank-deficient input raises RankDeficiencyError (use the
-    SVD-based variants there instead).
+    column rank (linalg.numerical_rank); rank-deficient input raises
+    RankDeficiencyError (use the SVD-based variants there instead).
     """
     d = linalg.as_matrix(D, "D")
     if k < 1:
@@ -171,13 +171,12 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     target = d[:, k]
     r = linalg.svd(x)
     sv = r.S
-    if sv[0] == 0.0 or sv[-1] < linalg.DEFAULT_RANK_TOL * sv[0]:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
+    if linalg.numerical_rank(sv) < k:
         raise RankDeficiencyError(
             f"companion basis is rank deficient (condition number {cond:.3e}); "
             "use svd_dmd or exact_dmd with a threshold"
         )
-    cond = float(sv[0] / sv[-1])
     # Least-squares fit through the pseudoinverse V S^-1 W^T of the same SVD.
     c = ((r.V / sv) @ r.W.T) @ target
     er = linalg.eig(companion_matrix(c))
@@ -199,15 +198,6 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     )
 
 
-def threshold_rank(S: np.ndarray, svd_threshold: float, threshold_mode: str) -> int:
-    """Number of leading singular values the hard threshold keeps: those
-    at or above svd_threshold (times S[0] in rel mode). Exact zeros never
-    survive, not even a zero cutoff: the core divides by every kept
-    singular value. S is descending, so the kept triplets are a prefix."""
-    cutoff = svd_threshold * S[0] if threshold_mode == "rel" else svd_threshold
-    return int(np.count_nonzero((S >= cutoff) & (S > 0.0)))
-
-
 def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
                    factors: linalg.SvdResult | None = None):
     """Singular triplets (W, S, V) of x above the hard threshold, and the
@@ -217,14 +207,13 @@ def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
         raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
     if threshold_mode not in ("abs", "rel"):
         raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    rank = partial(threshold_rank, svd_threshold=svd_threshold, threshold_mode=threshold_mode)
+    rank = partial(linalg.numerical_rank, tol=svd_threshold, absolute=threshold_mode == "abs")
     r = linalg.svd_of(x, factors, rank)
     k = rank(r.S)
     if k == 0:
-        cutoff = svd_threshold * r.S[0] if threshold_mode == "rel" else svd_threshold
         raise DecompositionError(
-            f"all singular values fall below the threshold ({cutoff:.3e}); "
-            "nothing to decompose"
+            f"all singular values fall below the threshold ({threshold_mode} "
+            f"{svd_threshold:.3e}, largest {r.S[0]:.3e}); nothing to decompose"
         )
     return r.W[:, :k], r.S[:k], r.V[:, :k], float(np.sqrt(np.sum(r.S[k:] ** 2)))
 
@@ -289,27 +278,26 @@ def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> D
     """SVD-enhanced DMD: project the one-step map onto the full left
     singular basis of X (no truncation).
 
-    X must have no numerically zero singular values; otherwise the
+    X must have full numerical rank (linalg.numerical_rank); otherwise the
     projected operator is not defined and exact_dmd with a threshold is
     the right tool. factors, when given, is the SVD of X.
     """
     x, y = _pair(X, Y)
     r = linalg.svd_of(x, factors)
-    tiny = np.finfo(float).eps * max(x.shape)
-    if r.S[0] == 0.0 or r.S[-1] <= tiny * r.S[0]:
+    if linalg.numerical_rank(r.S) < r.S.size:
         raise DecompositionError(
             "X has numerically zero singular values; use exact_dmd with a threshold"
         )
     return _projected_result(r.W, r.S, r.V, y, 0.0, "svd", dt)
 
 
-def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
+def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
               threshold_mode: str = "rel", dt: float = 1.0,
               factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on a hard-thresholded SVD of X.
 
-    threshold_mode="rel" drops singular values below svd_threshold * S_max
-    (default); "abs" compares against the threshold directly. Returns
+    Keeps the singular values above svd_threshold * S_max (threshold_mode
+    "rel", the default) or above svd_threshold ("abs"). Returns
     exact modes as `modes` and projected modes separately; zero
     eigenvalues have no exact mode, are listed in undefined_exact, and
     carry their projected mode instead. factors, when given, is the SVD
@@ -339,8 +327,8 @@ def exact_dmd(X, Y, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
     )
 
 
-def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESHOLD,
-               dt: float = 1.0, threshold_mode: str = "abs",
+def hankel_dmd(data: CompositeData, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
+               dt: float = 1.0, threshold_mode: str = "rel",
                factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on composite Hankel data; modes are eigenfunction samples.
 
@@ -348,10 +336,10 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = DEFAULT_HANKEL_THRESH
     sample the Koopman eigenfunctions along the trajectory (row i is
     sample i; with interleaved trajectories row c*i+p is trajectory p at
     sample i), with unit 2-norm. Exact modes are not computed. The
-    default threshold is absolute, which matches the hard cutoff
-    customarily applied to order-one signals. factors, when given, is the
-    SVD of data.X (for a lone unscaled block, the one ergodic_pod also
-    uses).
+    threshold keys act as in exact_dmd; the default keeps the rank that
+    ergodic_pod keeps, whatever the units of the observables. factors,
+    when given, is the SVD of data.X (for a lone unscaled block, the one
+    ergodic_pod also uses).
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
@@ -378,9 +366,10 @@ class LinearConsistencyReport:
 def check_linear_consistency(X, Y, tol: float = 1e-10) -> LinearConsistencyReport:
     """Check whether every null vector of X is also a null vector of Y.
 
-    Null directions are right singular vectors of X with singular value
-    below tol (absolute). When the report is consistent, a single linear
-    operator A with Y = A X exists exactly within the stated tolerance.
+    Null directions are right singular vectors of X with singular value at
+    or below tol (absolute; linalg.numerical_rank). When the report is
+    consistent, a single linear operator A with Y = A X exists exactly
+    within the stated tolerance.
     """
     x, y = _pair(X, Y)
     if tol <= 0:
@@ -388,15 +377,12 @@ def check_linear_consistency(X, Y, tol: float = 1e-10) -> LinearConsistencyRepor
     # Only a wide X has null directions beyond its singular values; a tall
     # one would form, and drop, an m x m U.
     _, s, vh = np.linalg.svd(x, full_matrices=x.shape[0] < x.shape[1])
-    padded = np.zeros(x.shape[1])
-    padded[: s.size] = s
-    null_mask = padded < tol
-    null_dim = int(np.sum(null_mask))
+    null = vh[linalg.numerical_rank(s, tol, absolute=True):]
+    null_dim = null.shape[0]
     threshold = float(tol * np.linalg.norm(y))
     if null_dim == 0:
         return LinearConsistencyReport(True, 0, 0.0, threshold, tol)
-    n = vh.T[:, null_mask]
-    violation = float(np.max(np.linalg.norm(y @ n, axis=0)))
+    violation = float(np.max(np.linalg.norm(y @ null.T, axis=0)))
     return LinearConsistencyReport(violation <= threshold, null_dim, violation, threshold, tol)
 
 

@@ -3,7 +3,8 @@
 Thin, contract-enforcing wrappers around LAPACK (via numpy). The contract
 is the returned structure and its invariants (orthonormality, descending
 singular values, bounded residuals), not the factorization algorithm.
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently. numerical_rank is
+the package's one rank rule: POD, DMD and pinv all cut through it.
 
 svd forms only the left singular vectors its caller keeps: given a rank
 rule, the W of a tall matrix holds just the leading rank(S) columns. It
@@ -14,6 +15,7 @@ returns the bits np.linalg.svd returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,14 +23,20 @@ from numpy.linalg import lapack_lite
 
 from .errors import DecompositionError
 
-# Singular values below DEFAULT_RANK_TOL * largest are treated as zero
-# wherever a numerical rank decision is needed (pinv, rank checks, and the
-# POD rank cut, which pod_snapshots applies to the Gramian's eigenvalues).
+#: Singular values at or below DEFAULT_RANK_TOL * largest are treated as
+#: zero wherever a numerical rank decision is needed (numerical_rank).
 DEFAULT_RANK_TOL = 1e-12
 
 #: A rank rule maps the descending singular values to the number of
 #: leading singular triplets a caller keeps.
 RankRule = Callable[[np.ndarray], int]
+
+
+def numerical_rank(S, tol: float = DEFAULT_RANK_TOL, absolute: bool = False) -> int:
+    """Number of the descending values S above the cutoff tol * S[0] (tol
+    itself when absolute), a prefix of S. Strict, so exact zeros never
+    count, not even at a zero cutoff."""
+    return int(np.count_nonzero(S > (tol if absolute else tol * S[0])))
 
 #: dgesdd rescales an input whose largest entry lies outside
 #: [_SAFE_MIN, 1 / _SAFE_MIN]; such input takes np.linalg.svd itself.
@@ -192,18 +200,15 @@ def eig(A) -> EigResult:
 def pinv(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the SVD.
 
-    Singular values below rel_tol * S_max are treated as exactly zero.
-    The zero matrix maps to the zero matrix of transposed shape.
+    Keeps the singular values above rel_tol * S_max (numerical_rank); the
+    zero matrix maps to the zero matrix of transposed shape.
     """
     if rel_tol < 0:
         raise ValueError("rel_tol must be non-negative")
-    r = svd(X)
-    if r.S[0] == 0.0:
-        return np.zeros((r.V.shape[0], r.W.shape[0]))
-    keep = r.S > rel_tol * r.S[0]
-    if not np.any(keep):  # pragma: no cover - S[0] always passes its own cut
-        return np.zeros((r.V.shape[0], r.W.shape[0]))
-    return (r.V[:, keep] / r.S[keep]) @ r.W[:, keep].T
+    rank = partial(numerical_rank, tol=rel_tol)
+    r = svd(X, rank)
+    k = rank(r.S)
+    return (r.V[:, :k] / r.S[:k]) @ r.W[:, :k].T
 
 
 def gram(X, scale: float) -> np.ndarray:

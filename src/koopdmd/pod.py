@@ -59,9 +59,9 @@ def pod_snapshots(G, F_samples) -> PodResult:
     holds the snapshot sample vectors as columns (m samples x n snapshots).
     G must be symmetric and positive semidefinite up to roundoff. Basis
     function j is F @ v_j / sigma_j, evaluated here on the samples. It keeps
-    the eigenvalues of G above 1e-12 (linalg.DEFAULT_RANK_TOL) times the
-    largest, that is sigma_j / sigma_0 > 1e-6, the resolution of a route
-    that squares the condition number.
+    the eigenvalues of G above 1e-12 times the largest (linalg.numerical_rank),
+    that is sigma_j / sigma_0 > 1e-6, the resolution of a route that squares
+    the condition number.
     """
     g = linalg.as_matrix(G, "G")
     f = linalg.as_matrix(F_samples, "F_samples")
@@ -90,10 +90,9 @@ def pod_snapshots(G, F_samples) -> PodResult:
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
     evecs = evecs[:, order]
-    keep = evals > linalg.DEFAULT_RANK_TOL * lam_max
-    evals = evals[keep]
-    evecs = evecs[:, keep]
-    sigma = np.sqrt(evals)
+    k = linalg.numerical_rank(evals)
+    evecs = evecs[:, :k]
+    sigma = np.sqrt(evals[:k])
     basis = (f @ evecs) / sigma[None, :]
     return PodResult(
         singular_values=sigma,
@@ -105,12 +104,6 @@ def pod_snapshots(G, F_samples) -> PodResult:
     )
 
 
-def kept_rank(S: np.ndarray) -> int:
-    """Number of leading singular values ergodic_pod keeps: those above
-    1e-12 (linalg.DEFAULT_RANK_TOL) times the largest, none of a zero S."""
-    return int(np.count_nonzero(S > linalg.DEFAULT_RANK_TOL * S[0]))
-
-
 def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
@@ -120,15 +113,14 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     sqrt(m) W. factors, when given, is the SVD of block.H computed
     elsewhere (for a lone unscaled block, the one Hankel DMD also uses),
     whose W holds at least the kept columns. It keeps sigma_j / sigma_0 >
-    1e-12 (kept_rank). An identically zero block is a DecompositionError.
+    1e-12 (numerical_rank); an identically zero block is a DecompositionError.
     """
     h = block.H
     m = h.shape[0]
-    r = linalg.svd_of(h, factors, kept_rank)
-    if r.S[0] == 0.0:
+    r = linalg.svd_of(h, factors, linalg.numerical_rank)
+    k = linalg.numerical_rank(r.S)
+    if k == 0:
         raise DecompositionError("Hankel block is identically zero; nothing to decompose")
-    # S is descending, so the kept triplets are a prefix.
-    k = kept_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,

@@ -216,15 +216,21 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
+#: Deepest expression tree _evaluate descends, one Python frame per level
+#: (Python's default limit is 1000); a chain a+b+... of n terms nests n deep.
+MAX_NESTING = 800
 
-def _evaluate(node: ast.AST, env: dict):
+
+def _evaluate(node: ast.AST, env: dict, depth: int = 1):
     """Value of an expression tree, in Python's evaluation order."""
+    if depth > MAX_NESTING:
+        raise RecursionError
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return node.value
     if isinstance(node, ast.Name) and node.id in env:
         return env[node.id]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        left, right = _evaluate(node.left, env), _evaluate(node.right, env)
+        left, right = _evaluate(node.left, env, depth + 1), _evaluate(node.right, env, depth + 1)
         # An integer power above 2**1024 cannot become a float64 sample, and
         # computing it exactly can take hours (9**9**9).
         if (type(node.op) is ast.Pow and type(left) is int and type(right) is int
@@ -232,11 +238,11 @@ def _evaluate(node: ast.AST, env: dict):
             raise ValueError("integer power exceeds the float64 range")
         return _BINARY[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        return _UNARY[type(node.op)](_evaluate(node.operand, env))
+        return _UNARY[type(node.op)](_evaluate(node.operand, env, depth + 1))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FUNCTIONS and len(node.args) == 1
             and not isinstance(node.args[0], ast.Starred) and not node.keywords):
-        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env, depth + 1))
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
@@ -276,8 +282,8 @@ class Observable:
     each ValueError message starts with the field's name. The default
     label is z1, z1+z2, cos_z1, or the expression with ';' for each
     character that embed.is_label refuses. An index beyond the state
-    dimension, an expression outside the grammar or one that does not give
-    one value per sample is a ValueError when evaluated.
+    dimension, an expression outside the grammar or MAX_NESTING, or one
+    that does not give one value per sample is a ValueError when evaluated.
     """
 
     kind: str = ""
@@ -320,6 +326,9 @@ class Observable:
         try:
             with np.errstate(all="ignore"):
                 vals = _evaluate(ast.parse(self._formula, mode="eval").body, env)
+        except RecursionError:  # ast.parse, too, recurses on a deep tree
+            raise ValueError(f"expression nests deeper than the nesting limit of "
+                             f"{MAX_NESTING} levels (a chain of n terms nests n deep)") from None
         except Exception as exc:
             raise ValueError(f"bad observable expression {self._formula!r} "
                              f"(state dimension {dim}): {exc}") from exc

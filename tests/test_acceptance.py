@@ -145,6 +145,26 @@ def test_criterion_5_svd_pod_bridge(rotation_run, vdp_run, torus_run, lorenz_run
             f"values over {len(datasets)} recipe datasets: {worst:.2e} (<= 1e-8)")
 
 
+def test_pod_and_dmd_keep_one_rank(rotation_run, vdp_run, torus_run, lorenz_runs):
+    # One SVD, one rank rule: modes.csv holds no direction that pod.json
+    # calls zero.
+    results = {"rotation-check": rotation_run[0], "vdp-phase": vdp_run[0],
+               "torus-synth": torus_run[0], "lorenz-pod": lorenz_runs[0]}
+    ranks = {name: (r.pod_result.k, r.dmd_result.rank_kept) for name, r in results.items()}
+    assert all(k == kept for k, kept in ranks.values()), ranks
+    assert ranks["rotation-check"] == (2, 2) and ranks["torus-synth"] == (6, 6), ranks
+
+
+@pytest.mark.parametrize("factor", ["1000", "0.001"])
+def test_units_do_not_move_ranks(vdp_run, tmp_path, factor):
+    raw = cli.recipe_config("vdp-phase")
+    raw["output_dir"] = str(tmp_path)
+    raw["observables"] = [{"kind": "custom", "expression": f"{factor}*(z1+z2)"}]
+    result = cli.execute(cli.parse_config(raw))
+    want = vdp_run[0].pod_result.k
+    assert (result.pod_result.k, result.dmd_result.rank_kept) == (want, want)
+
+
 def test_criterion_6_algorithm_equivalence(tmp_path, capsys):
     raw = cli.recipe_config("equivalence-suite")
     raw["output_dir"] = str(tmp_path)

@@ -100,6 +100,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"observables\[0\].*z1.real"):
             cli.parse_config(raw)
 
+    def test_deep_expression_names_the_nesting_limit(self, tmp_path, capsys):
+        raw = rotation_config(tmp_path / "out")
+        raw["observables"] = [{"kind": "custom", "expression": "+".join(["z1"] * 1200)}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: observables[0]: expression nests deeper than the "
+                       f"nesting limit of {systems.MAX_NESTING} levels "
+                       f"(a chain of n terms nests n deep)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_hankel_pair_beyond_physical_memory(self, tmp_path, monkeypatch):
         def never(spec):
             raise AssertionError("integration started")

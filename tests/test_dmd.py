@@ -211,6 +211,36 @@ class TestExactDmd:
         assert_allclose(vals, sorted_eigs(np.conj(res.eigenvalues)), atol=1e-9)
 
 
+class TestOneRankRule:
+    """POD, DMD and pinv cut at sigma_j / sigma_0 > 1e-12 (strictly), and the
+    companion and svd variants refuse what that rule calls rank deficient."""
+
+    def test_boundary_value_is_dropped_everywhere(self):
+        x = np.diag([1.0, 1e-12])
+        y = 0.5 * x
+        assert linalg.numerical_rank(linalg.svd(x).S) == 1
+        block = embed.HankelBlock(H=x, UH=y, m=2, n=1, dt=1.0)
+        assert pod.ergodic_pod(block).k == 1
+        assert dmd.exact_dmd(x, y).rank_kept == 1
+        assert dmd.hankel_dmd(embed.composite([block])).rank_kept == 1
+        assert np.array_equal(linalg.pinv(x), np.diag([1.0, 0.0]))
+
+    def test_rank_deficient_pair_is_refused_by_both(self):
+        x = np.diag([1.0, 1e-13])
+        with pytest.raises(RankDeficiencyError):
+            dmd.companion_dmd(np.column_stack([x, [1.0, 1.0]]), k=2)
+        with pytest.raises(DecompositionError, match="exact_dmd"):
+            dmd.svd_dmd(x, 0.5 * x)
+
+    @pytest.mark.parametrize("tol, absolute, want", [
+        (1e-12, False, 2), (0.0, False, 3), (0.0, True, 3), (0.5, True, 1), (1.0, False, 0),
+    ])
+    def test_numerical_rank(self, tol, absolute, want):
+        s = np.array([2.0, 0.5, 1e-300, 0.0])
+        assert linalg.numerical_rank(s, tol, absolute) == want
+        assert linalg.numerical_rank(0.0 * s, tol, absolute) == 0
+
+
 class TestHankelDmd:
     def test_rotation_pair(self):
         blk = rotation_block(omega=0.1, m=64, n=8, dt=0.1)
@@ -292,7 +322,7 @@ class TestReducedCoordinates:
         # e_j agrees with the full-space route: W @ E, unit columns, lstsq
         # against the first data column.
         data = embed.composite([lorenz_block()])
-        w, s, v, _ = dmd._truncated_svd(data.X, dmd.DEFAULT_HANKEL_THRESHOLD, "abs")
+        w, s, v, _ = dmd._truncated_svd(data.X, linalg.DEFAULT_RANK_TOL, "rel")
         vals, vecs = dmd._core(data.Y, w, s, v)
         ref = dmd._unit_columns(w.astype(complex) @ vecs)
         order = dmd._energy_order(vals, ref, data.X[:, 0])

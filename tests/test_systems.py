@@ -294,6 +294,18 @@ class TestObservables:
         assert np.array_equal(obs.evaluate(states), 2000 * states[:, 0])
         assert obs.label == "+".join(["z1"] * 2000)
 
+    @pytest.mark.parametrize("terms", [500, systems.MAX_NESTING])
+    def test_long_chain_evaluates(self, terms):
+        obs = Observable("custom", expression="+".join(["z1"] * terms))
+        states = np.array([[1.0], [2.0]])
+        assert np.array_equal(obs.evaluate(states), terms * states[:, 0])
+
+    @pytest.mark.parametrize("terms", [systems.MAX_NESTING + 1, 1200, 20_000])
+    def test_chain_beyond_the_nesting_limit_is_refused(self, terms):
+        obs = Observable("custom", expression="+".join(["z1"] * terms))
+        with pytest.raises(ValueError, match=f"nesting limit of {systems.MAX_NESTING} "):
+            obs.evaluate(np.array([[1.0]]))
+
     def test_sum_of_three_adds_left_to_right(self):
         states = np.array([[1.0, 1e16, -1e16]])
         assert Observable("sum", indices=[0, 1, 2]).evaluate(states)[0] == (1.0 + 1e16) - 1e16
