@@ -43,7 +43,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -482,18 +481,16 @@ def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdRes
 
 
 def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
-    """Rank rule of the factorization that POD and DMD share:
-    linalg.numerical_rank at the looser of POD's cutoff and the configured
-    DMD's. svd keeps every column; companion factors its own columns of the
-    block, so only POD's cutoff counts."""
+    """Rank rule of the factorization that POD and DMD share: the larger of
+    POD's rank and the configured DMD's (dmd.truncation_rule). svd keeps
+    every column; companion factors its own columns of the block, so only
+    POD's rank counts."""
     if d.algorithm == "svd":
         return None
     if d.algorithm == "companion":
         return linalg.numerical_rank
-    if d.threshold_mode == "rel":
-        return partial(linalg.numerical_rank, tol=min(d.svd_threshold, linalg.DEFAULT_RANK_TOL))
-    return lambda s: linalg.numerical_rank(
-        s, min(d.svd_threshold, linalg.DEFAULT_RANK_TOL * s[0]), absolute=True)
+    rule = dmd.truncation_rule(d.svd_threshold, d.threshold_mode)
+    return lambda s: max(linalg.numerical_rank(s), rule(s))
 
 
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):

@@ -19,9 +19,10 @@ projected modes W w_j. Each variant computes only what it returns.
 * hankel_dmd: the core on a composite Hankel pair; returns the projected
   modes only, which sample Koopman eigenfunctions along the trajectory.
 
-Every rank decision is linalg.numerical_rank. By default the truncating
-variants keep sigma_j / sigma_0 > 1e-12, the rank pod.ergodic_pod keeps;
-threshold_mode "abs" makes svd_threshold the cutoff itself.
+Every rank decision is linalg.numerical_rank. The truncating variants
+cut with truncation_rule: by default they keep sigma_j / sigma_0 >
+1e-12, the rank pod.ergodic_pod keeps; threshold_mode "abs" makes
+svd_threshold the cutoff itself.
 
 Eigenvalues are ordered by descending data energy of their modes (least
 squares against the first data column), ties broken by descending
@@ -198,16 +199,23 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     )
 
 
-def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
-                   factors: linalg.SvdResult | None = None):
-    """Singular triplets (W, S, V) of x above the hard threshold, and the
-    tail energy sqrt(sum of dropped sigma^2). factors, when given, is the
-    SVD of x computed elsewhere."""
+def truncation_rule(svd_threshold: float, threshold_mode: str) -> linalg.RankRule:
+    """The rank rule exact_dmd and hankel_dmd truncate with:
+    linalg.numerical_rank with cutoff svd_threshold * S[0] ("rel") or
+    svd_threshold itself ("abs")."""
     if svd_threshold < 0 or not np.isfinite(svd_threshold):
         raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
     if threshold_mode not in ("abs", "rel"):
         raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    rank = partial(linalg.numerical_rank, tol=svd_threshold, absolute=threshold_mode == "abs")
+    return partial(linalg.numerical_rank, tol=svd_threshold, absolute=threshold_mode == "abs")
+
+
+def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
+                   factors: linalg.SvdResult | None = None):
+    """Singular triplets (W, S, V) of x that truncation_rule keeps, and the
+    tail energy sqrt(sum of dropped sigma^2). factors, when given, is the
+    SVD of x computed elsewhere."""
+    rank = truncation_rule(svd_threshold, threshold_mode)
     r = linalg.svd_of(x, factors, rank)
     k = rank(r.S)
     if k == 0:
@@ -296,8 +304,9 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
               factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on a hard-thresholded SVD of X.
 
-    Keeps the singular values above svd_threshold * S_max (threshold_mode
-    "rel", the default) or above svd_threshold ("abs"). Returns
+    Keeps the singular values that truncation_rule(svd_threshold,
+    threshold_mode) keeps: above svd_threshold * S_max ("rel", the
+    default) or above svd_threshold ("abs"). Returns
     exact modes as `modes` and projected modes separately; zero
     eigenvalues have no exact mode, are listed in undefined_exact, and
     carry their projected mode instead. factors, when given, is the SVD

@@ -61,21 +61,58 @@ class TestSvd:
             linalg.svd(np.empty((0, 3)))
 
 
-def assert_bits_of_numpy(x, rank=None):
-    """linalg.svd(x, rank) holds the bits of np.linalg.svd: all of S and
-    V, and the leading columns of W that rank keeps."""
+def assert_numpy_svd(x, rank=None):
+    """linalg.svd(x, rank) holds the bits of np.linalg.svd in S and V. Its
+    W is C-contiguous, orthonormal to 1e-13 and within 1e-14 of numpy's
+    leading columns: on a tall x exactly the rank(S) that rank keeps, else
+    all of them."""
     w, s, vh = np.linalg.svd(x, full_matrices=False)
     r = linalg.svd(x, rank)
-    k = s.size if rank is None else rank(s)
-    assert r.W.shape[1] >= k
+    rows, cols = x.shape
+    k = s.size if rank is None or rows < 11 * cols // 6 else rank(s)
     assert np.array_equal(r.S, s) and np.array_equal(r.V, vh.T)
-    assert np.array_equal(r.W[:, :k], w[:, :k])
+    assert r.W.shape == (rows, k) and r.W.flags.c_contiguous
+    assert np.max(np.abs(r.W - w[:, :k]), initial=0.0) <= 1e-14
+    assert np.max(np.abs(r.W.T @ r.W - np.eye(k)), initial=0.0) <= 1e-13
     return r
+
+
+def run_fresh(script, threads=1):
+    """stdout of script run in a fresh interpreter with threads BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)),
+               **{var: str(threads) for var in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+# np.linalg.svd holds about three copies of a 10000 x 400 matrix (its own, a
+# work buffer and the full W). A fresh process inherits in ru_maxrss the peak
+# of the process that started it, so the script measures in a forked child,
+# whose reading starts at its own size. A warm-up factorization with as many
+# columns leaves BLAS buffers and the cols x cols work of the SVD of R in
+# place, so the growth is what scales with rows, in copies of x.
+PEAK_RSS_SCRIPT = """
+import os, resource, sys
+import numpy as np
+from koopdmd import linalg
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+linalg.svd(np.random.default_rng(1).standard_normal((1000, 400)))
+x = np.random.default_rng(0).standard_normal((10000, 400))
+x *= {scale}
+unit = 1 if sys.platform == "darwin" else 1024
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+r = linalg.svd(x, lambda s: 40)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * unit / x.nbytes)
+"""
 
 
 class TestTallSvd:
     # A matrix with rows >= 11 cols / 6 (dgesdd's own crossover to a QR
-    # first) is factored in one copy; the bits stay those of numpy.
+    # first) is factored in one copy. S and V are numpy's bits; W, formed
+    # in row blocks, agrees with numpy's to roundoff.
 
     @pytest.mark.parametrize("rows,cols", [
         (500, 101),  # vdp-phase
@@ -86,58 +123,64 @@ class TestTallSvd:
         (4000, 151),  # csv-ingest's blocks
     ])
     def test_bits_of_numpy_at_the_pipeline_shapes(self, rows, cols):
-        x = random_matrix(rows, cols, rows + cols)
-        r = assert_bits_of_numpy(x, lambda s: cols // 3)
-        assert r.W.shape == (rows, cols // 3) and r.W.flags.c_contiguous
+        assert_numpy_svd(random_matrix(rows, cols, rows + cols), lambda s: cols // 3)
 
     @pytest.mark.parametrize("cols", [1, 2, 7, 40, 101])
     def test_both_sides_of_the_crossover(self, cols):
         rows = 11 * cols // 6
-        tall = assert_bits_of_numpy(random_matrix(rows, cols, cols), lambda s: 1)
+        tall = assert_numpy_svd(random_matrix(rows, cols, cols), lambda s: 1)
         assert tall.W.shape[1] == 1
         if rows > 1:
-            short = assert_bits_of_numpy(random_matrix(rows - 1, cols, cols), lambda s: 1)
+            short = assert_numpy_svd(random_matrix(rows - 1, cols, cols), lambda s: 1)
             assert short.W.shape[1] == min(rows - 1, cols)
 
     @pytest.mark.parametrize("rows,cols", [(700, 30), (2049, 200), (1500, 101)])
     @pytest.mark.parametrize("k", [0, 1, 2, None])
     def test_kept_columns(self, rows, cols, k):
-        # Row counts off a multiple of 32 put BLAS's narrow kernels at the
-        # last rows.
-        r = assert_bits_of_numpy(random_matrix(rows, cols, k or 0),
-                                 None if k is None else lambda s: k)
+        # 2049 rows leave a last row block of one row.
+        r = assert_numpy_svd(random_matrix(rows, cols, k or 0),
+                             None if k is None else lambda s: k)
         assert r.W.shape == (rows, cols if k is None else k)
 
     def test_all_zero_input(self):
-        r = assert_bits_of_numpy(np.zeros((300, 12)), lambda s: 0)
+        r = assert_numpy_svd(np.zeros((300, 12)), lambda s: 0)
         assert r.W.shape == (300, 0) and not np.any(r.S)
 
-    def test_extreme_scale_keeps_numpy_bits(self):
-        # dgesdd rescales such input first, so numpy factors it.
-        assert_bits_of_numpy(1e-150 * random_matrix(300, 12, 1), lambda s: 3)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_extreme_scales_take_the_tall_path(self, monkeypatch, scale):
+        calls, tall = [], linalg._tall_svd
+
+        def spy(a, rank):
+            calls.append(a.shape)
+            return tall(a, rank)
+
+        monkeypatch.setattr(linalg, "_tall_svd", spy)
+        x = scale * random_matrix(700, 30, 1)
+        s = np.linalg.svd(x, compute_uv=False)
+        r = linalg.svd(x, lambda s: 3)
+        assert calls == [(700, 30)] and r.W.shape == (700, 3)
+        assert np.max(np.abs(r.S - s)) <= 1e-14 * s[0]
+        assert np.max(np.abs(r.W.T @ r.W - np.eye(3))) <= 1e-13
 
     def test_peak_rss_holds_one_copy(self):
-        # np.linalg.svd holds about three copies of a 10000 x 400 matrix
-        # (its own, a work buffer and the full W). A warm-up factorization
-        # with as many columns leaves BLAS buffers and the cols x cols work
-        # of the SVD of R in place, so the growth is what scales with rows.
+        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1.0))) <= 1.3
+
+    def test_peak_rss_holds_one_copy_at_extreme_scale(self):
+        # Input that dgesdd would rescale is factored in one copy too.
+        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1e-150))) <= 1.3
+
+    def test_two_blas_threads(self):
         script = """
-import resource, sys
 import numpy as np
 from koopdmd import linalg
-linalg.svd(np.random.default_rng(1).standard_normal((1000, 400)))
-x = np.random.default_rng(0).standard_normal((10000, 400))
-unit = 1 if sys.platform == "darwin" else 1024
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-r = linalg.svd(x, lambda s: 40)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) * unit / x.nbytes)
+x = np.random.default_rng(3).standard_normal((1500, 101))
+w, s, vh = np.linalg.svd(x, full_matrices=False)
+r = linalg.svd(x, lambda s: 30)
+print(np.array_equal(r.S, s) and np.array_equal(r.V, vh.T), r.W.shape[1],
+      np.max(np.abs(r.W - w[:, :30])))
 """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        grown = float(subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                     text=True, check=True, env=env).stdout)
-        assert grown <= 1.3
+        same, kept, w_error = run_fresh(script, threads=2).split()
+        assert same == "True" and kept == "30" and float(w_error) <= 1e-14
 
 
 class TestSvdOf:
