@@ -593,15 +593,15 @@ def execute(cfg: RunConfig) -> RunResult:
 
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
-    # keeps. That SVD holds one copy of H and the kept W; lorenz-pod's peak
-    # RSS is set later, while _projected_modes forms the modes beside W and
-    # POD's basis. The factors are dropped before any CSV is written,
-    # because forked CSV workers inherit the parent's pages.
-    factors = (linalg.svd(data.X, _shared_rank(cfg.dmd)) if data.X is blocks[0].H
-               else None)
-    pod_result = pod.ergodic_pod(blocks[0], factors=factors)
+    # keeps, and refuse a zero block before DMD reads the factors. POD then
+    # scales W in place into its basis, so the run holds one W: lorenz-pod's
+    # peak RSS is set in _projected_modes, by W beside the modes.
+    factors = None
+    if data.X is blocks[0].H:
+        factors = linalg.svd(data.X, _shared_rank(cfg.dmd))
+        pod.retained_rank(factors.S)
     dmd_result = _run_decomposition(cfg, blocks, data, factors)
-    del factors
+    pod_result = pod.ergodic_pod(blocks[0], factors=factors)
 
     pod.write_result_json(pod_result, out / "pod.json")
     pod.write_basis_csv(pod_result, out / "pod_basis.csv")

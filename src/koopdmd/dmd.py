@@ -35,9 +35,10 @@ once, already ordered and normalized. Each conjugate pair of projected
 modes is formed once: only its lead column is multiplied by W, and the
 second column is set to its conjugate, so the two columns of a pair in
 modes.csv (hankel and svd) are exact conjugates, bit for bit. An SVD of
-X computed elsewhere (cli shares the one of a lone Hankel block with
-pod.ergodic_pod) can be handed in; its W needs only the columns that
-the threshold keeps.
+X computed elsewhere can be handed in; its W needs only the columns that
+the threshold keeps, and no variant writes to it or keeps it. cli shares
+the SVD of a lone Hankel block: DMD reads it first, then
+pod.ergodic_pod scales that W in place into its basis.
 """
 from __future__ import annotations
 

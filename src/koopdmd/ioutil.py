@@ -120,9 +120,9 @@ CELLS_PER_WORKER = 2**19
 
 
 def _check_finite(rows: np.ndarray) -> None:
-    finite = np.isfinite(rows)
-    if not finite.all():
-        raise _non_finite(float(rows[~finite][0]))
+    # min and max carry a NaN or an infinity out without a cell-sized mask.
+    if rows.size and not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+        raise _non_finite(float(rows[~np.isfinite(rows)][0]))
 
 
 def format_rows(rows: np.ndarray) -> str:

@@ -32,6 +32,7 @@ class PodResult:
         vector of basis function j, indexed against the data column index.
     basis_samples: (m x k); column j samples basis function j along the
         trajectory, scaled so its empirical norm is 1 (sqrt(m) included).
+        From ergodic_pod it is the kept columns of W, scaled in place.
     degenerate: True when two retained singular values coincide to
         relative precision 1e-10, in which case the individual vectors
         within the tied group are basis-dependent (their span is not).
@@ -93,7 +94,8 @@ def pod_snapshots(G, F_samples) -> PodResult:
     k = linalg.numerical_rank(evals)
     evecs = evecs[:, :k]
     sigma = np.sqrt(evals[:k])
-    basis = (f @ evecs) / sigma[None, :]
+    basis = f @ evecs
+    basis /= sigma[None, :]
     return PodResult(
         singular_values=sigma,
         principal_coords=evecs,
@@ -104,28 +106,40 @@ def pod_snapshots(G, F_samples) -> PodResult:
     )
 
 
+def retained_rank(S) -> int:
+    """POD's rank of a block with descending singular values S,
+    sigma_j / sigma_0 > 1e-12 (numerical_rank); an identically zero block
+    is a DecompositionError."""
+    k = linalg.numerical_rank(S)
+    if k == 0:
+        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
+    return k
+
+
 def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
     The SVD H = W diag(S) V^T (m = row count) gives the POD of the
     empirical Gramian (1/m) H^T H: singular values S / sqrt(m), principal
     coordinates V, and basis functions sampled along the trajectory as
-    sqrt(m) W. factors, when given, is the SVD of block.H computed
-    elsewhere (for a lone unscaled block, the one Hankel DMD also uses),
-    whose W holds at least the kept columns. It keeps sigma_j / sigma_0 >
-    1e-12 (numerical_rank); an identically zero block is a DecompositionError.
+    sqrt(m) W. It keeps retained_rank(S) columns, and scales those columns
+    of W in place into basis_samples, so the basis is never a second m x k
+    array. factors, when given, is the SVD of block.H computed elsewhere
+    (for a lone unscaled block, the one Hankel DMD also uses), whose W
+    holds at least the kept columns: this call consumes factors.W, so it
+    must be the factors' last user.
     """
     h = block.H
     m = h.shape[0]
     r = linalg.svd_of(h, factors, linalg.numerical_rank)
-    k = linalg.numerical_rank(r.S)
-    if k == 0:
-        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
+    k = retained_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
+    basis = r.W[:, :k]
+    basis *= np.sqrt(m)
     return PodResult(
         singular_values=sigma,
         principal_coords=r.V[:, :k],
-        basis_samples=np.sqrt(m) * r.W[:, :k],
+        basis_samples=basis,
         m=m,
         k=k,
         degenerate=_flag_degenerate(sigma),

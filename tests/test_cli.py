@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import analysis, cli, embed, linalg, systems
+from koopdmd import analysis, cli, dmd, embed, linalg, systems
 from koopdmd.errors import ConfigError
 
 
@@ -706,8 +706,23 @@ class TestSharedFactorization:
         }
         calls = count_svd_calls(monkeypatch)
         result = cli.execute(cli.parse_config(raw))
-        assert calls == [result.blocks[0].H.shape, result.data.X.shape]
+        assert calls == [result.data.X.shape, result.blocks[0].H.shape]
         assert result.data.X.shape == (150, 63)
+
+    def test_pod_basis_is_the_shared_w(self, tmp_path, monkeypatch):
+        # DMD reads the one W first; POD then scales it in place into its basis.
+        factors = []
+        svd = linalg.svd
+
+        def recording(x, *args, **kwargs):
+            factors.append(svd(x, *args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(linalg, "svd", recording)
+        result = cli.execute(cli.parse_config(rotation_config(tmp_path)))
+        assert len(factors) == 1
+        assert np.shares_memory(result.pod_result.basis_samples, factors[0].W)
+        assert np.array_equal(result.dmd_result.modes, dmd.hankel_dmd(result.data).modes)
 
 
 class TestMain:
@@ -763,6 +778,17 @@ class TestMain:
 
     def test_zero_observable_exits_3(self, tmp_path, capsys):
         raw = rotation_config(tmp_path / "out")
+        raw["observables"] = [{"kind": "custom", "expression": "0*z1"}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Hankel block is identically zero; nothing to decompose\n")
+
+    @pytest.mark.parametrize("algorithm", dmd.ALGORITHMS)
+    def test_zero_observable_exits_3_under_every_algorithm(self, tmp_path, capsys, algorithm):
+        # The zero block is refused before DMD runs on the shared factors.
+        raw = rotation_config(tmp_path / "out", algorithm=algorithm)
         raw["observables"] = [{"kind": "custom", "expression": "0*z1"}]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))

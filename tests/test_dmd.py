@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fresh_process import run_fresh
 from koopdmd import cli, dmd, embed, linalg, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError, RankDeficiencyError
@@ -488,9 +486,9 @@ class TestPairedModes:
     def test_peak_rss_holds_one_mode_array(self):
         # tracemalloc does not see every temporary (a product written into a
         # strided view such as modes.real makes numpy take a mode-sized
-        # buffer it misses), so also watch the peak RSS of a fresh process
-        # around the call. One BLAS thread: a second thread's first call
-        # touches buffers of its own.
+        # buffer it misses), so also watch the peak RSS of a forked child of
+        # a fresh process around the call. One BLAS thread: a second
+        # thread's first call touches buffers of its own.
         script = """
 import resource, sys
 import numpy as np
@@ -505,11 +503,7 @@ modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * unit / modes.nbytes)
 """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmd.__file__)),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        grown = float(subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                     text=True, check=True, env=env).stdout)
-        assert grown <= 1.25
+        assert float(run_fresh(script, forked=True)) <= 1.25
 
 
 def test_decompositions_leave_shared_inputs_alone():
@@ -564,8 +558,8 @@ class TestLinearConsistency:
 
     def test_tall_pair_forms_no_square_left_basis(self):
         # A tall X has no null direction beyond its singular values, so the
-        # check needs no m x m U (288 MB at m = 6000). Watched in a fresh
-        # process, whose peak RSS is the check's own.
+        # check needs no m x m U (288 MB at m = 6000). Watched in a forked
+        # child of a fresh process, whose peak RSS is the check's own.
         script = """
 import resource, sys
 import numpy as np
@@ -580,11 +574,7 @@ rep = dmd.check_linear_consistency(x, y)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(rep.consistent, rep.null_dim, (after - before) * unit)
 """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmd.__file__)),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        consistent, null_dim, grown = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-            env=env).stdout.split()
+        consistent, null_dim, grown = run_fresh(script, forked=True).split()
         assert consistent == "True" and null_dim == "1"
         assert int(grown) <= 16 << 20
 

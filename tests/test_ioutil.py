@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ class TestArrayPath:
         with pytest.raises(ValueError, match="non-finite"):
             ioutil.write_csv(tmp_path / "a.csv", ["x"] * matrix.shape[1], matrix)
         assert leftovers(tmp_path) == []
+
+    def test_finiteness_check_takes_no_cell_sized_mask(self):
+        # A bool mask of the matrix would be one byte a cell (5.7 MiB for
+        # lorenz-pod's modes) beside the matrix being written.
+        matrix = np.random.default_rng(0).standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            ioutil._check_finite(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.size // 100
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cell_refused_without_leftovers(self, tmp_path, bad):

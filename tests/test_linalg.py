@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fresh_process import run_fresh
 from koopdmd import linalg
 
 
@@ -77,27 +74,14 @@ def assert_numpy_svd(x, rank=None):
     return r
 
 
-def run_fresh(script, threads=1):
-    """stdout of script run in a fresh interpreter with threads BLAS threads."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)),
-               **{var: str(threads) for var in
-                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True, env=env).stdout
-
-
 # np.linalg.svd holds about three copies of a 10000 x 400 matrix (its own, a
-# work buffer and the full W). A fresh process inherits in ru_maxrss the peak
-# of the process that started it, so the script measures in a forked child,
-# whose reading starts at its own size. A warm-up factorization with as many
-# columns leaves BLAS buffers and the cols x cols work of the SVD of R in
-# place, so the growth is what scales with rows, in copies of x.
+# work buffer and the full W). A warm-up factorization with as many columns
+# leaves BLAS buffers and the cols x cols work of the SVD of R in place, so
+# the growth is what scales with rows, in copies of x.
 PEAK_RSS_SCRIPT = """
-import os, resource, sys
+import resource, sys
 import numpy as np
 from koopdmd import linalg
-if os.fork():
-    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
 linalg.svd(np.random.default_rng(1).standard_normal((1000, 400)))
 x = np.random.default_rng(0).standard_normal((10000, 400))
 x *= {scale}
@@ -163,11 +147,11 @@ class TestTallSvd:
         assert np.max(np.abs(r.W.T @ r.W - np.eye(3))) <= 1e-13
 
     def test_peak_rss_holds_one_copy(self):
-        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1.0))) <= 1.3
+        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1.0), forked=True)) <= 1.3
 
     def test_peak_rss_holds_one_copy_at_extreme_scale(self):
         # Input that dgesdd would rescale is factored in one copy too.
-        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1e-150))) <= 1.3
+        assert float(run_fresh(PEAK_RSS_SCRIPT.format(scale=1e-150), forked=True)) <= 1.3
 
     def test_two_blas_threads(self):
         script = """
