@@ -496,26 +496,26 @@ def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     """Rows of the frequency table: positive-branch eigenvalues with their
     lattice match and, for a rotation system with one start state, the
-    eigenfunction variance."""
+    eigenfunction variance (their modes formed together, in one pass)."""
     ana = cfg.analysis
     if ana.basics is None:
         return None
-    angles = None
+    # A conjugate partner (omega < 0) carries the same information.
+    listed = [(j, analysis.eig_to_freq(lam, result.dt))
+              for j, lam in enumerate(result.eigenvalues) if lam != 0]
+    listed = [(j, omega) for j, omega in listed if omega >= 0]
+    samples = None
     if (trajectories is not None and cfg.system.kind in ("circle", "torus")
             and len(trajectories) == 1):
-        angles = trajectories[0].states[:: cfg.embedding.stride][: result.modes.shape[0]]
+        angles = trajectories[0].states[:: cfg.embedding.stride][: result.source.shape[0]]
+        samples = result.columns([j for j, _ in listed])
     rows = []
-    for j, lam in enumerate(result.eigenvalues):
-        if lam == 0:
-            continue
-        omega = analysis.eig_to_freq(lam, result.dt)
-        if omega < 0:
-            continue  # conjugate partner carries the same information
+    for i, (j, omega) in enumerate(listed):
         match = analysis.match_lattice(omega, ana.basics, K=ana.K)
         variance = None
-        if angles is not None:
+        if samples is not None:
             ref = analysis.lattice_eigenfunction(angles, match.k)
-            variance = analysis.eigenfunction_error(result.modes[:, j], ref).variance
+            variance = analysis.eigenfunction_error(samples[:, i], ref).variance
         rows.append({
             "k": match.k,
             "omega_computed": omega,
@@ -529,7 +529,7 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
 def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, blocks,
                      trajectories) -> None:
     """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
-    phases = analysis.asymptotic_phase(result.modes[:, idx])
+    phases = analysis.asymptotic_phase(result.columns([idx])[:, 0])
     c = blocks[0].channels
     dim = trajectories[0].states.shape[1]
     header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(dim)] + ["phase"]
@@ -593,9 +593,11 @@ def execute(cfg: RunConfig) -> RunResult:
 
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
-    # keeps, and refuse a zero block before DMD reads the factors. POD then
-    # scales W in place into its basis, so the run holds one W: lorenz-pod's
-    # peak RSS is set in _projected_modes, by W beside the modes.
+    # keeps, and refuse a zero block before DMD reads the factors. Both
+    # results hold views of that one read-only W, and the rows of the
+    # modes and of POD's basis are formed only inside the CSV writer, block
+    # by block. So the run holds one m x k array, W, and lorenz-pod's peak
+    # RSS is set inside the SVD, where one copy of H and W coexist.
     factors = None
     if data.X is blocks[0].H:
         factors = linalg.svd(data.X, _shared_rank(cfg.dmd))

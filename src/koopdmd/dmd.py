@@ -19,6 +19,13 @@ projected modes W w_j. Each variant computes only what it returns.
 * hankel_dmd: the core on a composite Hankel pair; returns the projected
   modes only, which sample Koopman eigenfunctions along the trajectory.
 
+Everything that decides a result is k-sized (Drmac, Mezic & Mohr, SIAM J.
+Sci. Comput. 2018): the projected operator, its eigenvectors e_j and the
+energy order. So a hankel or svd result holds its modes as factors
+(ProjectedModes: the kept W and the unit e_j) and forms mode rows only on
+request, block by block: modes.csv forms them inside the CSV writer, and
+a column is formed alone. exact and companion hold their modes as arrays.
+
 Every rank decision is linalg.numerical_rank. The truncating variants
 cut with truncation_rule: by default they keep sigma_j / sigma_0 >
 1e-12, the rank pod.ergodic_pod keeps; threshold_mode "abs" makes
@@ -34,23 +41,25 @@ coordinates, where the same least squares is k x k, and each is formed
 once, already ordered and normalized. Each conjugate pair of projected
 modes is formed once: only its lead column is multiplied by W, and the
 second column is set to its conjugate, so the two columns of a pair in
-modes.csv (hankel and svd) are exact conjugates, bit for bit. An SVD of
-X computed elsewhere can be handed in; its W needs only the columns that
-the threshold keeps, and no variant writes to it or keeps it. cli shares
-the SVD of a lone Hankel block: DMD reads it first, then
-pod.ergodic_pod scales that W in place into its basis.
+modes.csv (hankel and svd) are exact conjugates, bit for bit. Every
+consumer forms a row of the modes in the same block of rows
+(ioutil.row_blocks), so modes.csv, a column and DmdResult.modes agree bit
+for bit, whatever the CPU count. An SVD of X computed elsewhere can be handed in; its W needs only the
+columns that the threshold keeps, and no variant writes to it. cli shares
+the read-only SVD of a lone Hankel block between DMD and
+pod.ergodic_pod, which both hold views of its W.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import linalg
 from .embed import CompositeData
 from .errors import DecompositionError, RankDeficiencyError
-from .ioutil import write_csv, write_json
+from .ioutil import RowSource, row_blocks, write_csv, write_json
 
 ALGORITHMS = ("companion", "svd", "exact", "hankel")
 
@@ -58,18 +67,55 @@ ALGORITHMS = ("companion", "svd", "exact", "hankel")
 #: the eigenvalue would overflow); the projected mode is substituted.
 _ZERO_EIG = 1e-300
 
-#: Mode cells per row block when _projected_modes expands its products,
-#: so the block's copy stays small next to the mode array.
-_EXPAND_CELLS = 1 << 15
+
+@dataclass(frozen=True)
+class ProjectedModes:
+    """Unit projected modes W e_j, held as factors.
+
+    W: (m x k) the kept left singular vectors of X, read-only.
+    E: (k x k) the unit reduced eigenvectors e_j, in mode order.
+    second: mask of the columns that are the conjugate of the column
+        before (_conjugate_pairs); only the other, lead, columns are
+        multiplied by W.
+    rows(lo, hi) forms rows lo:hi of the modes; the CSV writer, columns
+    and array ask for the blocks of ioutil.row_blocks.
+    """
+
+    W: np.ndarray
+    E: np.ndarray
+    second: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.W.shape[0], self.E.shape[1]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return _projected_modes(self.W[lo:hi], self.E, self.second)
+
+    def columns(self, cols: list[int]) -> np.ndarray:
+        """Modes cols as an m x len(cols) array, formed block by block."""
+        return np.concatenate([self.rows(lo, hi)[:, cols] for lo, hi in row_blocks(self.shape[0])])
+
+    def array(self) -> np.ndarray:
+        """All modes as one m x k array, formed block by block into it."""
+        out = np.empty(self.shape, dtype=complex)
+        for lo, hi in row_blocks(self.shape[0]):
+            _projected_modes(self.W[lo:hi], self.E, self.second, out=out[lo:hi])
+        return out
 
 
 @dataclass(frozen=True)
 class DmdResult:
     """Eigenvalues and modes of one decomposition.
 
-    modes: complex columns of unit 2-norm; for the hankel algorithm these
-        are the projected modes, i.e. eigenfunction samples along the
-        trajectory (row = sample).
+    source: the unit mode columns. For hankel and svd, ProjectedModes:
+        the factors W and E, whose rows are formed on request (for
+        hankel, eigenfunction samples along the trajectory, row =
+        sample). For exact and companion, an m x k array. Read modes
+        with columns(cols) and the row count as source.shape[0]; the CSV
+        writer forms the rows of modes.csv block by block.
+    modes: (property) all modes as one m x k complex array, formed once
+        on first use; for library callers.
     projected_modes: the projected modes chi_j when the algorithm also
         produces exact modes (exact only), else None.
     residual: companion fit residual, or SVD truncation tail energy
@@ -80,7 +126,7 @@ class DmdResult:
     """
 
     eigenvalues: np.ndarray
-    modes: np.ndarray
+    source: ProjectedModes | np.ndarray
     projected_modes: np.ndarray | None
     rank_kept: int
     residual: float
@@ -88,6 +134,17 @@ class DmdResult:
     dt: float
     condition: float | None = None
     undefined_exact: tuple[int, ...] = ()
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        s = self.source
+        return s if isinstance(s, np.ndarray) else s.array()
+
+    def columns(self, cols: list[int]) -> np.ndarray:
+        """Modes cols as an m x len(cols) complex array, without forming
+        the whole mode array."""
+        s = self.source
+        return s[:, cols] if isinstance(s, np.ndarray) else s.columns(cols)
 
 
 def companion_matrix(coefficients) -> np.ndarray:
@@ -190,7 +247,7 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     order = _energy_order(er.eigenvalues, modes, d[:, 0])
     return DmdResult(
         eigenvalues=er.eigenvalues[order],
-        modes=modes[:, order],
+        source=modes[:, order],
         projected_modes=None,
         rank_kept=k,
         residual=residual,
@@ -238,43 +295,37 @@ def _core(y: np.ndarray, w: np.ndarray, s: np.ndarray, v: np.ndarray):
     return er.eigenvalues, er.eigenvectors
 
 
-def _projected_modes(w: np.ndarray, eigenvalues: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Unit projected modes w @ e_j. w has orthonormal columns, so each e_j
-    is normalized in reduced coordinates.
-
-    Only lead columns, those that are not the second member of a conjugate
-    pair, are multiplied: two real products, written into the leading
-    columns of the modes' own float64 view, whose strides BLAS takes as
-    they are. Each row block is then expanded in place, a pair's second
-    member as the conjugate of its lead.
-    """
+def _mode_factors(w: np.ndarray, eigenvalues: np.ndarray, vecs: np.ndarray) -> ProjectedModes:
+    """The projected modes w @ e_j as factors. w has orthonormal columns,
+    so each e_j is normalized in reduced coordinates, here, once."""
     vecs = _unit_columns(vecs)
-    paired = _conjugate_pairs(eigenvalues, vecs)
-    lead, second = np.flatnonzero(~paired), np.flatnonzero(paired)
-    nl = lead.size
-    modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex)
-    flat = modes.view(np.float64)  # re, im interleaved
-    np.matmul(w, vecs.real[:, lead], out=flat[:, :nl])
-    np.matmul(w, vecs.imag[:, lead], out=flat[:, nl:2 * nl])
-    rows = max(1, _EXPAND_CELLS // modes.shape[1])
-    for r in range(0, modes.shape[0], rows):
-        products = flat[r:r + rows, :2 * nl].copy()
-        block = modes[r:r + rows]
-        block.real[:, lead] = products[:, :nl]
-        block.imag[:, lead] = products[:, nl:]
-        block[:, second] = np.conj(block[:, second - 1])
+    return ProjectedModes(W=w, E=vecs, second=_conjugate_pairs(eigenvalues, vecs))
+
+
+def _projected_modes(w: np.ndarray, vecs: np.ndarray, second: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The rows w @ vecs, for a block of rows w, in out when given: only
+    lead columns, those not masked as the second member of a conjugate
+    pair, are multiplied (two real products), and each second member is
+    set to the conjugate of its lead."""
+    lead, pair = np.flatnonzero(~second), np.flatnonzero(second)
+    modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex) if out is None else out
+    modes.real[:, lead] = w @ vecs.real[:, lead]
+    modes.imag[:, lead] = w @ vecs.imag[:, lead]
+    modes[:, pair] = np.conj(modes[:, pair - 1])
     return modes
 
 
 def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float) -> DmdResult:
     """The core with projected modes, ordered in reduced coordinates: the
     modes w e_j keep the norms of e_j, and w^T x0 = s * v[0] for the first
-    data column x0."""
+    data column x0. The result holds w and the ordered e_j; no mode row is
+    formed here."""
     vals, vecs = _core(y, w, s, v)
     order = _energy_order(vals, vecs, s * v[0])
     return DmdResult(
         eigenvalues=vals[order],
-        modes=_projected_modes(w, vals[order], vecs[:, order]),
+        source=_mode_factors(w, vals[order], vecs[:, order]),
         projected_modes=None,
         rank_kept=s.size,
         residual=residual,
@@ -316,7 +367,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
     x, y = _pair(X, Y)
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
     vals, vecs = _core(y, w, s, v)
-    projected = _projected_modes(w, vals, vecs)
+    projected = _mode_factors(w, vals, vecs).array()
     # Exact modes: eigenvectors of the full-size one-step operator,
     # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
     # eigenvalues divide by 1 and then take their projected mode instead.
@@ -327,7 +378,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
     order = _energy_order(vals, exact, x[:, 0])
     return DmdResult(
         eigenvalues=vals[order],
-        modes=exact[:, order],
+        source=exact[:, order],
         projected_modes=projected[:, order],
         rank_kept=s.size,
         residual=residual,
@@ -425,9 +476,14 @@ def write_result_json(result: DmdResult, path) -> None:
 
 
 def write_modes_csv(result: DmdResult, path) -> None:
-    """Mode samples, one complex column per mode as re/im column pairs."""
-    k = result.modes.shape[1]
+    """Mode samples, one complex column per mode as re/im column pairs.
+    Projected modes are formed block by block by the writer."""
+    src = result.source
+    m, k = src.shape
     header = [f"mode{j + 1}_{part}" for j in range(k) for part in ("re", "im")]
     # A C-contiguous complex128 array viewed as float64 interleaves re, im.
-    pairs = np.ascontiguousarray(result.modes, dtype=np.complex128).view(np.float64)
+    if isinstance(src, np.ndarray):
+        pairs = np.ascontiguousarray(src, dtype=np.complex128).view(np.float64)
+    else:
+        pairs = RowSource((m, 2 * k), lambda lo, hi: src.rows(lo, hi).view(np.float64))
     write_csv(path, header, pairs)

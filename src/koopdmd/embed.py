@@ -14,14 +14,15 @@ into a single series; the embedding then steps all trajectories together,
 so one column holds every trajectory at one delay window and the one-step
 shift advances each trajectory by one sample.
 
-CSV input is parsed by one np.loadtxt call, which gives the bits float()
-gives; a file it refuses is read again line by line, so every error
-names its line.
+CSV input is streamed from the file into one np.loadtxt call, which
+gives the bits float() gives; a file it refuses is read again line by
+line, so every error names its line.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -237,10 +238,41 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
     )
 
 
-def _parse_lines(path, text: str, width: int) -> np.ndarray:
+#: Characters of text read at a time by read_timeseries_csv.
+_READ_CHARS = 1 << 16
+
+
+class _UnitSeparator(Exception):
+    """The file holds U+001F, which np.loadtxt strips as whitespace and
+    float() refuses."""
+
+
+def _nonblank(fh):
+    """The non-blank lines of a text file, without their line ends, as
+    str.splitlines splits its text, read _READ_CHARS at a time (newline=None
+    makes '\r\n' and '\r' one '\n'). Raises _UnitSeparator at a block of
+    text that holds U+001F. A decoding error names its offset in the file."""
+    tail = ""
+    try:
+        while chunk := fh.read(_READ_CHARS):
+            if "\x1f" in chunk:
+                raise _UnitSeparator
+            # Lines end at the last '\n'; the rest continues in the next read.
+            text = tail + chunk
+            cut = text.rfind("\n") + 1
+            tail = text[cut:]
+            yield from [ln for ln in text[:cut].splitlines() if ln.strip()]
+    except UnicodeDecodeError:
+        Path(fh.name).read_text(encoding="utf-8")  # raises it with the file's offset
+        raise
+    yield from [ln for ln in tail.splitlines() if ln.strip()]
+
+
+def _parse_lines(path, width: int) -> np.ndarray:
     """float() on every field of every data line (each non-blank line after
     the header); a ValueError names the first line it refuses by its number
     in the file, as str.splitlines counts lines."""
+    text = Path(path).read_text(encoding="utf-8")
     numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
     rows = []
     for ln_no, ln in numbered[1:]:
@@ -261,32 +293,44 @@ def read_timeseries_csv(path) -> list[TimeSeries]:
     relative tolerance 1e-6; dt is taken as the mean spacing. At least two
     samples are required.
 
-    np.loadtxt parses the data lines in one call. Its field parser is the
-    one behind float(), so it gives the same bits, but it accepts a subset
-    of what float() accepts (no '_' separators or non-ASCII digits), with
-    one exception, U+001F around a number, which it strips as whitespace.
-    A file with U+001F, or one loadtxt refuses, goes through the per-line
-    float() loop, which gives the values or the error naming the line.
+    np.loadtxt parses the data lines in one call, streamed from the file,
+    so neither the whole text nor a list of all its lines is held. Its
+    field parser is the one behind float(), so it gives the same bits, but
+    it accepts a subset of what float() accepts (no '_' separators or
+    non-ASCII digits), with one exception, U+001F around a number, which
+    it strips as whitespace. A file with U+001F, or one loadtxt refuses,
+    goes through the per-line float() loop, which gives the values or the
+    error naming the line.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if not lines:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _series(path, _nonblank(fh), fast=True)
+    except _UnitSeparator:
+        text = Path(path).read_text(encoding="utf-8")
+        return _series(path, (ln for ln in text.splitlines() if ln.strip()), fast=False)
+
+
+def _series(path, lines, fast: bool) -> list[TimeSeries]:
+    """read_timeseries_csv on the non-blank lines of the file; the data
+    lines go to np.loadtxt when fast, else to the per-line float() loop."""
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in first.split(",")]
     if len(header) < 2 or header[0] != "t":
         raise ValueError(
-            f"{path}: header must be 't,<label>[,<label>...]', got {lines[0]!r}"
+            f"{path}: header must be 't,<label>[,<label>...]', got {first!r}"
         )
     labels = header[1:]
-    body = lines[1:]
+    body = next(lines, None)
     data = None
-    if body and "\x1f" not in text:  # loadtxt warns on an empty body
+    if fast and body is not None:  # loadtxt warns on an empty body
         try:
-            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(chain([body], lines), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
     if data is None or data.shape[1] != len(header):
-        data = _parse_lines(path, text, len(header))
+        data = _parse_lines(path, len(header))
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     if not np.all(np.isfinite(data)):

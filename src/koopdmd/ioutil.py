@@ -7,13 +7,16 @@ renamed over the target only once complete, so readers never observe
 partial output and a failed write leaves an existing target untouched.
 Files get the usual permissions of the process umask.
 
-A float matrix is checked for non-finite values once and then formatted
-in blocks of rows (by floattext, which computes exactly the bytes of one
-'%.17g' format per row with numpy), so a large CSV is never held in memory
-as text. A large matrix is split into contiguous row ranges that are
-formatted on the CPUs available to the process (forked workers write their
-ranges to part files that are appended in row order), so its bytes do not
-depend on the CPU count or affinity.
+A float matrix is a 2-D array or a row source (RowSource): an object with
+a shape and rows(lo, hi), which forms rows lo:hi on request, so a matrix
+that results hold as factors exists only block by block inside the
+writer. It is formed, checked for non-finite values and formatted in
+blocks of at most BLOCK_ROWS rows (by floattext, which computes exactly
+the bytes of one '%.17g' format per row with numpy), so a large CSV is
+never held in memory as text. A large matrix is split into contiguous row
+ranges that are formed and formatted on the CPUs available to the process
+(forked workers write their ranges to part files that are appended in row
+order), so its bytes do not depend on the CPU count or affinity.
 """
 from __future__ import annotations
 
@@ -26,8 +29,9 @@ import shutil
 import signal
 import tempfile
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -118,6 +122,39 @@ def _csv_cell(cell) -> str:
 #: A second worker saves ~30% at 2**20 cells but only ~8% at 2**19.
 CELLS_PER_WORKER = 2**19
 
+#: Rows of a matrix that are formed and formatted at a time. A block that
+#: straddles two workers' ranges is formed by both; lorenz-pod's 10000 rows
+#: make ten blocks, so two workers meet at a block edge.
+BLOCK_ROWS = 1024
+
+#: Exit status of a worker that refused a value (a ValueError, such as a
+#: non-finite cell); it leaves the error's text in its part file.
+_REFUSED = 3
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """A float matrix formed on request: rows(lo, hi) returns its rows
+    lo:hi as a 2-D float64 array with shape[1] columns. A plain 2-D
+    float64 array is the trivial source."""
+
+    shape: tuple[int, int]
+    rows: Callable[[int, int], np.ndarray]
+
+
+def row_blocks(nrows: int) -> list[tuple[int, int]]:
+    """The blocks in which the rows of an nrows-row matrix are formed: the
+    fewest near-equal ones of at most BLOCK_ROWS rows.
+
+    Every consumer forms a row in the same block, whatever range of rows
+    it wants, because a product's bits can depend on the number of rows
+    BLAS is given: a one-row block goes to the matrix-vector kernel, and
+    OpenBLAS gives small products kernels of their own.
+    """
+    count = max(1, -(-nrows // BLOCK_ROWS))
+    cuts = [nrows * i // count for i in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
 
 def _check_finite(rows: np.ndarray) -> None:
     # min and max carry a NaN or an infinity out without a cell-sized mask.
@@ -127,49 +164,72 @@ def _check_finite(rows: np.ndarray) -> None:
 
 def format_rows(rows: np.ndarray) -> str:
     """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite."""
-    _check_finite(rows)
     out = io.StringIO()
     _write_rows(out, rows)
     return out.getvalue()
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
+    """Check a 2-D float64 block for non-finite cells, then write its lines."""
     from . import floattext  # imported on first use: it builds tables
 
+    _check_finite(rows)
     for text in floattext.lines(rows):
         fh.write(text)
 
 
-def _format_part(fd: int, rows: np.ndarray) -> None:
-    """Forked child: write rows to the part file open on fd, then exit.
+def _write_range(fh, matrix, lo: int, hi: int) -> None:
+    """Form, check and write rows lo:hi of a matrix, block by block. A
+    block of row_blocks that straddles lo or hi is formed whole, and only
+    its rows in lo:hi are written."""
+    array = isinstance(matrix, np.ndarray)
+    for start, stop in row_blocks(matrix.shape[0]):
+        if start < hi and stop > lo:
+            block = matrix[start:stop] if array else matrix.rows(start, stop)
+            _write_rows(fh, block[max(lo, start) - start:min(hi, stop) - start])
+
+
+def _format_part(fd: int, part: str, matrix, lo: int, hi: int) -> None:
+    """Forked child: write rows lo:hi of matrix to the part file open on
+    fd, then exit. A ValueError (a non-finite cell) leaves its text in
+    the part and exits _REFUSED; any other error exits 1.
 
     os._exit skips the parent's inherited buffers and exit handlers.
     """
     code = 1
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as out:
-            _write_rows(out, rows)
-        code = 0
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as out:
+                _write_range(out, matrix, lo, hi)
+            code = 0
+        except ValueError as exc:
+            Path(part).write_text(str(exc), encoding="utf-8")
+            code = _REFUSED
     finally:
         os._exit(code)
 
 
-def _write_matrix(fh, rows: np.ndarray, workers: int, target: Path) -> None:
-    """Write rows to fh, formatting up to workers contiguous row ranges at once.
+def _write_matrix(fh, matrix, workers: int, target: Path) -> None:
+    """Write a matrix (an array or a row source) to fh, forming and
+    formatting up to workers contiguous row ranges at once.
 
     The first range is formatted here, into fh. Each other range goes to a
-    forked child that writes a part file beside target, and the parts are appended
-    in row order, so the bytes equal those of one _write_rows call. A child
-    that fails raises OSError. On any exception the children are killed and
-    reaped, and every part file is removed.
+    forked child that forms its own rows and writes them to a part file
+    beside target, and the parts are appended in row order. Each row is
+    formed in its block of row_blocks, whatever the ranges, so the bytes
+    equal those of one range. A child that refuses a value raises its
+    ValueError here, in row order, so the first non-finite cell is the one
+    named; a child that fails otherwise raises OSError. On any exception
+    the children are killed and reaped, and every part file is removed.
     """
     from . import floattext  # loaded before any fork, so the workers inherit its tables
 
-    workers = min(workers, len(rows))
+    nrows = matrix.shape[0]
+    workers = min(workers, nrows)
     if workers <= 1 or not hasattr(os, "fork"):
-        _write_rows(fh, rows)
+        _write_range(fh, matrix, 0, nrows)
         return
-    cuts = [len(rows) * i // workers for i in range(workers + 1)]
+    cuts = [nrows * i // workers for i in range(workers + 1)]
     running: list[int] = []
     parts: list[str] = []
     try:
@@ -180,16 +240,18 @@ def _write_matrix(fh, rows: np.ndarray, workers: int, target: Path) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _format_part(fd, rows[start:stop])
+                    _format_part(fd, part, matrix, start, stop)
             finally:
                 os.close(fd)
             running.append(pid)
-        _write_rows(fh, rows[: cuts[1]])
+        _write_range(fh, matrix, 0, cuts[1])
         fh.flush()
         for pid, part, start, stop in zip(list(running), parts, cuts[1:-1], cuts[2:]):
             _, status = os.waitpid(pid, 0)
             running.remove(pid)
             code = os.waitstatus_to_exitcode(status)
+            if code == _REFUSED:
+                raise ValueError(Path(part).read_text(encoding="utf-8"))
             if code != 0:
                 raise OSError(f"formatting rows {start}:{stop} of {target.name} "
                               f"failed in a worker process (exit status {code})")
@@ -203,25 +265,31 @@ def _write_matrix(fh, rows: np.ndarray, workers: int, target: Path) -> None:
             os.unlink(part)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] | RowSource) -> None:
     """CSV with comma separator, '.' decimal point, LF endings, header row.
 
-    rows is either a 2-D float64 array, every cell of which must be finite,
-    or an iterable of row sequences. In the latter, floats are formatted
-    with 17 significant digits, None becomes an empty cell and any other
-    cell is written as str(cell). Both forms give the same bytes for the
-    same float values. An array is split into min(available CPUs,
-    cells // CELLS_PER_WORKER) row ranges that are formatted in parallel,
-    with the same bytes.
+    rows is a float matrix, every cell of which must be finite: a 2-D
+    float64 array, or a row source (RowSource, or any object with its
+    shape and rows(lo, hi)) whose rows are formed block by block as they
+    are written. Or it is an iterable of row sequences, in which floats
+    are formatted with 17 significant digits, None becomes an empty cell
+    and any other cell is written as str(cell). All forms give the same
+    bytes for the same float values. A matrix is split into min(available
+    CPUs, cells // CELLS_PER_WORKER) row ranges that are formed and
+    formatted in parallel, with the same bytes. An array is checked whole
+    before anything is written or forked; a source, block by block, and a
+    non-finite cell leaves no file behind either way.
     """
-    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
-    if matrix:
+    array = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+    matrix = array or hasattr(rows, "rows")
+    if array:
         _check_finite(rows)
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         if matrix:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            _write_matrix(fh, rows, min(cpus, rows.size // CELLS_PER_WORKER), Path(path))
+            cells = rows.shape[0] * rows.shape[1]
+            _write_matrix(fh, rows, min(cpus, cells // CELLS_PER_WORKER), Path(path))
         else:
             writer.writerows([_csv_cell(cell) for cell in row] for row in rows)

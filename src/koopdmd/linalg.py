@@ -62,7 +62,8 @@ class SvdResult:
 
     W: (rows x w) column-orthonormal leading left singular vectors, where
         w >= the count the rank rule of svd keeps (equal for a tall
-        matrix); w = r without a rule.
+        matrix); w = r without a rule. Read-only from svd, so callers
+        that share the factors hold views of one W.
     S: (r,) singular values, descending, r = min(rows, cols).
     V: (cols x r) column-orthonormal right singular vectors.
     From svd, S and V hold np.linalg.svd's bits and W agrees with numpy's
@@ -116,11 +117,21 @@ def _tall_svd(a: np.ndarray, rank: RankRule | None) -> SvdResult:
     r = np.triu(q[:cols])
     _lapack(lapack_lite.dorgqr, rows, cols, cols, qt, rows, tau)
     u, s, vh = np.linalg.svd(r, full_matrices=False)
+    # W is allocated while Q lives, at a run's peak RSS: drop R and vh first.
+    del r
+    v = vh.T.copy()
+    del vh
     k = cols if rank is None else rank(s)
     w = np.empty((rows, k))
     for lo in range(0, rows, _BLOCK_ROWS):
         np.matmul(q[lo:lo + _BLOCK_ROWS], u[:, :k], out=w[lo:lo + _BLOCK_ROWS])
-    return SvdResult(W=w, S=s, V=vh.T.copy())
+    return _factors(w, s, v)
+
+
+def _factors(w: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:
+    """SvdResult with a read-only W: results that share it hold views."""
+    w.flags.writeable = False
+    return SvdResult(W=w, S=s, V=v)
 
 
 def svd(X, rank: RankRule | None = None) -> SvdResult:
@@ -144,7 +155,7 @@ def svd(X, rank: RankRule | None = None) -> SvdResult:
         w, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(W=w, S=s, V=vh.T.copy())
+    return _factors(w, s, vh.T.copy())
 
 
 def svd_of(X, factors: SvdResult | None = None, rank: RankRule | None = None) -> SvdResult:

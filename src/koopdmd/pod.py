@@ -6,18 +6,22 @@ principal coordinates (right singular vectors paired with the data
 column index), and basis functions sampled along the trajectory. Basis
 sample columns carry the sqrt(m) factor that makes them unit vectors in
 the empirical norm (1/sqrt(m)) * ||.||_2, the trajectory-average
-surrogate for the underlying function-space norm.
+surrogate for the underlying function-space norm. A result holds its
+basis as a factor and a scale (for ergodic_pod, the SVD's own W and
+sqrt(m)); pod_basis.csv is formed from them block by block by the CSV
+writer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .embed import HankelBlock
 from .errors import DecompositionError
-from .ioutil import write_csv, write_json
+from .ioutil import RowSource, write_csv, write_json
 
 #: Adjacent singular values closer than this (relative) flag degeneracy.
 _DEGENERACY_RTOL = 1e-10
@@ -30,9 +34,13 @@ class PodResult:
     singular_values: descending, the k values above the rank cut.
     principal_coords: (n_snapshots x k); column j is the coordinate
         vector of basis function j, indexed against the data column index.
-    basis_samples: (m x k); column j samples basis function j along the
-        trajectory, scaled so its empirical norm is 1 (sqrt(m) included).
-        From ergodic_pod it is the kept columns of W, scaled in place.
+    W, scale: the basis as scale * W. From ergodic_pod, W is a read-only
+        view of the kept columns of the SVD's left singular vectors (the
+        one W a run holds) and scale is sqrt(m); from pod_snapshots, W is
+        the basis itself and scale is 1.
+    basis_samples: (property, m x k) scale * W, formed once on first use;
+        column j samples basis function j along the trajectory, scaled so
+        its empirical norm is 1.
     degenerate: True when two retained singular values coincide to
         relative precision 1e-10, in which case the individual vectors
         within the tied group are basis-dependent (their span is not).
@@ -40,10 +48,15 @@ class PodResult:
 
     singular_values: np.ndarray
     principal_coords: np.ndarray
-    basis_samples: np.ndarray
+    W: np.ndarray
+    scale: float
     m: int
     k: int
     degenerate: bool = False
+
+    @cached_property
+    def basis_samples(self) -> np.ndarray:
+        return self.scale * self.W
 
 
 def _flag_degenerate(sigma: np.ndarray) -> bool:
@@ -99,7 +112,8 @@ def pod_snapshots(G, F_samples) -> PodResult:
     return PodResult(
         singular_values=sigma,
         principal_coords=evecs,
-        basis_samples=basis,
+        W=basis,
+        scale=1.0,
         m=f.shape[0],
         k=int(sigma.size),
         degenerate=_flag_degenerate(sigma),
@@ -122,24 +136,22 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     The SVD H = W diag(S) V^T (m = row count) gives the POD of the
     empirical Gramian (1/m) H^T H: singular values S / sqrt(m), principal
     coordinates V, and basis functions sampled along the trajectory as
-    sqrt(m) W. It keeps retained_rank(S) columns, and scales those columns
-    of W in place into basis_samples, so the basis is never a second m x k
-    array. factors, when given, is the SVD of block.H computed elsewhere
-    (for a lone unscaled block, the one Hankel DMD also uses), whose W
-    holds at least the kept columns: this call consumes factors.W, so it
-    must be the factors' last user.
+    sqrt(m) W. It keeps retained_rank(S) columns and holds them as a view
+    of W with the scale sqrt(m), so the basis is never a second m x k
+    array and W is left as it is. factors, when given, is the SVD of
+    block.H computed elsewhere (for a lone unscaled block, the one Hankel
+    DMD also uses), whose W holds at least the kept columns.
     """
     h = block.H
     m = h.shape[0]
     r = linalg.svd_of(h, factors, linalg.numerical_rank)
     k = retained_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
-    basis = r.W[:, :k]
-    basis *= np.sqrt(m)
     return PodResult(
         singular_values=sigma,
         principal_coords=r.V[:, :k],
-        basis_samples=basis,
+        W=r.W[:, :k],
+        scale=float(np.sqrt(m)),
         m=m,
         k=k,
         degenerate=_flag_degenerate(sigma),
@@ -189,9 +201,11 @@ def write_result_json(result: PodResult, path) -> None:
 
 
 def write_basis_csv(result: PodResult, path) -> None:
-    """Basis samples, one column per retained basis function."""
+    """Basis samples, one column per retained basis function, formed
+    block by block by the writer."""
     header = [f"psi{j + 1}" for j in range(result.k)]
-    write_csv(path, header, result.basis_samples)
+    write_csv(path, header,
+              RowSource(result.W.shape, lambda lo, hi: result.scale * result.W[lo:hi]))
 
 
 def write_coords_csv(result: PodResult, path) -> None:

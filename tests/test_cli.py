@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import analysis, cli, dmd, embed, linalg, systems
+from fresh_process import run_fresh
+from koopdmd import analysis, cli, dmd, embed, ioutil, linalg, systems
 from koopdmd.errors import ConfigError
 
 
@@ -710,19 +712,53 @@ class TestSharedFactorization:
         assert result.data.X.shape == (150, 63)
 
     def test_pod_basis_is_the_shared_w(self, tmp_path, monkeypatch):
-        # DMD reads the one W first; POD then scales it in place into its basis.
-        factors = []
+        # POD and DMD hold views of the one W and leave it untouched: no
+        # second m x k array is kept, and the writer forms the rows.
+        factors, before = [], []
         svd = linalg.svd
 
         def recording(x, *args, **kwargs):
             factors.append(svd(x, *args, **kwargs))
+            before.append(factors[-1].W.copy())
             return factors[-1]
 
         monkeypatch.setattr(linalg, "svd", recording)
         result = cli.execute(cli.parse_config(rotation_config(tmp_path)))
         assert len(factors) == 1
-        assert np.shares_memory(result.pod_result.basis_samples, factors[0].W)
+        w = factors[0].W
+        assert np.shares_memory(result.pod_result.W, w)
+        assert np.shares_memory(result.dmd_result.source.W, w)
+        assert np.array_equal(w, before[0]) and not w.flags.writeable
+        assert "modes" not in vars(result.dmd_result)  # the full array was never formed
         assert np.array_equal(result.dmd_result.modes, dmd.hankel_dmd(result.data).modes)
+
+    def test_run_forms_no_mode_array_and_keeps_w(self, tmp_path):
+        # A lorenz-pod run grows its peak RSS past the shared SVD by less
+        # than 5% of an m x k complex array (forming the whole mode array
+        # grows it by about 20%), and leaves W as the SVD returned it.
+        # Measured in a forked child of a fresh process, whose ru_maxrss is
+        # its own.
+        script = f"""
+import hashlib, resource, sys
+from koopdmd import cli, linalg
+unit = 1 if sys.platform == "darwin" else 1024
+svd, seen = linalg.svd, {{}}
+def recording(x, rank=None):
+    r = svd(x, rank)
+    seen["peak"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    seen["W"], seen["digest"] = r.W, hashlib.sha256(r.W).digest()
+    return r
+linalg.svd = recording
+raw = cli.recipe_config("lorenz-pod")
+raw["output_dir"] = {str(tmp_path)!r}
+result = cli.execute(cli.parse_config(raw, "lorenz-pod"))
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - seen["peak"]) * unit
+m, k = result.data.X.shape[0], result.dmd_result.rank_kept
+print(grown / (16 * m * k), hashlib.sha256(seen["W"]).digest() == seen["digest"])
+"""
+        grown, unchanged = run_fresh(script, forked=True).split()
+        assert float(grown) <= 0.05
+        assert unchanged == "True"
 
 
 class TestMain:
@@ -760,6 +796,29 @@ class TestMain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=60, n=8, steps=30)))
         assert cli.main(["run", str(path)]) == 2
+
+    def test_non_finite_mode_row_from_a_worker_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Mode rows are formed in the CSV writer's forked workers, after the
+        # parent has forked: a non-finite one still exits 2 with one line and
+        # leaves neither modes.csv nor a temp or part file.
+        parent, formed = os.getpid(), dmd._projected_modes
+
+        def poisoned(w, vecs, second, out=None):
+            modes = formed(w, vecs, second, out)
+            if os.getpid() != parent:
+                modes[-1, 0] = complex(np.nan, 0.0)
+            return modes
+
+        monkeypatch.setattr(dmd, "_projected_modes", poisoned)
+        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: refusing to serialize non-finite value nan\n"
+        left = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert "modes.csv" not in left and "pod_basis.csv" in left
+        assert not [name for name in left if name.endswith((".tmp", ".part"))]
 
     @pytest.mark.parametrize("expression, sample", [("log(z1 - 10)", 0), ("log(1 - z1)", 2)])
     def test_non_finite_observable_is_one_named_line(self, tmp_path, capsys, expression, sample):

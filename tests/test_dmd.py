@@ -432,7 +432,7 @@ class TestPairedModes:
         assert pairs >= 20
 
     def assert_direct(self, w, vals, vecs, paired):
-        modes = dmd._projected_modes(w, vals, vecs)
+        modes = dmd._mode_factors(w, vals, vecs).array()
         direct = dmd._unit_columns(w.astype(complex) @ vecs)
         assert np.all(np.max(np.abs(modes - direct), axis=0) <= 1e-15)
         assert list(adjacent_pairs(vals)) == paired
@@ -477,7 +477,7 @@ class TestPairedModes:
         er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
         tracemalloc.start()
         try:
-            modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
+            modes = dmd._mode_factors(w, er.eigenvalues, er.eigenvectors).array()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,7 +499,7 @@ w /= np.sqrt(m)
 er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
 unit = 1 if sys.platform == "darwin" else 1024
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
+modes = dmd._mode_factors(w, er.eigenvalues, er.eigenvectors).array()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * unit / modes.nbytes)
 """

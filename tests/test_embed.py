@@ -458,3 +458,31 @@ class TestCsvFastPath:
         monkeypatch.setattr(embed, "_parse_lines", refuse)
         back = embed.read_timeseries_csv(path)
         assert all(np.array_equal(b.values, v) for b, v in zip(back, vals.T))
+
+    @given(text=csv_texts(), chars=st.integers(1, 9))
+    @example(text="t,f\r\n0,1\r\n1,2\r\n", chars=4)  # '\r\n' split between two reads
+    @example(text="t,f\n0,1\n1,2\n2,\x1f3\n", chars=3)  # U+001F after the first read
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_small_reads_match_per_line_reader(self, tmp_path, monkeypatch, text, chars):
+        # Lines, line ends and U+001F that straddle two reads of the file.
+        monkeypatch.setattr(embed, "_READ_CHARS", chars)
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_or_message(embed.read_timeseries_csv, path)
+        assert got == read_or_message(read_csv_reference, path)
+
+    def test_streams_without_holding_the_text(self, tmp_path):
+        vals = np.random.default_rng(3).standard_normal((20000, 3))
+        path = tmp_path / "big.csv"
+        embed.write_timeseries_csv(path, [TimeSeries(v, 0.1) for v in vals.T])
+        tracemalloc.start()
+        try:
+            back = embed.read_timeseries_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(b.values, v) for b, v in zip(back, vals.T))
+        assert peak <= path.stat().st_size

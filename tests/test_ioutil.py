@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopdmd import dmd, floattext, ioutil
+from koopdmd import dmd, embed, floattext, ioutil
 from koopdmd.dmd import DmdResult
+from koopdmd.embed import TimeSeries
 
 
 def reference_csv(header, matrix) -> str:
@@ -250,6 +251,27 @@ class TestWorkers:
         assert leftovers(tmp_path) == []
         assert_no_children()
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_row_formed_in_a_worker_is_refused(self, tmp_path, monkeypatch, bad):
+        # A row source is checked block by block where the rows are formed,
+        # here only in a forked worker: its refusal reaches the parent with
+        # the message the parent would give, and leaves no file behind.
+        parent = os.getpid()
+        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def rows(lo, hi):
+            block = np.ones((hi - lo, 8))
+            if os.getpid() != parent and lo <= 290 < hi:
+                block[290 - lo, 3] = bad
+            return block
+
+        with pytest.raises(ValueError) as exc:
+            ioutil.write_csv(tmp_path / "a.csv", ["x"] * 8, ioutil.RowSource((300, 8), rows))
+        assert str(exc.value) == f"refusing to serialize non-finite value {bad!r}"
+        assert leftovers(tmp_path) == []
+        assert_no_children()
+
     def test_non_finite_refused_before_any_fork(self, tmp_path, monkeypatch):
         def no_fork():
             raise AssertionError("forked before the finiteness check")
@@ -269,7 +291,7 @@ class TestModesCsv:
         modes[0, 0] = complex(-0.0, 5e-324)
         # Column selection as in the DMD variants: not C-contiguous.
         modes = modes[:, [2, 0, 3, 1]]
-        res = DmdResult(eigenvalues=np.ones(4, dtype=complex), modes=modes,
+        res = DmdResult(eigenvalues=np.ones(4, dtype=complex), source=modes,
                         projected_modes=None, rank_kept=4, residual=0.0,
                         algorithm="hankel", dt=1.0)
         dmd.write_modes_csv(res, tmp_path / "modes.csv")
@@ -277,9 +299,29 @@ class TestModesCsv:
         header = [f"mode{j + 1}_{part}" for j in range(4) for part in ("re", "im")]
         assert (tmp_path / "modes.csv").read_text() == reference_csv(header, stacked)
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_factors_give_the_bytes_of_the_mode_array(self, tmp_path, monkeypatch, cpus):
+        # A hankel result's modes.csv is formed in the writer, block by
+        # block and across workers, with the bytes of the whole mode array:
+        # each row is formed in the same block, whatever the CPU count.
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 4000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        series = TimeSeries(np.random.default_rng(4).standard_normal(700), 1.0)
+        data = embed.composite([embed.hankel(series, m=600, n=40)])
+        want = np.ascontiguousarray(dmd.hankel_dmd(data).modes).view(np.float64)
+        res = dmd.hankel_dmd(data)
+        dmd.write_modes_csv(res, tmp_path / "modes.csv")
+        header = [f"mode{j + 1}_{part}" for j in range(want.shape[1] // 2)
+                  for part in ("re", "im")]
+        same = (tmp_path / "modes.csv").read_text() == reference_csv(header, want)
+        assert same  # a bool: pytest's diff of two long texts takes minutes
+        assert "modes" not in vars(res)  # no m x k array was formed
+        assert np.array_equal(res.columns([5])[:, 0], want[:, 10] + 1j * want[:, 11])
+
     def test_real_modes_get_zero_imaginary_columns(self, tmp_path):
         modes = np.arange(6.0).reshape(3, 2)
-        res = DmdResult(eigenvalues=np.ones(2), modes=modes, projected_modes=None,
+        res = DmdResult(eigenvalues=np.ones(2), source=modes, projected_modes=None,
                         rank_kept=2, residual=0.0, algorithm="svd", dt=1.0)
         dmd.write_modes_csv(res, tmp_path / "modes.csv")
         lines = (tmp_path / "modes.csv").read_text().splitlines()

@@ -145,13 +145,14 @@ class TestErgodic:
         with pytest.raises(ValueError, match="factors"):
             pod.ergodic_pod(blk, factors=linalg.svd(blk.H[:, 1:]))
 
-    def test_basis_is_the_fresh_w_scaled_in_place(self, monkeypatch):
-        # Without factors, ergodic_pod scales the kept columns of its own W
-        # into the basis: beyond the SVD it allocates no second m x k array.
+    def test_basis_is_the_fresh_w_unscaled(self, monkeypatch):
+        # Without factors, ergodic_pod holds a view of its own W and the
+        # scale sqrt(m): beyond the SVD it allocates no second m x k array,
+        # and W is left as the SVD returned it.
         rng = np.random.default_rng(5)
         blk = embed.hankel(TimeSeries(rng.standard_normal(4100), 1.0), m=4000, n=99)
         r = linalg.svd(blk.H, linalg.numerical_rank)
-        want = np.sqrt(blk.m) * r.W
+        before = r.W.copy()
         monkeypatch.setattr(linalg, "svd", lambda x, rank=None: r)
         tracemalloc.start()
         try:
@@ -159,9 +160,10 @@ class TestErgodic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.k == 100 and np.shares_memory(res.basis_samples, r.W)
-        assert np.array_equal(res.basis_samples, want)
-        assert peak <= 0.05 * res.basis_samples.nbytes
+        assert res.k == 100 and np.shares_memory(res.W, r.W)
+        assert np.array_equal(r.W, before)
+        assert peak <= 0.05 * r.W.nbytes
+        assert np.array_equal(res.basis_samples, np.sqrt(blk.m) * before)
 
     @given(st.integers(0, 300), st.integers(2, 6), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
