@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Check that two source trees of koopdmd write the same bytes.
 
-Runs every target once under each tree, each in a fresh `koopdmd run`
-process at one BLAS thread unless --blas-threads says otherwise (the
-thread count can move roundoff, so compare at each count that matters), and
+Runs every target under each tree, each in a fresh `koopdmd run` process,
+once per BLAS thread count of --blas-threads (default one thread; the
+count can move roundoff, so compare at each count that matters), and
 compares the two output directories file by file and the two stdouts with
 the output path masked. The targets are the five recipes, the csv-ingest
 config of perfbench (its generator, seed 0), and `companion`, `svd` and
@@ -11,11 +11,13 @@ config of perfbench (its generator, seed 0), and `companion`, `svd` and
 by that algorithm, so each algorithm runs on one Hankel block.
 
 Usage: python3 scripts/compare_artifacts.py OLD_SRC NEW_SRC [--targets T ...]
-                                           [--blas-threads N]
+                                           [--blas-threads N ...]
 
 OLD_SRC and NEW_SRC are directories holding a `koopdmd` package, such as
 `src` and a copy made with `git archive HEAD src | tar -x -C old`. Prints
-one line per target and exits 1 if any target differs.
+one line per target, `<target>: ...`, or with several thread counts one
+line per target and count, `<target>, BLAS threads N: ...`, and exits 1
+if any run differs.
 """
 
 import argparse
@@ -86,10 +88,10 @@ def main() -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--targets", nargs="+", choices=TARGETS, default=list(TARGETS))
-    parser.add_argument("--blas-threads", type=int, default=1, metavar="N",
-                        help="BLAS threads of every run (default 1)")
+    parser.add_argument("--blas-threads", type=int, nargs="+", default=[1], metavar="N",
+                        help="BLAS threads of every run; each count runs every target (default 1)")
     args = parser.parse_args()
-    if args.blas_threads < 1:
+    if min(args.blas_threads) < 1:
         parser.error("--blas-threads must be >= 1")
     sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     failed = False
@@ -102,22 +104,24 @@ def main() -> int:
                 target = lone_block_config(work, sides["new"], name)
             else:
                 target = name
-            runs = {side: run(src, target, work / side / name, args.blas_threads)
-                    for side, src in sides.items()}
-            files = differing_files(work / "old" / name, work / "new" / name)
-            problems = []
-            if runs["old"][0] or runs["new"][0]:
-                problems.append(f"exit codes {runs['old'][0]} / {runs['new'][0]}")
-            if files:
-                problems.append("artifacts differ: " + ", ".join(files))
-            if runs["old"][1] != runs["new"][1]:
-                problems.append("stdout differs")
-            count = len(list((work / "new" / name).glob("*")))
-            print(f"{name}: " + ("; ".join(problems) if problems else
-                                 f"{count} artifacts byte-identical, stdout identical"))
-            for side in sides:  # lorenz-pod writes ~210 MB per side
-                shutil.rmtree(work / side / name, ignore_errors=True)
-            failed = failed or bool(problems)
+            for threads in args.blas_threads:
+                runs = {side: run(src, target, work / side / name, threads)
+                        for side, src in sides.items()}
+                files = differing_files(work / "old" / name, work / "new" / name)
+                problems = []
+                if runs["old"][0] or runs["new"][0]:
+                    problems.append(f"exit codes {runs['old'][0]} / {runs['new'][0]}")
+                if files:
+                    problems.append("artifacts differ: " + ", ".join(files))
+                if runs["old"][1] != runs["new"][1]:
+                    problems.append("stdout differs")
+                count = len(list((work / "new" / name).glob("*")))
+                label = name if len(args.blas_threads) == 1 else f"{name}, BLAS threads {threads}"
+                print(f"{label}: " + ("; ".join(problems) if problems else
+                                      f"{count} artifacts byte-identical, stdout identical"))
+                for side in sides:  # lorenz-pod writes ~200 MB per side
+                    shutil.rmtree(work / side / name, ignore_errors=True)
+                failed = failed or bool(problems)
     return 1 if failed else 0
 
 

@@ -1,7 +1,6 @@
 """Command line pipeline: simulate or ingest, embed, decompose, report.
 
     koopdmd run <config.json | recipe-name> [--out DIR] [--seed N]
-                [--threshold X] [--threshold-mode abs|rel]
     koopdmd recipes
     koopdmd --version
 
@@ -14,7 +13,8 @@ produce byte-identical outputs. --seed seeds the Lorenz default start
 (system.seed) or the equivalence suite (suite.seed_base); on a CSV source
 it is refused. The output directory is created once the input is read and
 embedded, so a refused input leaves none behind. POD and DMD cut their one
-SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-12.
+SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-12;
+the dmd section's keys alone change DMD's cut.
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
 to a suite, a system parameter that its kind does not read, system.seed
@@ -85,7 +85,6 @@ class SuiteConfig:
     count: int = 20
     dim: int = 4
     seed_base: int = 0
-    tol: float = 1e-8
 
     def __post_init__(self):
         _check(_integer(self.count) and self.count >= 1,
@@ -93,8 +92,6 @@ class SuiteConfig:
         _check(_integer(self.dim) and self.dim >= 2, f"dim: integer >= 2, got {self.dim!r}")
         _check(_integer(self.seed_base) and self.seed_base >= 0,
                f"seed_base: integer >= 0 required, got {self.seed_base!r}")
-        _check(_real(self.tol) and self.tol > 0, f"tol: positive number, got {self.tol!r}")
-        object.__setattr__(self, "tol", float(self.tol))
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class DmdConfig:
             for name in ("svd_threshold", "threshold_mode"):
                 _check(getattr(self, name) is None,
                        f"{name}: the {self.algorithm} algorithm truncates nothing; "
-                       "drop the key (or --threshold/--threshold-mode)")
+                       "drop the key")
             return
         threshold = (linalg.DEFAULT_RANK_TOL if self.svd_threshold is None
                      else self.svd_threshold)
@@ -666,6 +663,11 @@ def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=N
     return summary
 
 
+#: Largest eigenvalue disagreement and exact-vs-projected mode gap with
+#: which the equivalence suite passes.
+SUITE_TOL = 1e-8
+
+
 def run_equivalence_suite(cfg: SuiteConfig) -> dict:
     """Companion / svd-enhanced / exact DMD agreement on seeded linear maps.
 
@@ -673,7 +675,7 @@ def run_equivalence_suite(cfg: SuiteConfig) -> dict:
     sequential states, and runs all three variants; eigenvalue multisets
     are compared pairwise after sorting by (re, im), and exact modes are
     compared against projected modes (the data range contains its own
-    one-step image, so they must coincide).
+    one-step image, so they must coincide). Both gaps pass at SUITE_TOL.
     """
     per_seed = []
     worst_eig = 0.0
@@ -707,11 +709,11 @@ def run_equivalence_suite(cfg: SuiteConfig) -> dict:
     return {
         "suite": "equivalence",
         "dim": cfg.dim,
-        "tol": cfg.tol,
+        "tol": SUITE_TOL,
         "per_seed": per_seed,
         "max_eigenvalue_disagreement": worst_eig,
         "max_exact_vs_projected": worst_mode,
-        "pass": bool(worst_eig <= cfg.tol and worst_mode <= cfg.tol),
+        "pass": bool(worst_eig <= SUITE_TOL and worst_mode <= SUITE_TOL),
     }
 
 
@@ -749,13 +751,9 @@ def _apply_overrides(raw, args) -> None:
         raw["output_dir"] = args.out
     _require(args.seed is None or raw.get("csv") is None,
              "--seed: a CSV source has nothing to seed; drop it")
-    if (args.threshold, args.threshold_mode) != (None, None) and raw.get("dmd") is None:
-        raw["dmd"] = {}
-    for section, key, value in (("dmd", "svd_threshold", args.threshold),
-                                ("dmd", "threshold_mode", args.threshold_mode),
-                                ("system", "seed", args.seed), ("suite", "seed_base", args.seed)):
-        if value is not None and isinstance(raw.get(section), dict):
-            raw[section][key] = value
+    for section, key in (("system", "seed"), ("suite", "seed_base")):
+        if args.seed is not None and isinstance(raw.get(section), dict):
+            raw[section][key] = args.seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -769,9 +767,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("target", help="path to a JSON config, or a recipe name")
     run_p.add_argument("--out", help="output directory (overrides config output_dir)")
     run_p.add_argument("--seed", type=int, help="seed of lorenz's default start or the suite")
-    run_p.add_argument("--threshold", type=float, help="DMD truncation threshold (1e-12)")
-    run_p.add_argument("--threshold-mode", choices=("abs", "rel"), dest="threshold_mode",
-                       help="interpret the threshold as absolute or relative to sigma_max")
     sub.add_parser("recipes", help="list built-in recipes")
     return parser
 

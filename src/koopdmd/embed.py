@@ -352,8 +352,8 @@ def _series(path, lines, fast: bool) -> list[TimeSeries]:
     ]
 
 
-def write_timeseries_csv(path, series_list: list[TimeSeries], t0: float = 0.0) -> None:
-    """Write aligned single-channel series as 't,<label>...' CSV.
+def write_timeseries_csv(path, series_list: list[TimeSeries]) -> None:
+    """Write aligned single-channel series as 't,<label>...' CSV, t = i * dt.
 
     Floats carry 17 significant digits, so a read-back reproduces the
     sample values bit-exactly.
@@ -367,6 +367,6 @@ def write_timeseries_csv(path, series_list: list[TimeSeries], t0: float = 0.0) -
         if len(s) != len(first) or not math.isclose(s.dt, first.dt, rel_tol=1e-12):
             raise ValueError("all series in one CSV must share length and dt")
     header = "t," + ",".join(s.label for s in series_list)
-    t = t0 + np.arange(len(first)) * first.dt  # the IEEE operations of t0 + i * dt
+    t = np.arange(len(first)) * first.dt
     table = np.column_stack([t] + [s.values for s in series_list])
     atomic_write_text(path, header + "\n" + format_rows(table))

@@ -213,22 +213,20 @@ def _write_matrix(fh, matrix, workers: int, target: Path) -> None:
     """Write a matrix (an array or a row source) to fh, forming and
     formatting up to workers contiguous row ranges at once.
 
-    The first range is formatted here, into fh. Each other range goes to a
-    forked child that forms its own rows and writes them to a part file
-    beside target, and the parts are appended in row order. Each row is
-    formed in its block of row_blocks, whatever the ranges, so the bytes
-    equal those of one range. A child that refuses a value raises its
-    ValueError here, in row order, so the first non-finite cell is the one
-    named; a child that fails otherwise raises OSError. On any exception
-    the children are killed and reaped, and every part file is removed.
+    The first range is formatted here, into fh; without os.fork it is the
+    only one. Each other range goes to a forked child that forms its own
+    rows and writes them to a part file beside target, and the parts are
+    appended in row order. Each row is formed in its block of row_blocks,
+    whatever the ranges, so the bytes equal those of one range. A child
+    that refuses a value raises its ValueError here, in row order, so the
+    first non-finite cell is the one named; a child that fails otherwise
+    raises OSError. On any exception the children are killed and reaped,
+    and every part file is removed.
     """
     from . import floattext  # loaded before any fork, so the workers inherit its tables
 
     nrows = matrix.shape[0]
-    workers = min(workers, nrows)
-    if workers <= 1 or not hasattr(os, "fork"):
-        _write_range(fh, matrix, 0, nrows)
-        return
+    workers = max(1, min(workers, nrows)) if hasattr(os, "fork") else 1
     cuts = [nrows * i // workers for i in range(workers + 1)]
     running: list[int] = []
     parts: list[str] = []

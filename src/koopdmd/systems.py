@@ -344,17 +344,16 @@ def observe(traj: Trajectory, observable: Observable) -> TimeSeries:
     return TimeSeries(values=values, dt=traj.dt, label=observable.label)
 
 
-def seeded_linear_system(seed: int, dim: int = 4, steps: int | None = None) -> SystemSpec:
+def seeded_linear_system(seed: int, dim: int = 4) -> SystemSpec:
     """Random linear map with well-separated eigenvalues and a generic z0.
 
     Draws matrices (spectral radius normalized to 0.95) until the minimum
     pairwise eigenvalue gap is at least 0.05 and the sequential data matrix
     [z0, A z0, ..., A^{dim-1} z0] has condition number below 1e6, so the
-    companion-basis variant stays well-posed. Deterministic per seed.
+    companion-basis variant stays well-posed. The spec runs dim steps, so
+    it samples dim + 1 states. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    if steps is None:
-        steps = dim
     try:
         for _ in range(1000):
             a = rng.standard_normal((dim, dim))
@@ -374,7 +373,7 @@ def seeded_linear_system(seed: int, dim: int = 4, steps: int | None = None) -> S
                 cols.append(a @ cols[-1])
             if np.linalg.cond(np.column_stack(cols)) > 1e6:
                 continue
-            return SystemSpec("linear", {"matrix": a}, z0, 1.0, steps)
+            return SystemSpec("linear", {"matrix": a}, z0, 1.0, dim)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"seeded linear system {seed}: {exc}") from exc
     raise RuntimeError(f"no admissible linear system found for seed {seed}")  # pragma: no cover

@@ -311,9 +311,6 @@ class TestIgnoredKeysAreRefused:
         raw = {"suite": {"count": 2}, section: value}
         self.refused(capsys, tmp_path, raw, section)
 
-    def test_threshold_on_a_suite(self, tmp_path, capsys):
-        self.refused(capsys, tmp_path, "equivalence-suite", "dmd", "--threshold", "1e-3")
-
     def test_seed_next_to_z0(self, tmp_path, capsys):
         self.refused(capsys, tmp_path, "vdp-phase", "system.seed", "--seed", "3")
 
@@ -346,12 +343,6 @@ class TestIgnoredKeysAreRefused:
     def test_threshold_key_without_truncation(self, tmp_path, capsys, algorithm, key, value):
         raw = rotation_config(tmp_path, n=1, algorithm=algorithm, **{key: value})
         self.refused(capsys, tmp_path, raw, f"dmd.{key}")
-
-    @pytest.mark.parametrize("flags, key", [(("--threshold", "0.5"), "svd_threshold"),
-                                            (("--threshold-mode", "rel"), "threshold_mode")])
-    def test_threshold_flag_without_truncation(self, tmp_path, capsys, flags, key):
-        self.refused(capsys, tmp_path, rotation_config(tmp_path, n=1, algorithm="svd"),
-                     f"dmd.{key}", *flags)
 
     def test_lattice_bound_without_basics(self, tmp_path, capsys):
         raw = rotation_config(tmp_path)
@@ -576,7 +567,7 @@ class TestExecute:
     def test_equivalence_suite_small(self, tmp_path):
         raw = {
             "output_dir": str(tmp_path / "suite"),
-            "suite": {"count": 3, "dim": 4, "tol": 1e-8},
+            "suite": {"count": 3, "dim": 4},
         }
         result = cli.execute(cli.parse_config(raw))
         report = result.suite_report
@@ -584,6 +575,7 @@ class TestExecute:
         assert len(report["per_seed"]) == 3
         assert report["max_eigenvalue_disagreement"] <= 1e-8
         assert report["max_exact_vs_projected"] <= 1e-8
+        assert report["tol"] == cli.SUITE_TOL == 1e-8
         assert (tmp_path / "suite" / "equivalence.json").exists()
 
     def test_vdp_phase_export(self, tmp_path):
@@ -909,16 +901,25 @@ class TestMain:
         assert cli.main(["run", str(path)]) == 4
         assert capsys.readouterr().err.startswith("i/o error:")
 
-    def test_threshold_override(self, tmp_path):
+    def test_threshold_keys_reach_run_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
-        assert cli.main([
-            "run", str(path), "--threshold", "1e-2", "--threshold-mode", "rel",
-            "--out", str(tmp_path / "other"),
-        ]) == 0
+        raw = rotation_config(tmp_path / "out", svd_threshold=1e-2, threshold_mode="rel")
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "other")]) == 0
         meta = json.loads((tmp_path / "other" / "run.json").read_text())
         assert meta["dmd"]["svd_threshold"] == 0.01
         assert meta["dmd"]["threshold_mode"] == "rel"
+
+    @pytest.mark.parametrize("flags", [("--threshold", "1e-3"), ("--threshold-mode", "rel"),
+                                       ("--no-such-option", "1")])
+    def test_threshold_flags_are_unknown_options(self, tmp_path, monkeypatch, capsys, flags):
+        # The dmd section alone sets the truncation.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "rotation-check", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_override_changes_suite(self, tmp_path):
         raw = {"output_dir": str(tmp_path / "s"), "suite": {"count": 2}}
@@ -987,9 +988,14 @@ class TestMain:
         assert json.loads((tmp_path / "out" / "run.json").read_text())["phase_skipped"] == reason
         assert not (tmp_path / "out" / "phase.csv").exists()
 
-    def test_non_finite_threshold_is_refused(self, capsys):
-        assert cli.main(["run", "rotation-check", "--threshold", "nan"]) == 2
-        assert "dmd.svd_threshold" in capsys.readouterr().err
+    def test_non_finite_threshold_is_refused(self, tmp_path, capsys):
+        raw = cli.recipe_config("rotation-check")
+        raw["dmd"] = {"svd_threshold": float("nan")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))  # json writes and reads NaN
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: dmd.svd_threshold:")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_sets_lorenz_start(self, monkeypatch):
         runs = []

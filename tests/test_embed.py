@@ -286,15 +286,15 @@ class TestCsv:
         back = embed.read_timeseries_csv(path)[0]
         assert np.array_equal(back.values, vals)
 
-    @pytest.mark.parametrize("t0, dt", [(0.0, 0.01), (-3.7, 0.1), (1e5, 1 / 3)])
-    def test_bytes_equal_per_cell_output(self, tmp_path, t0, dt):
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 1 / 3])
+    def test_bytes_equal_per_cell_output(self, tmp_path, dt):
         rng = np.random.default_rng(11)
         vals = [rng.standard_normal(2500) * 10.0 ** rng.integers(-12, 12, 2500) for _ in range(3)]
         vals[0][:4] = [0.0, -0.0, 5e-324, 2251799813685247.75]
         series = [TimeSeries(v, dt, label=f"z{i}") for i, v in enumerate(vals)]
-        embed.write_timeseries_csv(tmp_path / "s.csv", series, t0=t0)
+        embed.write_timeseries_csv(tmp_path / "s.csv", series)
         lines = ["t,z0,z1,z2"] + [
-            ",".join(format(x, ".17g") for x in [t0 + i * dt] + [v[i] for v in vals])
+            ",".join(format(x, ".17g") for x in [i * dt] + [v[i] for v in vals])
             for i in range(2500)]
         assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from koopdmd import embed, linalg, pod, systems
+from koopdmd import embed, ioutil, linalg, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError
 
@@ -217,3 +218,21 @@ class TestWriters:
         assert basis.shape == (50, res.k)
         header = (tmp_path / "coords.csv").read_text().splitlines()[0]
         assert header.split(",") == [f"v{j + 1}" for j in range(res.k)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_basis_csv_gives_the_bytes_of_basis_samples(self, tmp_path, monkeypatch, cpus):
+        # pod_basis.csv is formed in the writer from W and its scale, block
+        # by block and across workers, with the bytes of the whole
+        # basis_samples array, whatever the CPU count.
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 4000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        series = TimeSeries(np.random.default_rng(4).standard_normal(700), 1.0)
+        res = pod.ergodic_pod(embed.hankel(series, m=600, n=40))
+        pod.write_basis_csv(res, tmp_path / "basis.csv")
+        assert "basis_samples" not in vars(res)  # the writer formed no m x k array
+        want = res.basis_samples
+        lines = [",".join(f"psi{j + 1}" for j in range(res.k))]
+        lines += [",".join(ioutil.format_float(x) for x in row) for row in want.tolist()]
+        same = (tmp_path / "basis.csv").read_text() == "\n".join(lines) + "\n"
+        assert same  # a bool: pytest's diff of two long texts takes minutes

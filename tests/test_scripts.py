@@ -47,6 +47,15 @@ def test_compare_artifacts_of_one_tree():
                    "companion: 9 artifacts byte-identical, stdout identical\n")
 
 
+def test_compare_artifacts_at_two_thread_counts():
+    src = str(ROOT / "src")
+    out = run_script("compare_artifacts.py", src, src, "--targets", "equivalence-suite",
+                     "--blas-threads", "1", "2")
+    same = "2 artifacts byte-identical, stdout identical\n"
+    assert out == (f"equivalence-suite, BLAS threads 1: {same}"
+                   f"equivalence-suite, BLAS threads 2: {same}")
+
+
 def test_readme_library_example(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -451,7 +452,7 @@ class TestSeededSystems:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seeded_linear_system_properties(self, seed):
-        spec = systems.seeded_linear_system(seed, dim=4, steps=8)
+        spec = dataclasses.replace(systems.seeded_linear_system(seed, dim=4), steps=8)
         a = np.asarray(spec.params["matrix"])
         assert a.shape == (4, 4)
         evals = np.linalg.eigvals(a)
