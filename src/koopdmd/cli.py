@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__, analysis, dmd, embed, ioutil, linalg, pod, systems
 from .analysis import MIN_NONTRIVIAL_OMEGA
-from .errors import ConfigError, KoopdmdError, NumericalError
+from .errors import ConfigError, DecompositionError, KoopdmdError, NumericalError
 from .ioutil import write_json
 from .systems import _integer, _real
 
@@ -332,18 +332,16 @@ def _validate_lengths(cfg: RunConfig) -> None:
 # Recipes
 
 
-def _lorenz_pod_config() -> dict:
-    return {
+#: name -> (description, raw config). recipe_config hands out copies.
+RECIPES = {
+    "lorenz-pod": ("Lorenz first-coordinate Hankel POD (m=10000, n=500)", {
         "system": {"kind": "lorenz", **systems.LORENZ_PARAMS, "seed": 2,
                    "dt": 0.01, "steps": 11500, "skip": 1000},
         "observables": [{"kind": "coordinate"}],
         "embedding": {"m": 10000, "n": 500},
         "output_dir": "out/lorenz-pod",
-    }
-
-
-def _vdp_phase_config() -> dict:
-    return {
+    }),
+    "vdp-phase": ("Van der Pol asymptotic phase from two interleaved trajectories", {
         "system": {"kind": "vanderpol", "mu": systems.VDP_MU,
                    "z0": [list(systems.VDP_Z1), list(systems.VDP_Z2)],
                    "dt": 0.1, "steps": 350},
@@ -351,22 +349,16 @@ def _vdp_phase_config() -> dict:
         "embedding": {"m": 250, "n": 100, "interleave": True},
         "analysis": {"export_phase": True},
         "output_dir": "out/vdp-phase",
-    }
-
-
-def _rotation_check_config() -> dict:
-    return {
+    }),
+    "rotation-check": ("circle rotation eigenvalue check (omega = pi/4)", {
         "system": {"kind": "circle", "omega": math.pi / 4, "z0": [0.0],
                    "dt": 1.0, "steps": 2008},
         "observables": [{"kind": "cos_angle"}],
         "embedding": {"m": 2000, "n": 8},
         "analysis": {"basics": [math.pi / 4]},
         "output_dir": "out/rotation-check",
-    }
-
-
-def _torus_synth_config() -> dict:
-    return {
+    }),
+    "torus-synth": ("synthetic two-frequency quasi-periodic signal, lattice recovery", {
         "system": {"kind": "torus", "omega1": 0.97624, "omega2": 0.60892,
                    "z0": [0.0, 0.0], "dt": 0.1, "steps": 6500},
         "observables": [{"kind": "custom",
@@ -374,24 +366,9 @@ def _torus_synth_config() -> dict:
         "embedding": {"m": 6000, "n": 500},
         "analysis": {"basics": [0.97624, 0.60892]},
         "output_dir": "out/torus-synth",
-    }
-
-
-def _equivalence_suite_config() -> dict:
-    return {"suite": {}, "output_dir": "out/equivalence-suite"}
-
-
-RECIPES = {
-    "lorenz-pod": (_lorenz_pod_config,
-                   "Lorenz first-coordinate Hankel POD (m=10000, n=500)"),
-    "vdp-phase": (_vdp_phase_config,
-                  "Van der Pol asymptotic phase from two interleaved trajectories"),
-    "rotation-check": (_rotation_check_config,
-                       "circle rotation eigenvalue check (omega = pi/4)"),
-    "torus-synth": (_torus_synth_config,
-                    "synthetic two-frequency quasi-periodic signal, lattice recovery"),
-    "equivalence-suite": (_equivalence_suite_config,
-                          "companion/svd/exact agreement on seeded linear systems"),
+    }),
+    "equivalence-suite": ("companion/svd/exact agreement on seeded linear systems",
+                          {"suite": {}, "output_dir": "out/equivalence-suite"}),
 }
 
 
@@ -399,7 +376,7 @@ def recipe_config(name: str) -> dict:
     """Raw config dict of a named recipe (copy, safe to modify)."""
     if name not in RECIPES:
         raise ConfigError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
-    return json.loads(json.dumps(RECIPES[name][0]()))
+    return json.loads(json.dumps(RECIPES[name][1]))
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +385,8 @@ def recipe_config(name: str) -> dict:
 
 @dataclass
 class RunResult:
-    """In-memory view of one run's outputs (files land in output_dir)."""
+    """The record of one run: its files in output_dir, and what run.json
+    and the command line's report read (_run_summary, main)."""
 
     config: RunConfig
     output_dir: Path
@@ -422,6 +400,14 @@ class RunResult:
     dominant: int | None = None  # index of analysis.dominant_nontrivial's mode
     phase_skipped: str | None = None  # why a requested phase.csv was not written
     suite_report: dict | None = None
+
+    @property
+    def dominant_freq(self) -> float | None:
+        """Frequency in rad/s of the dominant nontrivial mode, if there is one."""
+        if self.dominant is None:
+            return None
+        return analysis.eig_to_freq(self.dmd_result.eigenvalues[self.dominant],
+                                    self.dmd_result.dt)
 
 
 def _build_series(cfg: RunConfig):
@@ -492,8 +478,9 @@ def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
 
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     """Rows of the frequency table: positive-branch eigenvalues with their
-    lattice match and, for a rotation system with one start state, the
-    eigenfunction variance (their modes formed together, in one pass)."""
+    lattice match and, for a rotation system with one start state and one
+    basic per angle, the eigenfunction variance (their modes formed
+    together, in one pass)."""
     ana = cfg.analysis
     if ana.basics is None:
         return None
@@ -503,7 +490,7 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     listed = [(j, omega) for j, omega in listed if omega >= 0]
     samples = None
     if (trajectories is not None and cfg.system.kind in ("circle", "torus")
-            and len(trajectories) == 1):
+            and len(trajectories) == 1 and trajectories[0].states.shape[1] == len(ana.basics)):
         angles = trajectories[0].states[:: cfg.embedding.stride][: result.source.shape[0]]
         samples = result.columns([j for j, _ in listed])
     rows = []
@@ -544,20 +531,28 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, bloc
 def execute(cfg: RunConfig) -> RunResult:
     """Run a validated config; write artifacts into cfg.output_dir; return results."""
     out = Path(cfg.output_dir)
-    outputs: list[str] = []
-
     if cfg.suite is not None:
         report = run_equivalence_suite(cfg.suite)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "equivalence.json", report)
-        outputs.append("equivalence.json")
-        write_json(out / "run.json", _run_summary(cfg, outputs, suite=report))
-        outputs.append("run.json")
-        return RunResult(config=cfg, output_dir=out, outputs=outputs, suite_report=report)
+        result = RunResult(config=cfg, output_dir=out, outputs=["equivalence.json"],
+                           suite_report=report)
+    else:
+        result = _run_pipeline(cfg, out)
+    write_json(out / "run.json", _run_summary(result))
+    result.outputs.append("run.json")
+    return result
 
+
+def _run_pipeline(cfg: RunConfig, out: Path) -> RunResult:
+    """Every artifact of a system or CSV run but run.json."""
     series_list, trajectories, observed = _build_series(cfg)
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
+    # Here, wherever it sits: scale_factor would report a zero block as a
+    # zero-norm column, and the factorization only after files exist.
+    if not all(np.any(b.H) for b in blocks):
+        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
     scales = [1.0]
     for b in blocks[1:]:
         scales.append(embed.scale_factor(b, blocks[0]))
@@ -565,6 +560,7 @@ def execute(cfg: RunConfig) -> RunResult:
     # Only now: a refusal while the input is read or embedded leaves no
     # directory behind.
     out.mkdir(parents=True, exist_ok=True)
+    outputs: list[str] = []
 
     if trajectories is not None:
         for i, traj in enumerate(trajectories, start=1):
@@ -590,15 +586,14 @@ def execute(cfg: RunConfig) -> RunResult:
 
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
-    # keeps, and refuse a zero block before DMD reads the factors. Both
-    # results hold views of that one read-only W, and the rows of the
-    # modes and of POD's basis are formed only inside the CSV writer, block
-    # by block. So the run holds one m x k array, W, and lorenz-pod's peak
-    # RSS is set inside the SVD, where one copy of H and W coexist.
+    # keeps. Both results hold views of that one read-only W, and the rows
+    # of the modes and of POD's basis are formed only inside the CSV
+    # writer, block by block. So the run holds one m x k array, W, and
+    # lorenz-pod's peak RSS is set inside the SVD, where one copy of H and
+    # W coexist.
     factors = None
     if data.X is blocks[0].H:
         factors = linalg.svd(data.X, _shared_rank(cfg.dmd))
-        pod.retained_rank(factors.S)
     dmd_result = _run_decomposition(cfg, blocks, data, factors)
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
 
@@ -624,42 +619,38 @@ def execute(cfg: RunConfig) -> RunResult:
         _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks, trajectories)
         outputs.append("phase.csv")
 
-    write_json(out / "run.json", _run_summary(cfg, outputs, dmd_result=dmd_result,
-                                              dominant=dominant, pod_result=pod_result,
-                                              phase_skipped=phase_skipped))
-    outputs.append("run.json")
     return RunResult(config=cfg, output_dir=out, outputs=outputs,
                      trajectories=trajectories, blocks=blocks, data=data,
                      pod_result=pod_result, dmd_result=dmd_result,
                      frequency_rows=freq_rows, dominant=dominant, phase_skipped=phase_skipped)
 
 
-def _run_summary(cfg: RunConfig, outputs: list[str], dmd_result=None, dominant=None,
-                 pod_result=None, suite=None, phase_skipped=None) -> dict:
+def _run_summary(result: RunResult) -> dict:
+    """run.json: the run's record, outputs as written before run.json itself."""
+    cfg, d, p = result.config, result.dmd_result, result.pod_result
     summary: dict = {
         "recipe": cfg.recipe,
-        "outputs": sorted(outputs),
+        "outputs": sorted(result.outputs),
         "version": __version__,
     }
-    if dmd_result is not None:
+    if d is not None:
         summary["dmd"] = {
-            "algorithm": dmd_result.algorithm,
+            "algorithm": d.algorithm,
             "svd_threshold": cfg.dmd.svd_threshold,
             "threshold_mode": cfg.dmd.threshold_mode,
-            "rank_kept": dmd_result.rank_kept,
-            "residual": float(dmd_result.residual),
-            "dominant_nontrivial_freq": (
-                None if dominant is None
-                else analysis.eig_to_freq(dmd_result.eigenvalues[dominant], dmd_result.dt)),
+            "rank_kept": d.rank_kept,
+            "residual": float(d.residual),
+            "dominant_nontrivial_freq": result.dominant_freq,
         }
-        summary["dt"] = float(dmd_result.dt)
-    if phase_skipped is not None:
-        summary["phase_skipped"] = phase_skipped
-    if pod_result is not None:
-        summary["pod"] = {"k": pod_result.k,
-                          "top_singular_values": [float(s) for s in pod_result.singular_values[:8]]}
-    if suite is not None:
-        summary["suite"] = {"pass": suite["pass"], "count": len(suite["per_seed"])}
+        summary["dt"] = float(d.dt)
+    if result.phase_skipped is not None:
+        summary["phase_skipped"] = result.phase_skipped
+    if p is not None:
+        summary["pod"] = {"k": p.k,
+                          "top_singular_values": [float(s) for s in p.singular_values[:8]]}
+    if result.suite_report is not None:
+        summary["suite"] = {"pass": result.suite_report["pass"],
+                            "count": len(result.suite_report["per_seed"])}
     return summary
 
 
@@ -776,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "recipes":
             for name in sorted(RECIPES):
-                print(f"{name:20s} {RECIPES[name][1]}")
+                print(f"{name:20s} {RECIPES[name][0]}")
             return 0
         raw, recipe = _raw_config(args.target)
         _apply_overrides(raw, args)
@@ -786,9 +777,7 @@ def main(argv: list[str] | None = None) -> int:
         if result.phase_skipped is not None:
             print(f"warning: phase.csv not written: {result.phase_skipped}", file=sys.stderr)
         if result.dominant is not None:
-            omega = analysis.eig_to_freq(result.dmd_result.eigenvalues[result.dominant],
-                                         result.dmd_result.dt)
-            print(f"dominant nontrivial frequency: {omega:.6f} rad/s")
+            print(f"dominant nontrivial frequency: {result.dominant_freq:.6f} rad/s")
         if result.suite_report is not None:
             status = "pass" if result.suite_report["pass"] else "FAIL"
             print(f"equivalence suite: {status} "

@@ -603,6 +603,20 @@ class TestExecute:
         assert rows[True] == rows[False]
         assert all(r["eigfun_variance"] is not None for r in rows[True])
 
+    @pytest.mark.parametrize("raw", [
+        {**cli.recipe_config("torus-synth"), "analysis": {"basics": [0.97624]}},
+        {**rotation_config("unused"), "analysis": {"basics": [np.pi / 4, 1.0]}},
+    ], ids=["torus-one-basic", "circle-two-basics"])
+    def test_basics_count_other_than_angle_count_leaves_variance_blank(self, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "frequency_table.csv").read_text().splitlines()
+        assert lines[0].endswith(",eigfun_variance") and len(lines) > 1
+        assert all(line.endswith(",") for line in lines[1:])
+        run = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert "frequency_table.csv" in run["outputs"]
+
     def test_vdp_phase_pairs_lead_with_positive_member(self, tmp_path):
         raw = cli.recipe_config("vdp-phase")
         raw["output_dir"] = str(tmp_path / "vdp")
@@ -762,9 +776,13 @@ class TestMain:
 
     def test_recipes_listing(self, capsys):
         assert cli.main(["recipes"]) == 0
-        out = capsys.readouterr().out
-        for name in cli.RECIPES:
-            assert name in out
+        assert capsys.readouterr().out.splitlines() == [
+            "equivalence-suite    companion/svd/exact agreement on seeded linear systems",
+            "lorenz-pod           Lorenz first-coordinate Hankel POD (m=10000, n=500)",
+            "rotation-check       circle rotation eigenvalue check (omega = pi/4)",
+            "torus-synth          synthetic two-frequency quasi-periodic signal, lattice recovery",
+            "vdp-phase            Van der Pol asymptotic phase from two interleaved trajectories",
+        ]
 
     def test_run_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -838,14 +856,22 @@ class TestMain:
 
     @pytest.mark.parametrize("algorithm", dmd.ALGORITHMS)
     def test_zero_observable_exits_3_under_every_algorithm(self, tmp_path, capsys, algorithm):
-        # The zero block is refused before DMD runs on the shared factors.
-        raw = rotation_config(tmp_path / "out", algorithm=algorithm)
-        raw["observables"] = [{"kind": "custom", "expression": "0*z1"}]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        assert cli.main(["run", str(path)]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: Hankel block is identically zero; nothing to decompose\n")
+        # A zero block is refused wherever it sits, before it is scaled or
+        # factored and before the output directory exists. Companion takes
+        # one block only.
+        zero, other = {"kind": "custom", "expression": "0*z1"}, {"kind": "cos_angle"}
+        placements = {"alone": [zero], "first": [zero, other], "second": [other, zero]}
+        if algorithm == "companion":
+            placements = {"alone": [zero]}
+        for where, observables in placements.items():
+            raw = rotation_config(tmp_path / where, algorithm=algorithm)
+            raw["observables"] = observables
+            path = tmp_path / f"{where}.json"
+            path.write_text(json.dumps(raw))
+            assert cli.main(["run", str(path)]) == 3, where
+            assert capsys.readouterr().err == (
+                "numerical failure: Hankel block is identically zero; nothing to decompose\n")
+            assert not (tmp_path / where).exists(), where
 
     def test_expression_with_a_line_break(self, tmp_path):
         raw = rotation_config(tmp_path / "out")
