@@ -119,7 +119,7 @@ def main() -> int:
                 label = name if len(args.blas_threads) == 1 else f"{name}, BLAS threads {threads}"
                 print(f"{label}: " + ("; ".join(problems) if problems else
                                       f"{count} artifacts byte-identical, stdout identical"))
-                for side in sides:  # lorenz-pod writes ~200 MB per side
+                for side in sides:  # lorenz-pod writes ~75 MB per side
                     shutil.rmtree(work / side / name, ignore_errors=True)
                 failed = failed or bool(problems)
     return 1 if failed else 0

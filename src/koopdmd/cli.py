@@ -7,12 +7,15 @@
 A run reads one JSON config (schema documented in the README), executes
 the pipeline, and writes its artifacts into the output directory:
 trajectory and observable CSVs, Hankel metadata, POD and DMD
-serializations, a frequency table when basic frequencies are configured,
-and a per-state phase table when requested. Identical config and seed
-produce byte-identical outputs. --seed seeds the Lorenz default start
-(system.seed) or the equivalence suite (suite.seed_base); on a CSV source
-it is refused. The output directory is created once the input is read and
-embedded, so a refused input leaves none behind. POD and DMD cut their one
+serializations (the mode and POD matrices as .npy files), a frequency
+table when basic frequencies are configured, and a per-state phase table
+when requested. Identical config and seed produce byte-identical outputs.
+Once the new run.json is in place, the files that the directory's
+previous run.json listed and this run did not write are deleted
+(_remove_stale). --seed seeds the Lorenz default start (system.seed) or
+the equivalence suite (suite.seed_base); on a CSV source it is refused.
+The output directory is created once the input is read and embedded, so
+a refused input leaves none behind. POD and DMD cut their one
 SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-12;
 the dmd section's keys alone change DMD's cut.
 
@@ -41,6 +44,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -528,9 +532,43 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, bloc
     ioutil.write_csv(path, header, rows)
 
 
+#: The fixed names of the files a run writes, and those of the matrices
+#: that runs before .npy output wrote as CSV; with trajectory_N.csv and
+#: series_N.csv, the only names a rerun deletes.
+_ARTIFACT_NAMES = frozenset({
+    "run.json", "equivalence.json", "hankel.json", "pod.json", "pod_basis.npy",
+    "pod_coords.npy", "dmd.json", "modes.npy", "frequency_table.csv", "phase.csv",
+    "pod_basis.csv", "pod_coords.csv", "modes.csv"})
+_NUMBERED_ARTIFACT = re.compile(r"(trajectory|series)_[1-9][0-9]*\.csv")
+
+
+def _listed_outputs(out: Path) -> list[str]:
+    """The outputs that out/run.json lists; none if it does not parse or
+    its outputs are not a list of names."""
+    try:
+        listed = json.loads((out / "run.json").read_text(encoding="utf-8"))["outputs"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return []
+    if isinstance(listed, list) and all(isinstance(name, str) for name in listed):
+        return listed
+    return []
+
+
+def _remove_stale(out: Path, previous: list[str], written: list[str]) -> None:
+    """Delete the files that the previous run.json listed and this run did
+    not write. Only names of the kinds a run writes qualify, so no path
+    with a separator or '..' and no file that no run.json listed."""
+    for name in sorted(set(previous) - set(written)):
+        if name in _ARTIFACT_NAMES or _NUMBERED_ARTIFACT.fullmatch(name):
+            (out / name).unlink(missing_ok=True)
+
+
 def execute(cfg: RunConfig) -> RunResult:
-    """Run a validated config; write artifacts into cfg.output_dir; return results."""
+    """Run a validated config; write artifacts into cfg.output_dir; return
+    results. The files of a previous run there that this one did not
+    write are deleted once its run.json is in place."""
     out = Path(cfg.output_dir)
+    previous = _listed_outputs(out)
     if cfg.suite is not None:
         report = run_equivalence_suite(cfg.suite)
         out.mkdir(parents=True, exist_ok=True)
@@ -541,6 +579,7 @@ def execute(cfg: RunConfig) -> RunResult:
         result = _run_pipeline(cfg, out)
     write_json(out / "run.json", _run_summary(result))
     result.outputs.append("run.json")
+    _remove_stale(out, previous, result.outputs)
     return result
 
 
@@ -587,7 +626,7 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> RunResult:
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
     # keeps. Both results hold views of that one read-only W, and the rows
-    # of the modes and of POD's basis are formed only inside the CSV
+    # of the modes and of POD's basis are formed only inside the .npy
     # writer, block by block. So the run holds one m x k array, W, and
     # lorenz-pod's peak RSS is set inside the SVD, where one copy of H and
     # W coexist.
@@ -598,13 +637,13 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> RunResult:
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
 
     pod.write_result_json(pod_result, out / "pod.json")
-    pod.write_basis_csv(pod_result, out / "pod_basis.csv")
-    pod.write_coords_csv(pod_result, out / "pod_coords.csv")
-    outputs += ["pod.json", "pod_basis.csv", "pod_coords.csv"]
+    pod.write_basis_csv(pod_result, out / "pod_basis.npy")
+    pod.write_coords_csv(pod_result, out / "pod_coords.npy")
+    outputs += ["pod.json", "pod_basis.npy", "pod_coords.npy"]
 
     dmd.write_result_json(dmd_result, out / "dmd.json")
-    dmd.write_modes_csv(dmd_result, out / "modes.csv")
-    outputs += ["dmd.json", "modes.csv"]
+    dmd.write_modes_csv(dmd_result, out / "modes.npy")
+    outputs += ["dmd.json", "modes.npy"]
 
     freq_rows = _frequency_rows(cfg, dmd_result, trajectories)
     if freq_rows is not None:

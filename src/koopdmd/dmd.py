@@ -23,8 +23,9 @@ Everything that decides a result is k-sized (Drmac, Mezic & Mohr, SIAM J.
 Sci. Comput. 2018): the projected operator, its eigenvectors e_j and the
 energy order. So a hankel or svd result holds its modes as factors
 (ProjectedModes: the kept W and the unit e_j) and forms mode rows only on
-request, block by block: modes.csv forms them inside the CSV writer, and
-a column is formed alone. exact and companion hold their modes as arrays.
+request, block by block: modes.npy forms them inside the .npy writer,
+and a column is formed alone. exact and companion hold their modes as
+arrays.
 
 Every rank decision is linalg.numerical_rank. The truncating variants
 cut with truncation_rule: by default they keep sigma_j / sigma_0 >
@@ -41,12 +42,12 @@ coordinates, where the same least squares is k x k, and each is formed
 once, already ordered and normalized. Each conjugate pair of projected
 modes is formed once: only its lead column is multiplied by W, and the
 second column is set to its conjugate, so the two columns of a pair in
-modes.csv (hankel and svd) are exact conjugates, bit for bit. Every
+modes.npy (hankel and svd) are exact conjugates, bit for bit. Every
 consumer forms a row of the modes in the same block of rows
-(ioutil.row_blocks), so modes.csv, a column and DmdResult.modes agree bit
-for bit, whatever the CPU count. An SVD of X computed elsewhere can be handed in; its W needs only the
-columns that the threshold keeps, and no variant writes to it. cli shares
-the read-only SVD of a lone Hankel block between DMD and
+(ioutil.row_blocks), so modes.npy, a column and DmdResult.modes agree bit
+for bit. An SVD of X computed elsewhere can be handed in; its W needs
+only the columns that the threshold keeps, and no variant writes to it.
+cli shares the read-only SVD of a lone Hankel block between DMD and
 pod.ergodic_pod, which both hold views of its W.
 """
 from __future__ import annotations
@@ -59,7 +60,8 @@ import numpy as np
 from . import linalg
 from .embed import CompositeData
 from .errors import DecompositionError, RankDeficiencyError
-from .ioutil import RowSource, row_blocks, write_csv, write_json
+from .ioutil import row_blocks, write_json, write_npy
+from .ioutil import write_csv  # noqa: F401 (perfbench/tracer.py wraps dmd.write_csv)
 
 ALGORITHMS = ("companion", "svd", "exact", "hankel")
 
@@ -77,7 +79,7 @@ class ProjectedModes:
     second: mask of the columns that are the conjugate of the column
         before (_conjugate_pairs); only the other, lead, columns are
         multiplied by W.
-    rows(lo, hi) forms rows lo:hi of the modes; the CSV writer, columns
+    rows(lo, hi) forms rows lo:hi of the modes; the .npy writer, columns
     and array ask for the blocks of ioutil.row_blocks.
     """
 
@@ -112,8 +114,8 @@ class DmdResult:
         the factors W and E, whose rows are formed on request (for
         hankel, eigenfunction samples along the trajectory, row =
         sample). For exact and companion, an m x k array. Read modes
-        with columns(cols) and the row count as source.shape[0]; the CSV
-        writer forms the rows of modes.csv block by block.
+        with columns(cols) and the row count as source.shape[0]; the .npy
+        writer forms the rows of modes.npy block by block.
     modes: (property) all modes as one m x k complex array, formed once
         on first use; for library callers.
     projected_modes: the projected modes chi_j when the algorithm also
@@ -475,15 +477,9 @@ def write_result_json(result: DmdResult, path) -> None:
     write_json(path, result_to_dict(result))
 
 
+# Named for the CSV it once wrote; perfbench/tracer.py wraps this name.
 def write_modes_csv(result: DmdResult, path) -> None:
-    """Mode samples, one complex column per mode as re/im column pairs.
-    Projected modes are formed block by block by the writer."""
-    src = result.source
-    m, k = src.shape
-    header = [f"mode{j + 1}_{part}" for j in range(k) for part in ("re", "im")]
-    # A C-contiguous complex128 array viewed as float64 interleaves re, im.
-    if isinstance(src, np.ndarray):
-        pairs = np.ascontiguousarray(src, dtype=np.complex128).view(np.float64)
-    else:
-        pairs = RowSource((m, 2 * k), lambda lo, hi: src.rows(lo, hi).view(np.float64))
-    write_csv(path, header, pairs)
+    """modes.npy: the unit modes as one complex128 m x k matrix, one
+    column per mode in eigenvalue order. Projected modes are formed block
+    by block by the writer."""
+    write_npy(path, result.source, np.complex128)

@@ -1,32 +1,27 @@
 """Deterministic, atomic file output shared by the serializing modules.
 
-Every float is written with 17 significant digits so values round-trip
-bit-exactly through text, and identical inputs produce byte-identical
-files. Each file is streamed into a temp file in the target directory and
-renamed over the target only once complete, so readers never observe
-partial output and a failed write leaves an existing target untouched.
-Files get the usual permissions of the process umask.
+Every float in a JSON or CSV file is written with 17 significant digits so
+values round-trip bit-exactly through text, and identical inputs produce
+byte-identical files. Each file is streamed into a temp file in the target
+directory and renamed over the target only once complete, so readers
+never observe partial output and a failed write leaves an existing target
+untouched. Files get the usual permissions of the process umask.
 
-A float matrix is a 2-D array or a row source (RowSource): an object with
-a shape and rows(lo, hi), which forms rows lo:hi on request, so a matrix
-that results hold as factors exists only block by block inside the
-writer. It is formed, checked for non-finite values and formatted in
-blocks of at most BLOCK_ROWS rows (by floattext, which computes exactly
-the bytes of one '%.17g' format per row with numpy), so a large CSV is
-never held in memory as text. A large matrix is split into contiguous row
-ranges that are formed and formatted on the CPUs available to the process
-(forked workers write their ranges to part files that are appended in row
-order), so its bytes do not depend on the CPU count or affinity.
+A float matrix with one row per sample (the DMD modes and the POD basis
+and coordinates) is written by write_npy as a .npy file: a format 1.0
+header, then the values in C order, the bytes np.save writes for the same
+C-ordered array. The matrix is a 2-D array or a row source (RowSource): an
+object with a shape and rows(lo, hi), which forms rows lo:hi on request,
+so a matrix that results hold as factors exists only block by block inside
+the writer. It is formed, checked for non-finite values and written in the
+blocks of row_blocks, of at most BLOCK_ROWS rows.
 """
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
-import shutil
-import signal
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -75,8 +70,9 @@ def _json_fragment(obj) -> str:
 
 
 @contextmanager
-def _atomic_open(path):
-    """UTF-8, LF text handle on a temp file beside path.
+def _atomic_open(path, binary: bool = False):
+    """UTF-8, LF text handle (or, if binary, a byte handle) on a temp file
+    beside path.
 
     The temp file replaces path when the block exits normally and is
     removed when it raises, so path is either fully written or untouched.
@@ -85,7 +81,8 @@ def _atomic_open(path):
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="\n")) as fh:
             # mkstemp creates the file 0600; give it the mode open() would.
             umask = os.umask(0)
             os.umask(umask)
@@ -117,26 +114,16 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-#: A float matrix gets one formatting process per this many cells (about
-#: 0.12 s of formatting), up to the number of CPUs the process may run on.
-#: A second worker saves ~30% at 2**20 cells but only ~8% at 2**19.
-CELLS_PER_WORKER = 2**19
-
-#: Rows of a matrix that are formed and formatted at a time. A block that
-#: straddles two workers' ranges is formed by both; lorenz-pod's 10000 rows
-#: make ten blocks, so two workers meet at a block edge.
+#: Rows of a matrix that are formed, checked and written at a time.
+#: lorenz-pod's 10000 rows make ten blocks.
 BLOCK_ROWS = 1024
-
-#: Exit status of a worker that refused a value (a ValueError, such as a
-#: non-finite cell); it leaves the error's text in its part file.
-_REFUSED = 3
 
 
 @dataclass(frozen=True)
 class RowSource:
     """A float matrix formed on request: rows(lo, hi) returns its rows
-    lo:hi as a 2-D float64 array with shape[1] columns. A plain 2-D
-    float64 array is the trivial source."""
+    lo:hi as a 2-D array with shape[1] columns. A plain 2-D array is the
+    trivial source."""
 
     shape: tuple[int, int]
     rows: Callable[[int, int], np.ndarray]
@@ -163,131 +150,51 @@ def _check_finite(rows: np.ndarray) -> None:
 
 
 def format_rows(rows: np.ndarray) -> str:
-    """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite."""
-    out = io.StringIO()
-    _write_rows(out, rows)
-    return out.getvalue()
+    """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite.
 
-
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Check a 2-D float64 block for non-finite cells, then write its lines."""
-    from . import floattext  # imported on first use: it builds tables
-
+    Only one block of row_blocks is held as Python floats at a time: the
+    floats of a whole 10501 x 4 table left lorenz-pod 1.3 MiB more
+    resident when its SVD began, which its peak RSS then carried.
+    """
     _check_finite(rows)
-    for text in floattext.lines(rows):
-        fh.write(text)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join([line % tuple(row) for lo, hi in row_blocks(rows.shape[0])
+                    for row in rows[lo:hi].tolist()])
 
 
-def _write_range(fh, matrix, lo: int, hi: int) -> None:
-    """Form, check and write rows lo:hi of a matrix, block by block. A
-    block of row_blocks that straddles lo or hi is formed whole, and only
-    its rows in lo:hi are written."""
+def write_npy(path, matrix: np.ndarray | RowSource, dtype) -> None:
+    """A float matrix as a .npy file of dtype (float64 or complex128), C
+    order, format 1.0: the bytes of np.save on the whole matrix in C order.
+
+    matrix is a 2-D array or a row source (RowSource, or any object with
+    its shape and rows(lo, hi)). Its rows are formed, converted to dtype,
+    checked and written in the blocks of row_blocks, so no second array of
+    its size is made. A non-finite value (a real or an imaginary part) is
+    refused with a ValueError and leaves no file behind.
+    """
+    dtype = np.dtype(dtype)
+    nrows, ncols = (int(n) for n in matrix.shape)
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+              "shape": (nrows, ncols)}
     array = isinstance(matrix, np.ndarray)
-    for start, stop in row_blocks(matrix.shape[0]):
-        if start < hi and stop > lo:
-            block = matrix[start:stop] if array else matrix.rows(start, stop)
-            _write_rows(fh, block[max(lo, start) - start:min(hi, stop) - start])
+    with _atomic_open(path, binary=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for lo, hi in row_blocks(nrows):
+            block = np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
+                                         dtype=dtype)
+            _check_finite(block.view(np.float64))
+            fh.write(block.data)
 
 
-def _format_part(fd: int, part: str, matrix, lo: int, hi: int) -> None:
-    """Forked child: write rows lo:hi of matrix to the part file open on
-    fd, then exit. A ValueError (a non-finite cell) leaves its text in
-    the part and exits _REFUSED; any other error exits 1.
-
-    os._exit skips the parent's inherited buffers and exit handlers.
-    """
-    code = 1
-    try:
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as out:
-                _write_range(out, matrix, lo, hi)
-            code = 0
-        except ValueError as exc:
-            Path(part).write_text(str(exc), encoding="utf-8")
-            code = _REFUSED
-    finally:
-        os._exit(code)
-
-
-def _write_matrix(fh, matrix, workers: int, target: Path) -> None:
-    """Write a matrix (an array or a row source) to fh, forming and
-    formatting up to workers contiguous row ranges at once.
-
-    The first range is formatted here, into fh; without os.fork it is the
-    only one. Each other range goes to a forked child that forms its own
-    rows and writes them to a part file beside target, and the parts are
-    appended in row order. Each row is formed in its block of row_blocks,
-    whatever the ranges, so the bytes equal those of one range. A child
-    that refuses a value raises its ValueError here, in row order, so the
-    first non-finite cell is the one named; a child that fails otherwise
-    raises OSError. On any exception the children are killed and reaped,
-    and every part file is removed.
-    """
-    from . import floattext  # loaded before any fork, so the workers inherit its tables
-
-    nrows = matrix.shape[0]
-    workers = max(1, min(workers, nrows)) if hasattr(os, "fork") else 1
-    cuts = [nrows * i // workers for i in range(workers + 1)]
-    running: list[int] = []
-    parts: list[str] = []
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            fd, part = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
-                                        suffix=".part")
-            parts.append(part)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _format_part(fd, part, matrix, start, stop)
-            finally:
-                os.close(fd)
-            running.append(pid)
-        _write_range(fh, matrix, 0, cuts[1])
-        fh.flush()
-        for pid, part, start, stop in zip(list(running), parts, cuts[1:-1], cuts[2:]):
-            _, status = os.waitpid(pid, 0)
-            running.remove(pid)
-            code = os.waitstatus_to_exitcode(status)
-            if code == _REFUSED:
-                raise ValueError(Path(part).read_text(encoding="utf-8"))
-            if code != 0:
-                raise OSError(f"formatting rows {start}:{stop} of {target.name} "
-                              f"failed in a worker process (exit status {code})")
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, fh.buffer)
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            os.unlink(part)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] | RowSource) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV with comma separator, '.' decimal point, LF endings, header row.
 
-    rows is a float matrix, every cell of which must be finite: a 2-D
-    float64 array, or a row source (RowSource, or any object with its
-    shape and rows(lo, hi)) whose rows are formed block by block as they
-    are written. Or it is an iterable of row sequences, in which floats
-    are formatted with 17 significant digits, None becomes an empty cell
-    and any other cell is written as str(cell). All forms give the same
-    bytes for the same float values. A matrix is split into min(available
-    CPUs, cells // CELLS_PER_WORKER) row ranges that are formed and
-    formatted in parallel, with the same bytes. An array is checked whole
-    before anything is written or forked; a source, block by block, and a
-    non-finite cell leaves no file behind either way.
+    rows is an iterable of row sequences, in which floats are formatted
+    with 17 significant digits (a non-finite one is refused and leaves no
+    file behind), None becomes an empty cell and any other cell is
+    written as str(cell).
     """
-    array = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
-    matrix = array or hasattr(rows, "rows")
-    if array:
-        _check_finite(rows)
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        if matrix:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            cells = rows.shape[0] * rows.shape[1]
-            _write_matrix(fh, rows, min(cpus, cells // CELLS_PER_WORKER), Path(path))
-        else:
-            writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
+        writer.writerows([_csv_cell(cell) for cell in row] for row in rows)

@@ -8,7 +8,7 @@ sample columns carry the sqrt(m) factor that makes them unit vectors in
 the empirical norm (1/sqrt(m)) * ||.||_2, the trajectory-average
 surrogate for the underlying function-space norm. A result holds its
 basis as a factor and a scale (for ergodic_pod, the SVD's own W and
-sqrt(m)); pod_basis.csv is formed from them block by block by the CSV
+sqrt(m)); pod_basis.npy is formed from them block by block by the .npy
 writer.
 """
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from . import linalg
 from .embed import HankelBlock
 from .errors import DecompositionError
-from .ioutil import RowSource, write_csv, write_json
+from .ioutil import RowSource, write_json, write_npy
+from .ioutil import write_csv  # noqa: F401 (perfbench/tracer.py wraps pod.write_csv)
 
 #: Adjacent singular values closer than this (relative) flag degeneracy.
 _DEGENERACY_RTOL = 1e-10
@@ -200,15 +201,15 @@ def write_result_json(result: PodResult, path) -> None:
     write_json(path, result_to_dict(result))
 
 
+# Named for the CSV it once wrote; perfbench/tracer.py wraps this name.
 def write_basis_csv(result: PodResult, path) -> None:
-    """Basis samples, one column per retained basis function, formed
-    block by block by the writer."""
-    header = [f"psi{j + 1}" for j in range(result.k)]
-    write_csv(path, header,
-              RowSource(result.W.shape, lambda lo, hi: result.scale * result.W[lo:hi]))
+    """pod_basis.npy: basis_samples as float64, one column per retained
+    basis function, formed block by block by the writer."""
+    write_npy(path, RowSource(result.W.shape, lambda lo, hi: result.scale * result.W[lo:hi]),
+              np.float64)
 
 
+# Named for the CSV it once wrote; perfbench/tracer.py wraps this name.
 def write_coords_csv(result: PodResult, path) -> None:
-    """Principal coordinates; row i is data column i."""
-    header = [f"v{j + 1}" for j in range(result.k)]
-    write_csv(path, header, result.principal_coords)
+    """pod_coords.npy: principal_coords as float64; row i is data column i."""
+    write_npy(path, result.principal_coords, np.float64)

@@ -146,7 +146,7 @@ def test_criterion_5_svd_pod_bridge(rotation_run, vdp_run, torus_run, lorenz_run
 
 
 def test_pod_and_dmd_keep_one_rank(rotation_run, vdp_run, torus_run, lorenz_runs):
-    # One SVD, one rank rule: modes.csv holds no direction that pod.json
+    # One SVD, one rank rule: modes.npy holds no direction that pod.json
     # calls zero.
     results = {"rotation-check": rotation_run[0], "vdp-phase": vdp_run[0],
                "torus-synth": torus_run[0], "lorenz-pod": lorenz_runs[0]}

@@ -1,7 +1,6 @@
 import dataclasses
 import filecmp
 import json
-import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from fresh_process import run_fresh
 from koopdmd import analysis, cli, dmd, embed, ioutil, linalg, systems
-from koopdmd.errors import ConfigError
+from koopdmd.errors import ConfigError, DecompositionError
 
 
 def rotation_config(out_dir, m=60, n=8, steps=None, **dmd_extra):
@@ -510,8 +509,8 @@ class TestExecute:
         cfg = cli.parse_config(rotation_config(tmp_path / "run"))
         result = cli.execute(cfg)
         names = set(result.outputs)
-        assert {"dmd.json", "modes.csv", "pod.json", "pod_basis.csv",
-                "pod_coords.csv", "hankel.json", "run.json",
+        assert {"dmd.json", "modes.npy", "pod.json", "pod_basis.npy",
+                "pod_coords.npy", "hankel.json", "run.json",
                 "frequency_table.csv", "series_1.csv", "trajectory_1.csv"} <= names
         meta = json.loads((tmp_path / "run" / "dmd.json").read_text())
         assert meta["rank_kept"] == 2
@@ -767,6 +766,74 @@ print(grown / (16 * m * k), hashlib.sha256(seen["W"]).digest() == seen["digest"]
         assert unchanged == "True"
 
 
+class TestRerun:
+    """A rerun into the same directory deletes the files that the previous
+    run.json listed and the new run did not write, and nothing else."""
+
+    @staticmethod
+    def names(directory):
+        return sorted(p.name for p in directory.iterdir())
+
+    @staticmethod
+    def old_run(out, listed):
+        out.mkdir()
+        for name in listed:
+            (out / name).write_text("old\n")
+        (out / "run.json").write_text(json.dumps({"outputs": listed + ["run.json"]}))
+
+    def test_export_phase_rerun_leaves_no_phase_csv(self, tmp_path):
+        raw = cli.recipe_config("vdp-phase")
+        raw["output_dir"] = str(tmp_path / "out")
+        cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
+        assert (tmp_path / "out" / "phase.csv").exists()
+        raw["analysis"]["export_phase"] = False
+        result = cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
+        assert self.names(tmp_path / "out") == sorted(result.outputs)
+        assert "phase.csv" not in result.outputs
+
+    def test_csv_matrices_of_an_older_run_go(self, tmp_path):
+        out = tmp_path / "out"
+        old = ["modes.csv", "pod_basis.csv", "pod_coords.csv", "series_1.csv", "series_2.csv",
+               "notes.txt"]
+        self.old_run(out, old)
+        (out / "foreign.csv").write_text("kept\n")
+        result = cli.execute(cli.parse_config(rotation_config(out)))
+        assert self.names(out) == sorted(result.outputs + ["notes.txt", "foreign.csv"])
+        assert (out / "notes.txt").read_text() == "old\n"
+        assert (out / "series_1.csv").read_text() != "old\n"  # rewritten, not deleted
+
+    @pytest.mark.parametrize("listed", ["../x", "ABS", "sub/modes.csv", "../out/modes.csv",
+                                        "modes.csv/", "series_0.csv"])
+    def test_no_path_outside_the_plain_names_is_deleted(self, tmp_path, listed):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sub").mkdir()
+        for path in (tmp_path / "x", out / "sub" / "modes.csv", out / "modes.csv",
+                     out / "series_0.csv"):
+            path.write_text("kept\n")
+        name = str(tmp_path / "x") if listed == "ABS" else listed
+        (out / "run.json").write_text(json.dumps({"outputs": [name]}))
+        cli.execute(cli.parse_config(rotation_config(out)))
+        assert (tmp_path / "x").exists() and (out / "sub" / "modes.csv").exists()
+        assert (out / "modes.csv").exists() and (out / "series_0.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{", "[1]", '{"outputs": "modes.csv"}',
+                                      '{"outputs": [1, "modes.csv"]}', "\udcff"])
+    def test_a_run_json_that_does_not_parse_is_ignored(self, tmp_path, text):
+        out = tmp_path / "out"
+        self.old_run(out, ["modes.csv"])
+        (out / "run.json").write_text(text, errors="surrogateescape")
+        result = cli.execute(cli.parse_config(rotation_config(out)))
+        assert self.names(out) == sorted(result.outputs + ["modes.csv"])
+
+    def test_a_failed_run_deletes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        self.old_run(out, ["modes.csv", "phase.csv"])
+        with pytest.raises(DecompositionError):
+            cli.execute(cli.parse_config(rotation_config(out, svd_threshold=2.0)))
+        assert (out / "modes.csv").exists() and (out / "phase.csv").exists()
+
+
 class TestMain:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -807,28 +874,30 @@ class TestMain:
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=60, n=8, steps=30)))
         assert cli.main(["run", str(path)]) == 2
 
-    def test_non_finite_mode_row_from_a_worker_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # Mode rows are formed in the CSV writer's forked workers, after the
-        # parent has forked: a non-finite one still exits 2 with one line and
-        # leaves neither modes.csv nor a temp or part file.
-        parent, formed = os.getpid(), dmd._projected_modes
+    def test_non_finite_mode_row_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Mode rows are formed in the .npy writer, block by block: a
+        # non-finite one in the last block, after earlier blocks were
+        # written, still exits 2 with one line and leaves neither modes.npy
+        # nor a temp file.
+        formed, blocks = dmd._projected_modes, []
 
         def poisoned(w, vecs, second, out=None):
             modes = formed(w, vecs, second, out)
-            if os.getpid() != parent:
+            blocks.append(len(w))
+            if len(blocks) == 2:
                 modes[-1, 0] = complex(np.nan, 0.0)
             return modes
 
         monkeypatch.setattr(dmd, "_projected_modes", poisoned)
-        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 100)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        path.write_text(json.dumps(rotation_config(tmp_path / "out", m=160)))
         assert cli.main(["run", str(path)]) == 2
+        assert blocks == [80, 80]  # the writer's second block was refused
         assert capsys.readouterr().err == "config error: refusing to serialize non-finite value nan\n"
         left = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert "modes.csv" not in left and "pod_basis.csv" in left
-        assert not [name for name in left if name.endswith((".tmp", ".part"))]
+        assert "modes.npy" not in left and "pod_basis.npy" in left
+        assert not [name for name in left if name.endswith(".tmp")]
 
     @pytest.mark.parametrize("expression, sample", [("log(z1 - 10)", 0), ("log(1 - z1)", 2)])
     def test_non_finite_observable_is_one_named_line(self, tmp_path, capsys, expression, sample):

@@ -384,7 +384,7 @@ def adjacent_pairs(vals):
 
 
 def recipe_decomposition(name):
-    """The decomposition a recipe run writes to modes.csv, without the files."""
+    """The decomposition a recipe run writes to modes.npy, without the files."""
     cfg = cli.load_config(name)
     series, _, _ = cli._build_series(cfg)
     blocks = [embed.hankel(s, cfg.embedding.m, cfg.embedding.n) for s in series]
@@ -613,14 +613,12 @@ class TestSerialization:
         blk = rotation_block(m=32, n=8)
         res = dmd.hankel_dmd(embed.composite([blk]))
         jpath = tmp_path / "dmd.json"
-        cpath = tmp_path / "modes.csv"
+        npath = tmp_path / "modes.npy"
         dmd.write_result_json(res, jpath)
-        dmd.write_modes_csv(res, cpath)
+        dmd.write_modes_csv(res, npath)
         loaded = json.loads(jpath.read_text())
         back = np.array([complex(e["re"], e["im"]) for e in loaded["eigenvalues"]])
         assert_allclose(back, res.eigenvalues, atol=1e-15)
-        header = cpath.read_text().splitlines()[0].split(",")
-        assert header == ["mode1_re", "mode1_im", "mode2_re", "mode2_im"]
-        table = np.loadtxt(cpath, delimiter=",", skiprows=1)
-        assert table.shape == (32, 4)
-        assert_allclose(table[:, 0] + 1j * table[:, 1], res.modes[:, 0], atol=1e-15)
+        table = np.load(npath)
+        assert table.shape == (32, 2) and table.dtype == np.complex128
+        assert np.array_equal(table, res.modes)

@@ -1,8 +1,8 @@
+import io
 import json
 import math
 import os
 import stat
-import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopdmd import dmd, embed, floattext, ioutil
+from koopdmd import dmd, embed, ioutil
 from koopdmd.dmd import DmdResult
 from koopdmd.embed import TimeSeries
 
@@ -35,7 +35,7 @@ def leftovers(directory):
 
 
 def reference_rows(matrix) -> str:
-    """The row format the array path replaces: one '%.17g' per cell."""
+    """Python's own '%.17g' of every cell, one format per cell."""
     fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     return "".join(fmt % tuple(row) for row in matrix.tolist())
 
@@ -95,10 +95,10 @@ class TestExactFormat:
                                            "-0.00123\n")
 
     def test_blocks_of_mixed_layouts(self):
-        # Several blocks, and the layouts change between them (fixed with an
-        # inner point, 0.000ddd, scientific), so template slots are reused.
+        # Many rows whose layouts change between them (fixed with an inner
+        # point, 0.000ddd, scientific).
         rng = np.random.default_rng(3)
-        shape = (3 * floattext.BLOCK_CELLS // 7, 7)
+        shape = (3 * 2**13 // 7, 7)
         exponents = np.repeat(rng.integers(-30, 30, shape[0] // 100 + 1), 100)[:shape[0], None]
         matrix = rng.standard_normal(shape) * 10.0 ** exponents
         assert ioutil.format_rows(matrix) == reference_rows(matrix)
@@ -116,25 +116,31 @@ class TestExactFormat:
             ioutil.format_rows(np.array([[1.0, 2.0], [np.inf, np.nan]]))
 
 
+def saved(matrix) -> bytes:
+    """np.save of matrix in C order."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(matrix))
+    return buf.getvalue()
+
+
 class TestArrayPath:
-    def test_matches_per_cell_reference(self, tmp_path):
+    def test_matches_per_cell_reference(self):
         matrix = edge_matrix()
         header = [f"c{j}" for j in range(matrix.shape[1])]
-        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
-        assert (tmp_path / "a.csv").read_text() == reference_csv(header, matrix)
+        text = ",".join(header) + "\n" + ioutil.format_rows(matrix)
+        assert text == reference_csv(header, matrix)
 
     def test_matches_row_iterable_path(self, tmp_path):
-        # Non-contiguous input (a column slice) goes through the same format.
+        # Non-contiguous input (a column slice) gives the text of write_csv.
         matrix = edge_matrix()[:, ::2]
         header = [f"c{j}" for j in range(matrix.shape[1])]
-        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
         ioutil.write_csv(tmp_path / "b.csv", header, matrix.tolist())
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert ",".join(header) + "\n" + ioutil.format_rows(matrix) == \
+            (tmp_path / "b.csv").read_text()
 
-    def test_values_round_trip(self, tmp_path):
+    def test_values_round_trip(self):
         matrix = edge_matrix()
-        ioutil.write_csv(tmp_path / "a.csv", ["x"] * matrix.shape[1], matrix)
-        back = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+        back = np.loadtxt(io.StringIO(ioutil.format_rows(matrix)), delimiter=",")
         assert np.array_equal(back, matrix)
         assert np.array_equal(np.signbit(back), np.signbit(matrix))
 
@@ -143,7 +149,10 @@ class TestArrayPath:
         matrix = edge_matrix()
         matrix[3, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            ioutil.write_csv(tmp_path / "a.csv", ["x"] * matrix.shape[1], matrix)
+            ioutil.format_rows(matrix)
+        for dtype in (np.float64, np.complex128):
+            with pytest.raises(ValueError, match="non-finite"):
+                ioutil.write_npy(tmp_path / "a.npy", matrix, dtype)
         assert leftovers(tmp_path) == []
 
     def test_finiteness_check_takes_no_cell_sized_mask(self):
@@ -165,123 +174,92 @@ class TestArrayPath:
         assert leftovers(tmp_path) == []
 
     def test_failed_write_keeps_existing_target(self, tmp_path):
-        target = tmp_path / "a.csv"
-        ioutil.write_csv(target, ["a", "b"], np.array([[1.0, 2.0]]))
+        target = tmp_path / "a.npy"
+        ioutil.write_npy(target, np.array([[1.0, 2.0]]), np.float64)
         before = target.read_bytes()
-        for rows in (np.array([[np.nan, 1.0]]), [[1.0, 2.0], [float("inf"), 0.0]]):
-            with pytest.raises(ValueError):
-                ioutil.write_csv(target, ["a", "b"], rows)
+        with pytest.raises(ValueError):
+            ioutil.write_npy(target, np.array([[np.nan, 1.0]]), np.float64)
+        with pytest.raises(ValueError):
+            ioutil.write_csv(target, ["a", "b"], [[1.0, 2.0], [float("inf"), 0.0]])
         with pytest.raises(TypeError):
             ioutil.atomic_write_text(target, None)
         assert target.read_bytes() == before
-        assert leftovers(tmp_path) == ["a.csv"]
+        assert leftovers(tmp_path) == ["a.npy"]
 
 
-def write_with_workers(path, header, matrix, workers):
-    with ioutil._atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        ioutil._write_matrix(fh, matrix, workers, path)
+class TestNpy:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_bytes_equal_np_save(self, tmp_path, monkeypatch, dtype):
+        # Written in 7-row blocks from a non-contiguous column slice, the
+        # file holds the bytes of np.save of the whole C-ordered array.
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(5)
+        matrix = np.vstack([edge_matrix(), rng.standard_normal((40, 12))])[:, ::2].astype(dtype)
+        if dtype is np.complex128:
+            matrix.imag = rng.standard_normal(matrix.shape)
+        ioutil.write_npy(tmp_path / "a.npy", matrix, dtype)
+        assert (tmp_path / "a.npy").read_bytes() == saved(matrix)
+        back = np.load(tmp_path / "a.npy")
+        assert back.dtype == dtype and np.array_equal(back, matrix)
 
+    def test_row_source_is_formed_block_by_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
+        matrix = np.arange(60.0).reshape(20, 3)
+        asked = []
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        def rows(lo, hi):
+            asked.append((lo, hi))
+            return matrix[lo:hi]
 
+        ioutil.write_npy(tmp_path / "a.npy", ioutil.RowSource((20, 3), rows), np.float64)
+        assert asked == ioutil.row_blocks(20) == [(0, 6), (6, 13), (13, 20)]
+        assert (tmp_path / "a.npy").read_bytes() == saved(matrix)
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-class TestWorkers:
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path):
-        rng = np.random.default_rng(2)
-        noise = rng.standard_normal((2**20 // 12, 12)) * 10.0 ** rng.integers(-13, 3, (2**20 // 12, 12))
-        matrix = np.vstack([edge_matrix(), noise])  # no two rows alike, so misordered ranges show
-        assert matrix.size >= 2 * ioutil.CELLS_PER_WORKER
-        # Rows formatted by '%' (a subnormal, a rounding tie) on both sides of every cut.
-        for workers in (2, 3):
-            for cut in (len(matrix) * i // workers for i in range(1, workers)):
-                matrix[cut - 1, 5] = 5e-324 * cut
-                matrix[cut, 7] = 2251799813685247.75
-        header = [f"c{j}" for j in range(matrix.shape[1])]
-        ioutil.write_csv(tmp_path / "a.csv", header, matrix)
-        want = reference_csv(header, matrix).encode()
-        assert (tmp_path / "a.csv").read_bytes() == want
-        for workers in (1, 2, 3):
-            write_with_workers(tmp_path / "w.csv", header, matrix, workers)
-            assert (tmp_path / "w.csv").read_bytes() == want, workers
-        assert_no_children()
-
-    @pytest.mark.parametrize("nrows", [0, 1, 2])
-    def test_fewer_rows_than_workers(self, tmp_path, nrows):
-        matrix = edge_matrix()[:nrows]
-        header = [f"c{j}" for j in range(matrix.shape[1])]
-        write_with_workers(tmp_path / "w.csv", header, matrix, 3)
-        assert (tmp_path / "w.csv").read_text() == reference_csv(header, matrix)
-        assert_no_children()
-
-    def test_failed_worker_raises_oserror_and_keeps_target(self, tmp_path, monkeypatch):
-        target = tmp_path / "a.csv"
-        target.write_text("before\n")
-        parent, write_rows = os.getpid(), ioutil._write_rows
-
-        def fail_in_workers(fh, rows):
-            # Forked workers inherit the patched module attribute.
-            if os.getpid() != parent:
-                raise RuntimeError("worker failure")
-            write_rows(fh, rows)
-
-        monkeypatch.setattr(ioutil, "_write_rows", fail_in_workers)
-        with pytest.raises(OSError, match="worker process"):
-            write_with_workers(target, ["x"] * 12, np.tile(edge_matrix(), (4, 1)), 3)
-        assert target.read_text() == "before\n"
-        assert leftovers(tmp_path) == ["a.csv"]
-        assert_no_children()
-
-    def test_interrupt_kills_workers(self, tmp_path, monkeypatch):
-        parent = os.getpid()
-
-        def interrupted(fh, rows):
-            if os.getpid() != parent:
-                time.sleep(60)  # workers are still busy when the parent is interrupted
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(ioutil, "_write_rows", interrupted)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            write_with_workers(tmp_path / "a.csv", ["x"] * 12, np.tile(edge_matrix(), (4, 1)), 3)
-        assert time.monotonic() - start < 30
-        assert leftovers(tmp_path) == []
-        assert_no_children()
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_matrices(self, tmp_path, shape):
+        ioutil.write_npy(tmp_path / "a.npy", np.zeros(shape), np.complex128)
+        assert (tmp_path / "a.npy").read_bytes() == saved(np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_row_formed_in_a_worker_is_refused(self, tmp_path, monkeypatch, bad):
-        # A row source is checked block by block where the rows are formed,
-        # here only in a forked worker: its refusal reaches the parent with
-        # the message the parent would give, and leaves no file behind.
-        parent = os.getpid()
-        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    def test_non_finite_row_of_a_source_is_refused(self, tmp_path, monkeypatch, bad):
+        # A row source is checked block by block as its rows are formed, so
+        # a late block's refusal comes after earlier blocks were written: it
+        # names the first non-finite value and leaves no file behind.
+        monkeypatch.setattr(ioutil, "BLOCK_ROWS", 64)
 
         def rows(lo, hi):
             block = np.ones((hi - lo, 8))
-            if os.getpid() != parent and lo <= 290 < hi:
+            if lo <= 290 < hi:
                 block[290 - lo, 3] = bad
             return block
 
+        target = tmp_path / "a.npy"
+        target.write_bytes(b"before")
         with pytest.raises(ValueError) as exc:
-            ioutil.write_csv(tmp_path / "a.csv", ["x"] * 8, ioutil.RowSource((300, 8), rows))
+            ioutil.write_npy(target, ioutil.RowSource((300, 8), rows), np.float64)
         assert str(exc.value) == f"refusing to serialize non-finite value {bad!r}"
-        assert leftovers(tmp_path) == []
-        assert_no_children()
+        assert target.read_bytes() == b"before"
+        assert leftovers(tmp_path) == ["a.npy"]
 
-    def test_non_finite_refused_before_any_fork(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked before the finiteness check")
+    def test_interrupt_leaves_no_file(self, tmp_path):
+        def rows(lo, hi):
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        matrix = np.ones((2**20 // 8 + 1, 8))
-        matrix[-1, -1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            ioutil.write_csv(tmp_path / "a.csv", ["x"] * 8, matrix)
+        with pytest.raises(KeyboardInterrupt):
+            ioutil.write_npy(tmp_path / "a.npy", ioutil.RowSource((3, 2), rows), np.float64)
         assert leftovers(tmp_path) == []
+
+
+def mode_result(algorithm: str) -> DmdResult:
+    """A decomposition of a 600-row Hankel block of noise by algorithm."""
+    series = TimeSeries(np.random.default_rng(4).standard_normal(700), 1.0)
+    block = embed.hankel(series, m=600, n=40)
+    data = embed.composite([block])
+    if algorithm == "hankel":
+        return dmd.hankel_dmd(data)
+    if algorithm == "exact":
+        return dmd.exact_dmd(data.X, data.Y)
+    return dmd.companion_dmd(block.H, k=block.H.shape[1] - 1)
 
 
 class TestModesCsv:
@@ -294,39 +272,39 @@ class TestModesCsv:
         res = DmdResult(eigenvalues=np.ones(4, dtype=complex), source=modes,
                         projected_modes=None, rank_kept=4, residual=0.0,
                         algorithm="hankel", dt=1.0)
-        dmd.write_modes_csv(res, tmp_path / "modes.csv")
+        dmd.write_modes_csv(res, tmp_path / "modes.npy")
         stacked = np.stack([modes.real, modes.imag], axis=2).reshape(9, -1)
-        header = [f"mode{j + 1}_{part}" for j in range(4) for part in ("re", "im")]
-        assert (tmp_path / "modes.csv").read_text() == reference_csv(header, stacked)
+        back = np.load(tmp_path / "modes.npy").view(np.float64)
+        assert np.array_equal(back, stacked)
+        assert np.array_equal(np.signbit(back), np.signbit(stacked))
+        assert (tmp_path / "modes.npy").read_bytes() == saved(modes)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_factors_give_the_bytes_of_the_mode_array(self, tmp_path, monkeypatch, cpus):
-        # A hankel result's modes.csv is formed in the writer, block by
-        # block and across workers, with the bytes of the whole mode array:
-        # each row is formed in the same block, whatever the CPU count.
+    @pytest.mark.parametrize("algorithm", ["hankel", "exact", "companion"])
+    def test_bytes_equal_np_save(self, tmp_path, monkeypatch, algorithm):
+        # modes.npy is formed in the writer, block by block, with the bytes
+        # of np.save of the whole mode array: each row is formed in the
+        # same block of row_blocks, and 7-row blocks straddle everything.
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
-        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 4000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        series = TimeSeries(np.random.default_rng(4).standard_normal(700), 1.0)
-        data = embed.composite([embed.hankel(series, m=600, n=40)])
-        want = np.ascontiguousarray(dmd.hankel_dmd(data).modes).view(np.float64)
-        res = dmd.hankel_dmd(data)
-        dmd.write_modes_csv(res, tmp_path / "modes.csv")
-        header = [f"mode{j + 1}_{part}" for j in range(want.shape[1] // 2)
-                  for part in ("re", "im")]
-        same = (tmp_path / "modes.csv").read_text() == reference_csv(header, want)
-        assert same  # a bool: pytest's diff of two long texts takes minutes
-        assert "modes" not in vars(res)  # no m x k array was formed
-        assert np.array_equal(res.columns([5])[:, 0], want[:, 10] + 1j * want[:, 11])
+        want = saved(mode_result(algorithm).modes)
+        res = mode_result(algorithm)
+        dmd.write_modes_csv(res, tmp_path / "modes.npy")
+        same = (tmp_path / "modes.npy").read_bytes() == want
+        assert same  # a bool: pytest's diff of two long byte strings takes minutes
+        if algorithm == "hankel":
+            assert "modes" not in vars(res)  # no m x k array was formed
+        back = np.load(tmp_path / "modes.npy")
+        assert back.dtype == np.complex128
+        assert np.array_equal(res.columns([5])[:, 0], back[:, 5])
 
     def test_real_modes_get_zero_imaginary_columns(self, tmp_path):
         modes = np.arange(6.0).reshape(3, 2)
         res = DmdResult(eigenvalues=np.ones(2), source=modes, projected_modes=None,
                         rank_kept=2, residual=0.0, algorithm="svd", dt=1.0)
-        dmd.write_modes_csv(res, tmp_path / "modes.csv")
-        lines = (tmp_path / "modes.csv").read_text().splitlines()
-        assert lines[0] == "mode1_re,mode1_im,mode2_re,mode2_im"
-        assert lines[1:] == ["0,0,1,0", "2,0,3,0", "4,0,5,0"]
+        dmd.write_modes_csv(res, tmp_path / "modes.npy")
+        back = np.load(tmp_path / "modes.npy")
+        assert back.dtype == np.complex128
+        assert np.array_equal(back.real, modes) and not back.imag.any()
+        assert (tmp_path / "modes.npy").read_bytes() == saved(modes.astype(np.complex128))
 
 
 class TestJson:
@@ -347,9 +325,9 @@ class TestPermissions:
         old = os.umask(umask)
         try:
             ioutil.write_json(tmp_path / "a.json", {"x": 1.0})
-            ioutil.write_csv(tmp_path / "b.csv", ["x"], np.ones((2, 1)))
+            ioutil.write_npy(tmp_path / "b.npy", np.ones((2, 1)), np.float64)
             ioutil.write_csv(tmp_path / "c.csv", ["x"], [[None], ["s"]])
         finally:
             os.umask(old)
-        for name in ("a.json", "b.csv", "c.csv"):
+        for name in ("a.json", "b.npy", "c.csv"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

@@ -1,5 +1,5 @@
+import io
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -209,30 +209,28 @@ class TestWriters:
         blk = rotation_block(m=50, n=4)
         res = pod.ergodic_pod(blk)
         pod.write_result_json(res, tmp_path / "pod.json")
-        pod.write_basis_csv(res, tmp_path / "basis.csv")
-        pod.write_coords_csv(res, tmp_path / "coords.csv")
+        pod.write_basis_csv(res, tmp_path / "basis.npy")
+        pod.write_coords_csv(res, tmp_path / "coords.npy")
         meta = json.loads((tmp_path / "pod.json").read_text())
         assert meta["k"] == res.k and meta["m"] == 50
         assert_allclose(meta["singular_values"], res.singular_values)
-        basis = np.loadtxt(tmp_path / "basis.csv", delimiter=",", skiprows=1)
-        assert basis.shape == (50, res.k)
-        header = (tmp_path / "coords.csv").read_text().splitlines()[0]
-        assert header.split(",") == [f"v{j + 1}" for j in range(res.k)]
+        basis = np.load(tmp_path / "basis.npy")
+        assert basis.shape == (50, res.k) and np.array_equal(basis, res.basis_samples)
+        coords = np.load(tmp_path / "coords.npy")
+        assert coords.shape == (5, res.k) and np.array_equal(coords, res.principal_coords)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_basis_csv_gives_the_bytes_of_basis_samples(self, tmp_path, monkeypatch, cpus):
-        # pod_basis.csv is formed in the writer from W and its scale, block
-        # by block and across workers, with the bytes of the whole
-        # basis_samples array, whatever the CPU count.
+    def test_basis_csv_gives_the_bytes_of_basis_samples(self, tmp_path, monkeypatch):
+        # pod_basis.npy is formed in the writer from W and its scale, in
+        # 7-row blocks, with the bytes of np.save of the whole basis_samples
+        # array; pod_coords.npy holds principal_coords in C order.
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
-        monkeypatch.setattr(ioutil, "CELLS_PER_WORKER", 4000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         series = TimeSeries(np.random.default_rng(4).standard_normal(700), 1.0)
         res = pod.ergodic_pod(embed.hankel(series, m=600, n=40))
-        pod.write_basis_csv(res, tmp_path / "basis.csv")
+        pod.write_basis_csv(res, tmp_path / "basis.npy")
+        pod.write_coords_csv(res, tmp_path / "coords.npy")
         assert "basis_samples" not in vars(res)  # the writer formed no m x k array
-        want = res.basis_samples
-        lines = [",".join(f"psi{j + 1}" for j in range(res.k))]
-        lines += [",".join(ioutil.format_float(x) for x in row) for row in want.tolist()]
-        same = (tmp_path / "basis.csv").read_text() == "\n".join(lines) + "\n"
-        assert same  # a bool: pytest's diff of two long texts takes minutes
+        for name, want in (("basis.npy", res.basis_samples), ("coords.npy", res.principal_coords)):
+            buf = io.BytesIO()
+            np.save(buf, np.ascontiguousarray(want))
+            same = (tmp_path / name).read_bytes() == buf.getvalue()
+            assert same, name  # a bool: pytest's diff of two long byte strings takes minutes
