@@ -17,7 +17,10 @@ OLD_SRC and NEW_SRC are directories holding a `koopdmd` package, such as
 `src` and a copy made with `git archive HEAD src | tar -x -C old`. Prints
 one line per target, `<target>: ...`, or with several thread counts one
 line per target and count, `<target>, BLAS threads N: ...`, and exits 1
-if any run differs.
+if any run differs. A differing file is named with how far it moved: for a
+`.npy` matrix the largest absolute difference (for a complex one also
+after one unit factor per column, which takes out each mode's phase), and
+for `dmd.json` the largest gap between eigenvalues at the same position.
 """
 
 import argparse
@@ -29,6 +32,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RECIPES = ("rotation-check", "vdp-phase", "torus-synth", "equivalence-suite", "lorenz-pod")
@@ -83,6 +88,34 @@ def differing_files(a: Path, b: Path) -> list[str]:
     return sorted(set(mismatch) | set(errors) | (names_a ^ names_b))
 
 
+def _gap(a, b) -> str:
+    return f"{np.max(np.abs(a - b), initial=0.0):.1e}"
+
+
+def how_far(a: Path, b: Path) -> str:
+    """How far the file b moved from a, or "" when one of them is missing
+    or there is no measure for its kind."""
+    if not (a.is_file() and b.is_file()):
+        return ""
+    if a.suffix == ".npy":
+        x, y = np.load(a), np.load(b)
+        if x.shape != y.shape:
+            return f"shape {x.shape} vs {y.shape}"
+        moved = _gap(x, y)
+        if np.iscomplexobj(x):
+            inner = np.sum(np.conj(y) * x, axis=0)
+            unit = np.divide(inner, np.abs(inner), out=np.ones_like(inner), where=inner != 0)
+            moved += f", {_gap(x, y * unit)} after unit factors"
+        return moved
+    if a.name == "dmd.json":
+        x, y = ([complex(e["re"], e["im"]) for e in json.loads(p.read_text())["eigenvalues"]]
+                for p in (a, b))
+        if len(x) != len(y):
+            return f"{len(x)} vs {len(y)} eigenvalues"
+        return f"eigenvalues {_gap(np.array(x), np.array(y))}"
+    return ""
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -112,7 +145,10 @@ def main() -> int:
                 if runs["old"][0] or runs["new"][0]:
                     problems.append(f"exit codes {runs['old'][0]} / {runs['new'][0]}")
                 if files:
-                    problems.append("artifacts differ: " + ", ".join(files))
+                    moved = {f: how_far(work / "old" / name / f, work / "new" / name / f)
+                             for f in files}
+                    problems.append("artifacts differ: " + ", ".join(
+                        f"{f} ({m})" if m else f for f, m in moved.items()))
                 if runs["old"][1] != runs["new"][1]:
                     problems.append("stdout differs")
                 count = len(list((work / "new" / name).glob("*")))

@@ -18,6 +18,9 @@ projected modes W w_j. Each variant computes only what it returns.
   operator for eigenvalues inside the data range).
 * hankel_dmd: the core on a composite Hankel pair; returns the projected
   modes only, which sample Koopman eigenfunctions along the trajectory.
+  Within a block Y is X shifted by one column, so it takes W^T Y from the
+  SVD of X and one column of Y per block (_hankel_wty), and forms no
+  product of Y's size; the other variants form W^T Y directly.
 
 Everything that decides a result is k-sized (Drmac, Mezic & Mohr, SIAM J.
 Sci. Comput. 2018): the projected operator, its eigenvectors e_j and the
@@ -286,13 +289,13 @@ def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
     return r.W[:, :k], r.S[:k], r.V[:, :k], float(np.sqrt(np.sum(r.S[k:] ** 2)))
 
 
-def _core(y: np.ndarray, w: np.ndarray, s: np.ndarray, v: np.ndarray):
-    """Project the one-step map onto the kept left singular vectors of X
-    (X ~ w diag(s) v^T) and eigendecompose the projected operator.
+def _core(wty: np.ndarray, s: np.ndarray, v: np.ndarray):
+    """Eigendecompose the one-step map projected onto the kept left
+    singular vectors w of X (X ~ w diag(s) v^T), given wty = w^T Y.
 
     Returns the eigenvalues and the eigenvectors in reduced coordinates.
     """
-    atilde = (w.T @ y @ v) / s[None, :]
+    atilde = (wty @ v) / s[None, :]
     er = linalg.eig(atilde)
     return er.eigenvalues, er.eigenvectors
 
@@ -318,12 +321,29 @@ def _projected_modes(w: np.ndarray, vecs: np.ndarray, second: np.ndarray,
     return modes
 
 
-def _projected_result(w, s, v, y, residual: float, algorithm: str, dt: float) -> DmdResult:
+def _hankel_wty(data: CompositeData, w: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w^T Y of a composite Hankel pair from the SVD of X, with one
+    product by w^T per block instead of one of Y's size. Within a block,
+    Y's column j is X's column j + 1 (both scaled by the block's scale),
+    and w^T X = diag(s) v^T, so only each block's last column of Y is
+    multiplied."""
+    svt = s[:, None] * v.T
+    wty = np.empty_like(svt)
+    lasts = [hi - 1 for _, hi in data.block_offsets]
+    for lo, hi in data.block_offsets:
+        wty[:, lo:hi - 1] = svt[:, lo + 1:hi]
+    # Indexing copies the columns into one C-ordered array, so the product
+    # gets the same bits from a view of a series as from a copy.
+    wty[:, lasts] = w.T @ data.Y[:, lasts]
+    return wty
+
+
+def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float) -> DmdResult:
     """The core with projected modes, ordered in reduced coordinates: the
     modes w e_j keep the norms of e_j, and w^T x0 = s * v[0] for the first
     data column x0. The result holds w and the ordered e_j; no mode row is
     formed here."""
-    vals, vecs = _core(y, w, s, v)
+    vals, vecs = _core(wty, s, v)
     order = _energy_order(vals, vecs, s * v[0])
     return DmdResult(
         eigenvalues=vals[order],
@@ -350,7 +370,7 @@ def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> D
         raise DecompositionError(
             "X has numerically zero singular values; use exact_dmd with a threshold"
         )
-    return _projected_result(r.W, r.S, r.V, y, 0.0, "svd", dt)
+    return _projected_result(r.W, r.S, r.V, r.W.T @ y, 0.0, "svd", dt)
 
 
 def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
@@ -368,7 +388,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
     """
     x, y = _pair(X, Y)
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
-    vals, vecs = _core(y, w, s, v)
+    vals, vecs = _core(w.T @ y, s, v)
     projected = _mode_factors(w, vals, vecs).array()
     # Exact modes: eigenvectors of the full-size one-step operator,
     # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
@@ -402,13 +422,14 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = linalg.DEFAULT_RANK_T
     threshold keys act as in exact_dmd; the default keeps the rank that
     ergodic_pod keeps, whatever the units of the observables. factors,
     when given, is the SVD of data.X (for a lone unscaled block, the one
-    ergodic_pod also uses).
+    ergodic_pod also uses). The projected operator comes from W^T Y in
+    Hankel coordinates (_hankel_wty), which holds for the pairs of
+    embed.composite: within each block, Y's column j is X's column j + 1.
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
-    x, y = data.X, data.Y
-    w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
-    return _projected_result(w, s, v, y, residual, "hankel", dt)
+    w, s, v, residual = _truncated_svd(data.X, svd_threshold, threshold_mode, factors)
+    return _projected_result(w, s, v, _hankel_wty(data, w, s, v), residual, "hankel", dt)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ C-ordered array. The matrix is a 2-D array or a row source (RowSource): an
 object with a shape and rows(lo, hi), which forms rows lo:hi on request,
 so a matrix that results hold as factors exists only block by block inside
 the writer. It is formed, checked for non-finite values and written in the
-blocks of row_blocks, of at most BLOCK_ROWS rows.
+blocks of row_blocks, of at most BLOCK_ROWS rows, two blocks formed at a
+time on two threads.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,23 +170,40 @@ def write_npy(path, matrix: np.ndarray | RowSource, dtype) -> None:
     order, format 1.0: the bytes of np.save on the whole matrix in C order.
 
     matrix is a 2-D array or a row source (RowSource, or any object with
-    its shape and rows(lo, hi)). Its rows are formed, converted to dtype,
-    checked and written in the blocks of row_blocks, so no second array of
-    its size is made. A non-finite value (a real or an imaginary part) is
-    refused with a ValueError and leaves no file behind.
+    its shape and rows(lo, hi)), whose rows(lo, hi) is called from two
+    threads at once. Its rows are formed, converted to dtype, checked and
+    written in the blocks of row_blocks, so no second array of its size is
+    made: the calling thread forms one block while a worker forms the next,
+    and both are then checked and written in order. A non-finite value (a
+    real or an imaginary part) is refused with a ValueError and leaves no
+    file behind.
     """
     dtype = np.dtype(dtype)
     nrows, ncols = (int(n) for n in matrix.shape)
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
               "shape": (nrows, ncols)}
     array = isinstance(matrix, np.ndarray)
-    with _atomic_open(path, binary=True) as fh:
+
+    def form(lo, hi):
+        return np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
+                                    dtype=dtype)
+
+    def form_after(go, lo, hi):
+        # A new worker thread runs at once; waiting for go lets the calling
+        # thread ask for its block first.
+        go.wait()
+        return form(lo, hi)
+
+    blocks = row_blocks(nrows)
+    with _atomic_open(path, binary=True) as fh, ThreadPoolExecutor(1) as pool:
         np.lib.format.write_array_header_1_0(fh, header)
-        for lo, hi in row_blocks(nrows):
-            block = np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
-                                         dtype=dtype)
-            _check_finite(block.view(np.float64))
-            fh.write(block.data)
+        for i in range(0, len(blocks), 2):
+            go = threading.Event()
+            later = [pool.submit(form_after, go, *b) for b in blocks[i + 1:i + 2]]
+            go.set()
+            for block in [form(*blocks[i])] + [f.result() for f in later]:
+                _check_finite(block.view(np.float64))
+                fh.write(block.data)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

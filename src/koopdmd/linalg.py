@@ -9,14 +9,18 @@ the package's one rank rule: POD, DMD and pinv all cut through it.
 svd forms only the left singular vectors its caller keeps: given a rank
 rule, the W of a tall matrix holds just the leading rank(S) columns. It
 factors every tall matrix the way LAPACK's dgesdd does (a QR, then the
-SVD of the small R; Chan, ACM TOMS 1982), but in one copy of its input.
-S and V hold the bits np.linalg.svd returns, except where dgesdd first
-rescales an input whose largest entry is below about 1e-138 or above
-1e138: there they agree to roundoff, as W always does. A rerun with the
-same numpy, BLAS and thread count gives the same bits.
+SVD of the small R; Chan, ACM TOMS 1982), but in one copy of its input,
+and it never forms Q: the kept columns W = Q U_R[:, :k] come from
+applying the QR's Householder reflectors to U_R[:, :k] in blocks, on two
+threads (_apply_q). S and V hold the bits np.linalg.svd returns, except
+where dgesdd first rescales an input whose largest entry is below about
+1e-138 or above 1e138: there they agree to roundoff, as W always does. A
+rerun with the same numpy, BLAS and BLAS thread count gives the same
+bits, on any number of CPUs.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -41,9 +45,13 @@ def numerical_rank(S, tol: float = DEFAULT_RANK_TOL, absolute: bool = False) -> 
     count, not even at a zero cutoff."""
     return int(np.count_nonzero(S > (tol if absolute else tol * S[0])))
 
-#: Rows per block of the product that forms the kept left singular
-#: vectors of a tall matrix (_tall_svd).
-_BLOCK_ROWS = 2048
+#: Householder reflectors applied at a time when the kept left singular
+#: vectors of a tall matrix are formed (_apply_q).
+_REFLECTORS = 64
+
+#: Rows of W updated per product when a block of reflectors is applied
+#: (_apply_q): buffers of a whole half raised lorenz-pod's peak RSS by 27 MiB.
+_CHUNK_ROWS = 256
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -102,30 +110,85 @@ def _tall_svd(a: np.ndarray, rank: RankRule | None) -> SvdResult:
     """dgesdd's path for rows >= 11 cols / 6 (Chan's R-SVD), in one copy
     of a.
 
-    dgeqrf and dorgqr turn a Fortran-ordered copy into Q in place, and
-    np.linalg.svd factors R, which gives S and V dgesdd's bits. Only the
-    kept columns W = Q @ U_R[:, :k] are formed, into a C-ordered array, in
-    blocks of _BLOCK_ROWS rows: on a 10000 x 501 matrix, one product over
-    all rows raised the peak RSS by 16 MiB more, inside OpenBLAS.
+    dgeqrf factors a Fortran-ordered copy in place, and np.linalg.svd
+    factors R, which gives S and V dgesdd's bits. Q is never formed: the
+    kept columns W = Q [U_R[:, :k]; 0] are the reflectors applied to a
+    C-ordered array that holds U_R[:, :k] in its leading rows (_apply_q).
     """
     rows, cols = a.shape
-    qt = np.empty((cols, rows))  # lapack_lite takes C order: Q transposed
+    qt = np.empty((cols, rows))  # lapack_lite takes C order: the factors transposed
     qt[...] = a.T
     tau = np.empty(cols)
     _lapack(lapack_lite.dgeqrf, rows, cols, qt, rows, tau)
-    q = qt.T
-    r = np.triu(q[:cols])
-    _lapack(lapack_lite.dorgqr, rows, cols, cols, qt, rows, tau)
+    r = np.triu(qt.T[:cols])
     u, s, vh = np.linalg.svd(r, full_matrices=False)
-    # W is allocated while Q lives, at a run's peak RSS: drop R and vh first.
+    # W is allocated while qt lives, at a run's peak RSS: drop R and vh first.
     del r
     v = vh.T.copy()
     del vh
     k = cols if rank is None else rank(s)
-    w = np.empty((rows, k))
-    for lo in range(0, rows, _BLOCK_ROWS):
-        np.matmul(q[lo:lo + _BLOCK_ROWS], u[:, :k], out=w[lo:lo + _BLOCK_ROWS])
+    w = np.zeros((rows, k))
+    w[:cols] = u[:, :k]
+    _apply_q(qt, tau, w)
     return _factors(w, s, v)
+
+
+def _larft(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The upper triangular T with H_0 H_1 ... H_{b-1} = I - V T V^T, by
+    dlarft's forward recurrence from the Gram matrix g = V^T V. It only
+    multiplies by tau, so a zero reflector (tau_i = 0) needs no care."""
+    b = tau.size
+    t = np.zeros((b, b))
+    for i in range(b):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+        t[i, i] = tau[i]
+    return t
+
+
+def _apply_q(qt: np.ndarray, tau: np.ndarray, c: np.ndarray) -> None:
+    """c <- Q c in place, for the Q = H_0 H_1 ... H_{n-1} of dgeqrf's
+    reflectors H_i = I - tau_i v_i v_i^T, where v_i is 0 above row i, 1 at
+    row i and qt[i, i+1:] below it.
+
+    The reflectors are applied _REFLECTORS at a time, the last block
+    first, each as I - V T V^T (compact WY; Schreiber & Van Loan, SIAM J.
+    Sci. Stat. Comput. 1989), with V read in place from qt. The rows below
+    a block's unit triangular head are split into two halves at a row set
+    by the shapes alone. The products over one half run on a worker
+    thread and those over the other on the calling thread, and the halves
+    of V^T c are summed in a fixed order, so the bits depend neither on
+    the thread schedule nor on the number of CPUs.
+    """
+    cols, rows = qt.shape
+    bufs = [np.empty((_CHUNK_ROWS, c.shape[1])) for _ in range(2)]
+
+    def project(vt, lo, hi):
+        # This half's share of V^T c and of V^T V.
+        v = vt[:, lo:hi]
+        return v @ c[lo:hi], v @ v.T
+
+    def update(vt, z, lo, hi, buf):
+        # c[lo:hi] -= V[lo:hi] z, through buf.
+        for r in range(lo, hi, _CHUNK_ROWS):
+            n = min(_CHUNK_ROWS, hi - r)
+            np.matmul(vt[:, r:r + n].T, z, out=buf[:n])
+            c[r:r + n] -= buf[:n]
+
+    with ThreadPoolExecutor(1) as pool:
+        for j in reversed(range(0, cols, _REFLECTORS)):
+            e = min(j + _REFLECTORS, cols)
+            vt = qt[j:e]  # V^T below the head is vt[:, e:]
+            head = np.tril(vt[:, j:e].T, -1)
+            np.fill_diagonal(head, 1.0)
+            mid = (e + rows) // 2
+            ahead = pool.submit(project, vt, mid, rows)
+            (z0, g0), (z1, g1) = project(vt, e, mid), ahead.result()
+            z = head.T @ c[j:e] + z0 + z1
+            z = _larft(head.T @ head + g0 + g1, tau[j:e]) @ z
+            ahead = pool.submit(update, vt, z, mid, rows, bufs[1])
+            update(vt, z, e, mid, bufs[0])
+            c[j:e] -= head @ z
+            ahead.result()
 
 
 def _factors(w: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:

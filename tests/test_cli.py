@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -764,6 +765,30 @@ print(grown / (16 * m * k), hashlib.sha256(seen["W"]).digest() == seen["digest"]
         grown, unchanged = run_fresh(script, forked=True).split()
         assert float(grown) <= 0.05
         assert unchanged == "True"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # lorenz-pod shortened to m = 2000 and n = 100, in fresh processes bound
+    # to one CPU and to all of them: the threads that form W and write the
+    # matrices share one CPU or run side by side.
+    raw = cli.recipe_config("lorenz-pod")
+    raw["system"]["steps"] = raw["system"]["skip"] + 2100
+    raw["embedding"] = {"m": 2000, "n": 100}
+    config = tmp_path / "lorenz.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    cpus = sorted(os.sched_getaffinity(0))
+    for name, allowed in [("one", cpus[:1]), ("all", cpus)]:
+        run_fresh(f"""
+import os
+from koopdmd import cli
+os.sched_setaffinity(0, {allowed!r})
+raise SystemExit(cli.main(["run", {str(config)!r}, "--out", {str(tmp_path / name)!r}]))
+""")
+    one, every = tmp_path / "one", tmp_path / "all"
+    for artifact in ("modes.npy", "pod_basis.npy", "dmd.json"):
+        assert (one / artifact).read_bytes() == (every / artifact).read_bytes(), artifact
 
 
 class TestRerun:

@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +129,50 @@ class TestTallSvd:
         r = assert_numpy_svd(random_matrix(rows, cols, k or 0),
                              None if k is None else lambda s: k)
         assert r.W.shape == (rows, cols if k is None else k)
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((300, 12)),
+        np.vstack([np.eye(12), np.zeros((288, 12))]),
+        np.where(np.arange(12) == 4, 0.0, random_matrix(300, 12, 6)),
+    ], ids=["all-zero", "identity-on-top", "zero-column"])
+    def test_zero_reflectors(self, x):
+        # dgeqrf leaves tau_i = 0 where a column has nothing below its
+        # diagonal; forming W must not divide by it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = linalg.svd(x)
+        assert np.linalg.norm(r.W.T @ r.W - np.eye(12)) <= 1e-14
+        assert np.linalg.norm(x @ r.V - r.W * r.S) <= 1e-14 * r.S[0]
+
+    def test_bits_do_not_depend_on_the_threads(self, monkeypatch):
+        # Two blocks of reflectors, and halves of several chunks each: run
+        # inline, the halves give W the bits they give on the worker thread,
+        # there with the threads switching as often as they can.
+        x = random_matrix(3000, 130, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = linalg.svd(x, lambda s: 40).W
+        finally:
+            sys.setswitchinterval(interval)
+
+        class Inline:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", Inline)
+        assert np.array_equal(linalg.svd(x, lambda s: 40).W, pooled)
 
     def test_all_zero_input(self):
         r = assert_numpy_svd(np.zeros((300, 12)), lambda s: 0)

@@ -1,11 +1,14 @@
 """Smoke runs of the example scripts with small arguments."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,6 +57,27 @@ def test_compare_artifacts_at_two_thread_counts():
     same = "2 artifacts byte-identical, stdout identical\n"
     assert out == (f"equivalence-suite, BLAS threads 1: {same}"
                    f"equivalence-suite, BLAS threads 2: {same}")
+
+
+def test_compare_artifacts_says_how_far_a_file_moved(tmp_path):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        from compare_artifacts import how_far
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    modes = np.array([[1 + 1j, 2.0], [0.5j, -1.0]])
+    moved = modes * np.array([1j, 1.0])  # column 0 turned by a unit factor
+    moved[1, 1] += 1e-9
+    np.save(tmp_path / "a.npy", modes)
+    np.save(tmp_path / "b.npy", moved)
+    assert how_far(tmp_path / "a.npy", tmp_path / "b.npy") == "2.0e+00, 1.0e-09 after unit factors"
+    for side, im in (("old", 0.5), ("new", 0.5 + 3e-7)):
+        (tmp_path / side).mkdir()
+        eigenvalues = [{"re": 1.0, "im": im}, {"re": 0.25, "im": 0.0}]
+        (tmp_path / side / "dmd.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
+    assert how_far(tmp_path / "old" / "dmd.json", tmp_path / "new" / "dmd.json") == \
+        "eigenvalues 3.0e-07"
+    assert how_far(tmp_path / "a.npy", tmp_path / "missing.npy") == ""
 
 
 def test_readme_library_example(capsys):
