@@ -16,8 +16,9 @@ previous run.json listed and this run did not write are deleted
 the equivalence suite (suite.seed_base); on a CSV source it is refused.
 The output directory is created once the input is read and embedded, so
 a refused input leaves none behind. POD and DMD cut their one
-SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-12;
-the dmd section's keys alone change DMD's cut.
+SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-8
+(linalg.truncation_rank: the projected operator then holds about eight
+digits); the dmd section's keys alone change DMD's cut.
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
 to a suite, a system parameter that its kind does not read, system.seed
@@ -118,7 +119,7 @@ class EmbeddingConfig:
 @dataclass(frozen=True)
 class DmdConfig:
     """The threshold keys act only on the truncating algorithms (hankel,
-    exact), where they default to linalg.DEFAULT_RANK_TOL and rel, the rank
+    exact), where they default to linalg.TRUNCATION_TOL and rel, the rank
     rule of POD; svd and companion refuse them and leave both None."""
 
     algorithm: str = "hankel"
@@ -134,7 +135,7 @@ class DmdConfig:
                        f"{name}: the {self.algorithm} algorithm truncates nothing; "
                        "drop the key")
             return
-        threshold = (linalg.DEFAULT_RANK_TOL if self.svd_threshold is None
+        threshold = (linalg.TRUNCATION_TOL if self.svd_threshold is None
                      else self.svd_threshold)
         mode = "rel" if self.threshold_mode is None else self.threshold_mode
         _check(_real(threshold) and threshold >= 0,
@@ -469,15 +470,15 @@ def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdRes
 
 def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
     """Rank rule of the factorization that POD and DMD share: the larger of
-    POD's rank and the configured DMD's (dmd.truncation_rule). svd keeps
-    every column; companion factors its own columns of the block, so only
-    POD's rank counts."""
+    POD's rank (linalg.truncation_rank) and the configured DMD's
+    (dmd.truncation_rule). svd keeps every column; companion factors its
+    own columns of the block, so only POD's rank counts."""
     if d.algorithm == "svd":
         return None
     if d.algorithm == "companion":
-        return linalg.numerical_rank
+        return linalg.truncation_rank
     rule = dmd.truncation_rule(d.svd_threshold, d.threshold_mode)
-    return lambda s: max(linalg.numerical_rank(s), rule(s))
+    return lambda s: max(linalg.truncation_rank(s), rule(s))
 
 
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
@@ -679,6 +680,7 @@ def _run_summary(result: RunResult) -> dict:
             "threshold_mode": cfg.dmd.threshold_mode,
             "rank_kept": d.rank_kept,
             "residual": float(d.residual),
+            "forward_error": d.forward_error,
             "dominant_nontrivial_freq": result.dominant_freq,
         }
         summary["dt"] = float(d.dt)

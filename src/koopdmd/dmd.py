@@ -31,14 +31,20 @@ and a column is formed alone. exact and companion hold their modes as
 arrays.
 
 Every rank decision is linalg.numerical_rank. The truncating variants
-cut with truncation_rule: by default they keep sigma_j / sigma_0 >
-1e-12, the rank pod.ergodic_pod keeps; threshold_mode "abs" makes
-svd_threshold the cutoff itself.
+cut with truncation_rule: by default they keep sigma_j / sigma_0 > 1e-8
+(linalg.TRUNCATION_TOL), the rank pod.ergodic_pod keeps; threshold_mode
+"abs" makes svd_threshold the cutoff itself. The projected operator
+divides by the smallest kept sigma_k, so its forward error grows like
+eps * sigma_0 / sigma_k: at 1e-8 that is at most 2.2e-8, about eight
+correct digits, where the old default of 1e-12 left about four. Each
+result reports that estimate as forward_error. The full-rank refusals of
+svd_dmd and companion_dmd stay at linalg.DEFAULT_RANK_TOL, 1e-12.
 
 Eigenvalues are ordered by descending data energy of their modes (least
-squares against the first data column), ties broken by descending
-modulus, then ascending phase in [0, 2*pi). Keys are compared exactly, so
-a tie is an exact tie. Both members of a conjugate pair carry the pair's
+squares against the first data column; for hankel_dmd, against the first
+column of every block, with a mode's shares of them added in quadrature),
+ties broken by descending modulus, then ascending phase in [0, 2*pi).
+Keys are compared exactly, so a tie is an exact tie. Both members of a conjugate pair carry the pair's
 larger energy and the same modulus, so they tie and the positive-frequency
 member comes first. Projected modes W w_j are ordered in reduced
 coordinates, where the same least squares is k x k, and each is formed
@@ -125,6 +131,10 @@ class DmdResult:
         produces exact modes (exact only), else None.
     residual: companion fit residual, or SVD truncation tail energy
         sqrt(sum of dropped sigma^2) for the SVD-based variants.
+    forward_error: eps * sigma_0 / sigma_k of the kept singular values
+        (for companion, of its basis): the estimate of the relative
+        forward error of the projected operator, which divides by
+        sigma_k. None only for a result built by hand.
     condition: condition number of the fitted basis (companion only).
     undefined_exact: indices whose eigenvalue was (numerically) zero, so
         the exact mode is undefined and the projected mode was substituted.
@@ -137,6 +147,7 @@ class DmdResult:
     residual: float
     algorithm: str
     dt: float
+    forward_error: float | None = None
     condition: float | None = None
     undefined_exact: tuple[int, ...] = ()
 
@@ -191,17 +202,20 @@ def _conjugate_pairs(eigenvalues: np.ndarray, vectors: np.ndarray | None = None)
 def _energy_order(eigenvalues: np.ndarray, modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Permutation ordering modes by their least-squares share of x0.
 
-    modes and x0 may be given in any coordinates in which the modes keep
-    their norms (for projected modes W e_j: the reduced vectors e_j and
-    W^T x0). The two members of a conjugate pair of eigenvalues (see
-    _conjugate_pairs) share the pair's larger energy, so roundoff never
-    splits them and the positive phase comes first.
+    x0 is one data column, or several as the columns of a matrix, whose
+    shares are added in quadrature (np.hypot, so one column keeps its
+    share's bits). modes and x0 may be given in any coordinates in which
+    the modes keep their norms (for projected modes W e_j: the reduced
+    vectors e_j and W^T x0). The two members of a conjugate pair of
+    eigenvalues (see _conjugate_pairs) share the pair's larger energy, so
+    roundoff never splits them and the positive phase comes first.
     """
     try:
         coeffs, *_ = np.linalg.lstsq(modes, x0.astype(complex), rcond=None)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"mode energy least squares did not converge: {exc}") from exc
-    energy = np.abs(coeffs) * np.linalg.norm(modes, axis=0)
+    shares = np.abs(coeffs).reshape(coeffs.shape[0], -1)
+    energy = np.hypot.reduce(shares, axis=1) * np.linalg.norm(modes, axis=0)
     second = np.flatnonzero(_conjugate_pairs(eigenvalues))
     energy[second] = energy[second - 1] = np.maximum(energy[second], energy[second - 1])
     phase = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
@@ -258,6 +272,7 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
         residual=residual,
         algorithm="companion",
         dt=dt,
+        forward_error=_forward_error(sv),
         condition=cond,
     )
 
@@ -287,6 +302,11 @@ def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
             f"{svd_threshold:.3e}, largest {r.S[0]:.3e}); nothing to decompose"
         )
     return r.W[:, :k], r.S[:k], r.V[:, :k], float(np.sqrt(np.sum(r.S[k:] ** 2)))
+
+
+def _forward_error(s: np.ndarray) -> float:
+    """eps * sigma_0 / sigma_k of the kept descending singular values s."""
+    return float(np.finfo(float).eps * s[0] / s[-1])
 
 
 def _core(wty: np.ndarray, s: np.ndarray, v: np.ndarray):
@@ -338,13 +358,14 @@ def _hankel_wty(data: CompositeData, w: np.ndarray, s: np.ndarray, v: np.ndarray
     return wty
 
 
-def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float) -> DmdResult:
-    """The core with projected modes, ordered in reduced coordinates: the
-    modes w e_j keep the norms of e_j, and w^T x0 = s * v[0] for the first
-    data column x0. The result holds w and the ordered e_j; no mode row is
-    formed here."""
+def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float,
+                      starts: tuple[int, ...] = (0,)) -> DmdResult:
+    """The core with projected modes, ordered in reduced coordinates by
+    the data columns starts: the modes w e_j keep the norms of e_j, and
+    w^T X[:, starts] = s V[starts]^T. The result holds w and the ordered
+    e_j; no mode row is formed here."""
     vals, vecs = _core(wty, s, v)
-    order = _energy_order(vals, vecs, s * v[0])
+    order = _energy_order(vals, vecs, s[:, None] * v[list(starts)].T)
     return DmdResult(
         eigenvalues=vals[order],
         source=_mode_factors(w, vals[order], vecs[:, order]),
@@ -353,6 +374,7 @@ def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float) 
         residual=residual,
         algorithm=algorithm,
         dt=dt,
+        forward_error=_forward_error(s),
     )
 
 
@@ -373,7 +395,7 @@ def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> D
     return _projected_result(r.W, r.S, r.V, r.W.T @ y, 0.0, "svd", dt)
 
 
-def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
+def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
               threshold_mode: str = "rel", dt: float = 1.0,
               factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on a hard-thresholded SVD of X.
@@ -406,11 +428,12 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
         residual=residual,
         algorithm="exact",
         dt=dt,
+        forward_error=_forward_error(s),
         undefined_exact=tuple(int(i) for i in np.flatnonzero(undefined[order])),
     )
 
 
-def hankel_dmd(data: CompositeData, svd_threshold: float = linalg.DEFAULT_RANK_TOL,
+def hankel_dmd(data: CompositeData, svd_threshold: float = linalg.TRUNCATION_TOL,
                dt: float = 1.0, threshold_mode: str = "rel",
                factors: linalg.SvdResult | None = None) -> DmdResult:
     """Exact DMD on composite Hankel data; modes are eigenfunction samples.
@@ -425,11 +448,14 @@ def hankel_dmd(data: CompositeData, svd_threshold: float = linalg.DEFAULT_RANK_T
     ergodic_pod also uses). The projected operator comes from W^T Y in
     Hankel coordinates (_hankel_wty), which holds for the pairs of
     embed.composite: within each block, Y's column j is X's column j + 1.
+    Modes are ordered by their energy in the first column of every block,
+    so a mode absent from block 1 is not ranked by roundoff.
     """
     if not isinstance(data, CompositeData):
         raise TypeError("hankel_dmd expects CompositeData (see embed.composite)")
     w, s, v, residual = _truncated_svd(data.X, svd_threshold, threshold_mode, factors)
-    return _projected_result(w, s, v, _hankel_wty(data, w, s, v), residual, "hankel", dt)
+    return _projected_result(w, s, v, _hankel_wty(data, w, s, v), residual, "hankel", dt,
+                             tuple(lo for lo, _ in data.block_offsets))
 
 
 @dataclass(frozen=True)

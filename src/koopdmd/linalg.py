@@ -4,7 +4,21 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy). The contract
 is the returned structure and its invariants (orthonormality, descending
 singular values, bounded residuals), not the factorization algorithm.
 All functions are pure and safe to call concurrently. numerical_rank is
-the package's one rank rule: POD, DMD and pinv all cut through it.
+the package's one rank rule, at one of two cuts:
+
+* DEFAULT_RANK_TOL, sigma_j / sigma_0 > 1e-12, answers whether a direction
+  is there at all. It makes every rank check: svd_dmd's and
+  companion_dmd's full-rank refusals, pod_snapshots' cut (on eigenvalues,
+  so sigma_j / sigma_0 > 1e-6) and pinv.
+* TRUNCATION_TOL, sigma_j / sigma_0 > 1e-8, is the default truncation of
+  POD and of the truncating DMD variants (truncation_rank). Their
+  projected operator W^T Y V S^-1 divides by the smallest kept sigma_k, so
+  its forward error grows like eps * sigma_0 / sigma_k (Drmac, Mezic &
+  Mohr, SIAM J. Sci. Comput. 2018). At 1e-12 that estimate is about
+  2e-4, four correct digits; at 1e-8 it is at most 2.2e-8, about eight.
+  So a triplet that the operator cannot resolve is cut, although the data
+  holds it: the rank a computation can resolve is not the numerical rank
+  (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998).
 
 svd forms only the left singular vectors its caller keeps: given a rank
 rule, the W of a tall matrix holds just the leading rank(S) columns. It
@@ -31,8 +45,12 @@ from numpy.linalg import lapack_lite
 from .errors import DecompositionError
 
 #: Singular values at or below DEFAULT_RANK_TOL * largest are treated as
-#: zero wherever a numerical rank decision is needed (numerical_rank).
+#: zero wherever a rank is checked (numerical_rank).
 DEFAULT_RANK_TOL = 1e-12
+
+#: POD and DMD keep by default the singular triplets above TRUNCATION_TOL *
+#: largest, those whose projected operator holds about eight digits.
+TRUNCATION_TOL = 1e-8
 
 #: A rank rule maps the descending singular values to the number of
 #: leading singular triplets a caller keeps.
@@ -44,6 +62,13 @@ def numerical_rank(S, tol: float = DEFAULT_RANK_TOL, absolute: bool = False) -> 
     itself when absolute), a prefix of S. Strict, so exact zeros never
     count, not even at a zero cutoff."""
     return int(np.count_nonzero(S > (tol if absolute else tol * S[0])))
+
+
+def truncation_rank(S) -> int:
+    """The default truncation of POD and DMD: numerical_rank at
+    TRUNCATION_TOL, sigma_j / sigma_0 > 1e-8."""
+    return numerical_rank(S, TRUNCATION_TOL)
+
 
 #: Householder reflectors applied at a time when the kept left singular
 #: vectors of a tall matrix are formed (_apply_q).

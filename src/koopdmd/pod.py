@@ -123,9 +123,9 @@ def pod_snapshots(G, F_samples) -> PodResult:
 
 def retained_rank(S) -> int:
     """POD's rank of a block with descending singular values S,
-    sigma_j / sigma_0 > 1e-12 (numerical_rank); an identically zero block
-    is a DecompositionError."""
-    k = linalg.numerical_rank(S)
+    sigma_j / sigma_0 > 1e-8 (linalg.truncation_rank, the default cut of
+    DMD too); an identically zero block is a DecompositionError."""
+    k = linalg.truncation_rank(S)
     if k == 0:
         raise DecompositionError("Hankel block is identically zero; nothing to decompose")
     return k
@@ -145,7 +145,7 @@ def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> 
     """
     h = block.H
     m = h.shape[0]
-    r = linalg.svd_of(h, factors, linalg.numerical_rank)
+    r = linalg.svd_of(h, factors, linalg.truncation_rank)
     k = retained_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(

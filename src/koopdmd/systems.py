@@ -5,7 +5,9 @@ it, a start state and a sampling grid. Flows (lorenz, vanderpol) are
 integrated with classical fixed-step RK4, subdividing each sampling interval
 so the local step never exceeds min(dt, 0.005). One RK4 core serves both. It
 steps the state as Python floats, because on a 2- or 3-element state numpy's
-per-call overhead costs several times the arithmetic. Maps are exact: circle
+per-call overhead costs several times the arithmetic, and it holds each
+coordinate in a local variable of its own, because a list per stage costs
+as much again. Maps are exact: circle
 and torus rotate by their omega vector mod 2*pi, linear iterates its matrix.
 Trajectories are deterministic given the spec. An Observable is an
 expression over z1..zd; its fixed kinds are shorthands for such expressions.
@@ -17,6 +19,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +151,47 @@ def _vdp_deriv(mu):
     return deriv
 
 
+# The RK4 loop, written out per coordinate for a state z0..z{dim-1} by
+# _rk4_loop; the trailing commas let one coordinate unpack too. It returns
+# the number of steps taken, which falls short of steps at the first
+# state that is not finite.
+_RK4_LOOP = """
+def loop(deriv, z, steps, nsub, h, half, sixth, out, isfinite):
+    {z}, = z
+    for i in range(steps):
+        for _ in range(nsub):
+            {k1}, = deriv({z})
+            {k2}, = deriv({arg2})
+            {k3}, = deriv({arg3})
+            {k4}, = deriv({arg4})
+            {z}, = {update},
+        if not ({finite}):
+            return i
+        out.extend(({z},))
+    return steps
+"""
+
+
+@lru_cache
+def _rk4_loop(dim: int):
+    """_RK4_LOOP written out for a state of dim coordinates, compiled once
+    per dim."""
+    z, k1, k2, k3, k4 = ([f"{p}{i}" for i in range(dim)] for p in "zabcd")
+
+    def each(template, *names):
+        return ", ".join(template.format(*row) for row in zip(*names))
+
+    source = _RK4_LOOP.format(
+        z=each("{}", z), k1=each("{}", k1), k2=each("{}", k2), k3=each("{}", k3),
+        k4=each("{}", k4), arg2=each("{} + half * {}", z, k1),
+        arg3=each("{} + half * {}", z, k2), arg4=each("{} + h * {}", z, k3),
+        update=each("{} + sixth * ({} + 2.0 * {} + 2.0 * {} + {})", z, k1, k2, k3, k4),
+        finite=" and ".join(f"isfinite({x})" for x in z))
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["loop"]
+
+
 def integrate_flow(deriv, z0, dt: float, steps: int,
                    max_substep: float = MAX_SUBSTEP) -> np.ndarray:
     """Fixed-step RK4 sampling every dt; substeps keep the local step
@@ -158,20 +202,11 @@ def integrate_flow(deriv, z0, dt: float, steps: int,
     result is a view of that array."""
     nsub = max(1, math.ceil(dt / max_substep))
     h = dt / nsub
-    half, sixth = 0.5 * h, h / 6.0
     z = [float(v) for v in z0]
     out = array("d", z)
-    for i in range(steps):
-        for _ in range(nsub):
-            k1 = deriv(*z)
-            k2 = deriv(*[a + half * k for a, k in zip(z, k1)])
-            k3 = deriv(*[a + half * k for a, k in zip(z, k2)])
-            k4 = deriv(*[a + h * k for a, k in zip(z, k3)])
-            z = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-                 for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, z)):
-            raise IntegrationError(f"state became non-finite at step {i + 1}")
-        out.extend(z)
+    done = _rk4_loop(len(z))(deriv, z, steps, nsub, h, 0.5 * h, h / 6.0, out, math.isfinite)
+    if done < steps:
+        raise IntegrationError(f"state became non-finite at step {done + 1}")
     return np.frombuffer(out).reshape(steps + 1, len(z))
 
 

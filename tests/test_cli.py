@@ -620,6 +620,9 @@ class TestExecute:
     def test_vdp_phase_pairs_lead_with_positive_member(self, tmp_path):
         raw = cli.recipe_config("vdp-phase")
         raw["output_dir"] = str(tmp_path / "vdp")
+        # The old cut keeps 81 modes, so at least 40 pairs to check (54 modes
+        # at the default).
+        raw["dmd"] = {"svd_threshold": 1e-12}
         vals = cli.execute(cli.parse_config(raw, recipe="vdp-phase")).dmd_result.eigenvalues
         j, pairs = 0, 0
         while j < vals.size:
@@ -629,6 +632,20 @@ class TestExecute:
             assert vals[j].imag > 0 and vals[j + 1] == np.conj(vals[j]), j
             j, pairs = j + 2, pairs + 1
         assert pairs >= 40
+
+    def test_run_json_reports_the_forward_error(self, tmp_path):
+        # vdp-phase keeps 54 triplets at the default cut (81 at 1e-12);
+        # run.json reports eps * sigma_0 / sigma_k of them, 1.9e-8.
+        raw = cli.recipe_config("vdp-phase")
+        raw["output_dir"] = str(tmp_path / "vdp")
+        result = cli.execute(cli.parse_config(raw, recipe="vdp-phase"))
+        meta = json.loads((tmp_path / "vdp" / "run.json").read_text())["dmd"]
+        s = result.pod_result.singular_values
+        assert meta["svd_threshold"] == linalg.TRUNCATION_TOL
+        assert meta["rank_kept"] == result.pod_result.k == 54
+        assert meta["forward_error"] == result.dmd_result.forward_error
+        assert_allclose(meta["forward_error"], np.finfo(float).eps * s[0] / s[-1], rtol=1e-12)
+        assert 1e-8 < meta["forward_error"] < np.finfo(float).eps / linalg.TRUNCATION_TOL
 
 
 class TestOneComputationPerValue:

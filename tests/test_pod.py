@@ -69,12 +69,13 @@ class TestSnapshots:
 
 
 def test_the_two_rank_rules():
-    # Singular values 1 and 1e-8: the Gramian route keeps sigma_j / sigma_0 >
-    # 1e-6, the singular-value route sigma_j / sigma_0 > 1e-12.
+    # Singular values 1 and 1e-7: the Gramian route keeps sigma_j / sigma_0 >
+    # 1e-6, the singular-value route sigma_j / sigma_0 > 1e-8 (1e-8 itself
+    # would sit on that cut).
     rng = np.random.default_rng(0)
     u, _ = np.linalg.qr(rng.standard_normal((50, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    f = u @ np.diag([1.0, 1e-8]) @ v.T
+    f = u @ np.diag([1.0, 1e-7]) @ v.T
     assert pod.pod_snapshots(f.T @ f, f).k == 1
     assert pod.ergodic_pod(embed.HankelBlock(H=f, UH=f, m=50, n=1, dt=1.0)).k == 2
 

@@ -176,8 +176,9 @@ def rk4_reference(deriv, z0, dt, steps, max_substep=systems.MAX_SUBSTEP):
 
 
 def list_flow(deriv, z0, dt, steps, max_substep=systems.MAX_SUBSTEP):
-    """integrate_flow as it was before its states went into an array("d"):
-    one Python list per state."""
+    """integrate_flow as it was before its states went into an array("d")
+    and its coordinates into local variables: one Python list per stage
+    and per state, each coordinate by the same formula in the same order."""
     nsub = max(1, math.ceil(dt / max_substep))
     h = dt / nsub
     half, sixth = 0.5 * h, h / 6.0
@@ -230,6 +231,25 @@ class TestRk4Reference:
             deriv = {"lorenz": systems._lorenz_deriv,
                      "vanderpol": systems._vdp_deriv}[spec.kind](**spec.params)
             assert np.array_equal(got, bits(list_flow(deriv, spec.z0, spec.dt, spec.steps)))
+
+    @pytest.mark.parametrize("kind, params, z0, dt, steps", [
+        ("lorenz", systems.LORENZ_PARAMS, (1.0, 1.0, 1.0), 0.01, 2000),  # 2 substeps
+        ("lorenz", {"sigma": 10, "rho": 28, "beta": 3}, (-3.0, 2.0, 20.0), 0.003, 1000),  # 1
+        ("vanderpol", {"mu": systems.VDP_MU}, (4.0, 4.0), 0.1, 500),  # 20 substeps
+        ("vanderpol", {"mu": 2.0}, (0.5, -1.0), 0.0125, 800),  # 3 substeps
+    ])
+    def test_flows_match_the_per_coordinate_reference(self, kind, params, z0, dt, steps):
+        spec = SystemSpec(kind, dict(params), z0, dt, steps)
+        deriv = {"lorenz": systems._lorenz_deriv,
+                 "vanderpol": systems._vdp_deriv}[kind](**spec.params)
+        want = list_flow(deriv, spec.z0, spec.dt, spec.steps)
+        assert np.array_equal(bits(systems.integrate(spec).states), bits(want))
+
+    def test_one_coordinate_matches_the_reference(self):
+        deriv = lambda z: (z - z * z * z,)
+        got = systems.integrate_flow(deriv, [0.1], 0.02, 300)
+        assert got.shape == (301, 1)
+        assert np.array_equal(bits(got), bits(list_flow(deriv, [0.1], 0.02, 300)))
 
     def test_holds_about_what_the_memory_guard_counts(self):
         # The guard counts 8 (steps+1) d bytes per trajectory; a list of
