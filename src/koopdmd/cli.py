@@ -14,8 +14,12 @@ Once the new run.json is in place, the files that the directory's
 previous run.json listed and this run did not write are deleted
 (_remove_stale). --seed seeds the Lorenz default start (system.seed) or
 the equivalence suite (suite.seed_base); on a CSV source it is refused.
-The output directory is created once the input is read and embedded, so
-a refused input leaves none behind. POD and DMD cut their one
+A run computes every value first (_run_pipeline) and then writes one
+table of artifacts (execute): the output directory is made only then, so
+a failure before writing leaves the directory as it was, or absent. A
+failure while writing can still leave part of a run: an i/o error (exit
+4), a non-finite value that a writer refuses (exit 2), or Ctrl-C. Each
+file is still complete or absent. POD and DMD cut their one
 SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-8
 (linalg.truncation_rank: the projected operator then holds about eight
 digits); the dmd section's keys alone change DMD's cut.
@@ -395,7 +399,7 @@ class RunResult:
 
     config: RunConfig
     output_dir: Path
-    outputs: list[str]
+    outputs: list[str] = field(default_factory=list)
     trajectories: list[systems.Trajectory] | None = None
     blocks: list[embed.HankelBlock] | None = None
     data: embed.CompositeData | None = None
@@ -565,64 +569,44 @@ def _remove_stale(out: Path, previous: list[str], written: list[str]) -> None:
 
 
 def execute(cfg: RunConfig) -> RunResult:
-    """Run a validated config; write artifacts into cfg.output_dir; return
-    results. The files of a previous run there that this one did not
-    write are deleted once its run.json is in place."""
+    """Run a validated config, then write its artifacts into
+    cfg.output_dir and return the results. Nothing is written before every
+    decomposition has succeeded. The files of a previous run there that
+    this one did not write are deleted once its run.json is in place."""
     out = Path(cfg.output_dir)
     previous = _listed_outputs(out)
     if cfg.suite is not None:
         report = run_equivalence_suite(cfg.suite)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "equivalence.json", report)
-        result = RunResult(config=cfg, output_dir=out, outputs=["equivalence.json"],
-                           suite_report=report)
+        result = RunResult(config=cfg, output_dir=out, suite_report=report)
+        writers = {"equivalence.json": lambda path: write_json(path, report)}
     else:
-        result = _run_pipeline(cfg, out)
+        result, writers = _run_pipeline(cfg, out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out / name)
+    result.outputs = list(writers)
     write_json(out / "run.json", _run_summary(result))
     result.outputs.append("run.json")
     _remove_stale(out, previous, result.outputs)
     return result
 
 
-def _run_pipeline(cfg: RunConfig, out: Path) -> RunResult:
-    """Every artifact of a system or CSV run but run.json."""
+def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
+    """Every value of a system or CSV run, and the table of its artifacts
+    but run.json: file name -> writer(path), in the order they are written.
+    Each writer looks up its module's write function when it is called,
+    so a tracer that wraps those attributes still sees every write."""
     series_list, trajectories, observed = _build_series(cfg)
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
     # Here, wherever it sits: scale_factor would report a zero block as a
-    # zero-norm column, and the factorization only after files exist.
+    # zero-norm column.
     if not all(np.any(b.H) for b in blocks):
         raise DecompositionError("Hankel block is identically zero; nothing to decompose")
     scales = [1.0]
     for b in blocks[1:]:
         scales.append(embed.scale_factor(b, blocks[0]))
     data = embed.composite(blocks, scales)
-    # Only now: a refusal while the input is read or embedded leaves no
-    # directory behind.
-    out.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-
-    if trajectories is not None:
-        for i, traj in enumerate(trajectories, start=1):
-            cols = [embed.TimeSeries(values=traj.states[:, d], dt=traj.dt, label=f"z{d + 1}")
-                    for d in range(traj.states.shape[1])]
-            name = f"trajectory_{i}.csv"
-            embed.write_timeseries_csv(out / name, cols)
-            outputs.append(name)
-        for i in range(len(trajectories)):
-            name = f"series_{i + 1}.csv"
-            embed.write_timeseries_csv(out / name, [per_traj[i] for per_traj in observed])
-            outputs.append(name)
-
-    write_json(out / "hankel.json", {
-        "m": e.m, "n": e.n, "dt": blocks[0].dt, "stride": e.stride,
-        "interleave": e.interleave, "rows": int(data.X.shape[0]),
-        "cols": int(data.X.shape[1]),
-        "blocks": [{"label": b.label, "channels": b.channels, "scale": s,
-                    "start": o[0], "stop": o[1]}
-                   for b, s, o in zip(blocks, scales, data.block_offsets)],
-    })
-    outputs.append("hankel.json")
 
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
@@ -636,33 +620,46 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> RunResult:
         factors = linalg.svd(data.X, _shared_rank(cfg.dmd))
     dmd_result = _run_decomposition(cfg, blocks, data, factors)
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
-
-    pod.write_result_json(pod_result, out / "pod.json")
-    pod.write_basis_csv(pod_result, out / "pod_basis.npy")
-    pod.write_coords_csv(pod_result, out / "pod_coords.npy")
-    outputs += ["pod.json", "pod_basis.npy", "pod_coords.npy"]
-
-    dmd.write_result_json(dmd_result, out / "dmd.json")
-    dmd.write_modes_csv(dmd_result, out / "modes.npy")
-    outputs += ["dmd.json", "modes.npy"]
-
     freq_rows = _frequency_rows(cfg, dmd_result, trajectories)
-    if freq_rows is not None:
-        analysis.write_frequency_table(out / "frequency_table.csv", freq_rows)
-        outputs.append("frequency_table.csv")
-
     dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt)
     phase_skipped = None
     if cfg.analysis.export_phase and dominant is None:
         phase_skipped = f"no eigenvalue has |omega| >= {MIN_NONTRIVIAL_OMEGA:g} rad/s"
-    elif cfg.analysis.export_phase:
-        _write_phase_csv(out / "phase.csv", cfg, dmd_result, dominant, blocks, trajectories)
-        outputs.append("phase.csv")
 
-    return RunResult(config=cfg, output_dir=out, outputs=outputs,
-                     trajectories=trajectories, blocks=blocks, data=data,
-                     pod_result=pod_result, dmd_result=dmd_result,
-                     frequency_rows=freq_rows, dominant=dominant, phase_skipped=phase_skipped)
+    writers = {}
+    for i, traj in enumerate(trajectories or [], start=1):
+        cols = [embed.TimeSeries(values=traj.states[:, d], dt=traj.dt, label=f"z{d + 1}")
+                for d in range(traj.states.shape[1])]
+        writers[f"trajectory_{i}.csv"] = lambda path, cols=cols: (
+            embed.write_timeseries_csv(path, cols))
+    for i in range(len(trajectories or [])):
+        writers[f"series_{i + 1}.csv"] = lambda path, i=i: (
+            embed.write_timeseries_csv(path, [per_traj[i] for per_traj in observed]))
+    hankel_meta = {
+        "m": e.m, "n": e.n, "dt": blocks[0].dt, "stride": e.stride,
+        "interleave": e.interleave, "rows": int(data.X.shape[0]),
+        "cols": int(data.X.shape[1]),
+        "blocks": [{"label": b.label, "channels": b.channels, "scale": s,
+                    "start": o[0], "stop": o[1]}
+                   for b, s, o in zip(blocks, scales, data.block_offsets)],
+    }
+    writers["hankel.json"] = lambda path: write_json(path, hankel_meta)
+    writers["pod.json"] = lambda path: pod.write_result_json(pod_result, path)
+    writers["pod_basis.npy"] = lambda path: pod.write_basis_csv(pod_result, path)
+    writers["pod_coords.npy"] = lambda path: pod.write_coords_csv(pod_result, path)
+    writers["dmd.json"] = lambda path: dmd.write_result_json(dmd_result, path)
+    writers["modes.npy"] = lambda path: dmd.write_modes_csv(dmd_result, path)
+    if freq_rows is not None:
+        writers["frequency_table.csv"] = lambda path: (
+            analysis.write_frequency_table(path, freq_rows))
+    if cfg.analysis.export_phase and dominant is not None:
+        writers["phase.csv"] = lambda path: _write_phase_csv(
+            path, cfg, dmd_result, dominant, blocks, trajectories)
+
+    result = RunResult(config=cfg, output_dir=out, trajectories=trajectories, blocks=blocks,
+                       data=data, pod_result=pod_result, dmd_result=dmd_result,
+                       frequency_rows=freq_rows, dominant=dominant, phase_skipped=phase_skipped)
+    return result, writers
 
 
 def _run_summary(result: RunResult) -> dict:

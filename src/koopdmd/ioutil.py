@@ -154,11 +154,7 @@ def _check_finite(rows: np.ndarray) -> None:
 
 def format_rows(rows: np.ndarray) -> str:
     """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite.
-
-    Only one block of row_blocks is held as Python floats at a time: the
-    floats of a whole 10501 x 4 table left lorenz-pod 1.3 MiB more
-    resident when its SVD began, which its peak RSS then carried.
-    """
+    Only one block of row_blocks is held as Python floats at a time."""
     _check_finite(rows)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     return "".join([line % tuple(row) for lo, hi in row_blocks(rows.shape[0])

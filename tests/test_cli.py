@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import json
 import os
 import tracemalloc
@@ -424,6 +425,78 @@ class TestOutputDirectory:
         meta = json.loads((tmp_path / "out" / "run.json").read_text())["dmd"]
         assert meta["algorithm"] == "svd"
         assert meta["svd_threshold"] is None and meta["threshold_mode"] is None
+
+
+def digests(directory):
+    """sha256 of every file in directory, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+class TestComputeBeforeWrite:
+    """A run computes every value before it makes the output directory or
+    writes a file, so a failure up to then leaves the directory as it was."""
+
+    @staticmethod
+    def run(tmp_path, raw, out):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return cli.main(["run", str(path), "--out", str(out)])
+
+    def test_failed_decomposition_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, rotation_config("unused", svd_threshold=2.0), out) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
+
+    def test_failed_rerun_leaves_the_previous_run_byte_identical(self, tmp_path, capsys):
+        # The failing run's series, trajectory and Hankel metadata would
+        # differ from the previous run's (m = 50 against 60).
+        out = tmp_path / "out"
+        assert self.run(tmp_path, rotation_config("unused"), out) == 0
+        before = digests(out)
+        assert self.run(tmp_path, rotation_config("unused", m=50, svd_threshold=2.0), out) == 3
+        assert digests(out) == before
+
+    def test_out_of_memory_in_the_svd_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(linalg, "svd", exhausted)
+        out = tmp_path / "out"
+        assert self.run(tmp_path, rotation_config("unused"), out) == 5
+        assert capsys.readouterr().err.startswith("out of memory: ")
+        assert not out.exists()
+
+
+def shortened_recipe(name):
+    """A recipe's raw config with lorenz-pod's window cut to m = 500,
+    n = 50; the other recipes as they are."""
+    raw = cli.recipe_config(name)
+    if name == "lorenz-pod":
+        raw["system"]["steps"] = raw["system"]["skip"] + 600
+        raw["embedding"] = {"m": 500, "n": 50}
+    return raw
+
+
+@pytest.mark.parametrize("name", sorted(cli.RECIPES) + ["csv-three-columns"])
+def test_every_written_artifact_is_one_a_rerun_may_delete(tmp_path, name):
+    # _remove_stale deletes only the names in _ARTIFACT_NAMES or matching
+    # _NUMBERED_ARTIFACT, so an artifact missing from them would outlive
+    # the rerun that stops writing it.
+    if name == "csv-three-columns":
+        csv = tmp_path / "f.csv"
+        csv.write_text("t,f,g,h\n" + "".join(f"{i},{np.cos(i)},{np.sin(0.3 * i)},{i % 3}\n"
+                                             for i in range(80)))
+        raw = {"csv": str(csv), "embedding": {"m": 40, "n": 8}}
+    else:
+        raw = shortened_recipe(name)
+    raw["output_dir"] = str(tmp_path / "out")
+    result = cli.execute(cli.parse_config(raw, None if name.startswith("csv") else name))
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == sorted(result.outputs)
+    unknown = [n for n in written
+               if n not in cli._ARTIFACT_NAMES and not cli._NUMBERED_ARTIFACT.fullmatch(n)]
+    assert not unknown
 
 
 JSON = st.recursive(
@@ -916,11 +989,10 @@ class TestMain:
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=60, n=8, steps=30)))
         assert cli.main(["run", str(path)]) == 2
 
-    def test_non_finite_mode_row_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # Mode rows are formed in the .npy writer, block by block: a
-        # non-finite one in the last block, after earlier blocks were
-        # written, still exits 2 with one line and leaves neither modes.npy
-        # nor a temp file.
+    @staticmethod
+    def poison_second_mode_block(monkeypatch) -> list:
+        """Make the second _projected_modes call return a nan in its last
+        row; returns the row counts of the calls."""
         formed, blocks = dmd._projected_modes, []
 
         def poisoned(w, vecs, second, out=None):
@@ -932,14 +1004,39 @@ class TestMain:
 
         monkeypatch.setattr(dmd, "_projected_modes", poisoned)
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 100)
+        return blocks
+
+    def test_non_finite_mode_row_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Mode rows are formed in the .npy writer, block by block: a
+        # non-finite one in the last block, after earlier blocks were
+        # written, still exits 2 with one line and leaves neither modes.npy
+        # nor a temp file. Without analysis, the writer forms the first
+        # mode rows of the run.
+        blocks = self.poison_second_mode_block(monkeypatch)
+        raw = rotation_config(tmp_path / "out", m=160)
+        raw["analysis"] = None
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(rotation_config(tmp_path / "out", m=160)))
+        path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path)]) == 2
         assert blocks == [80, 80]  # the writer's second block was refused
         assert capsys.readouterr().err == "config error: refusing to serialize non-finite value nan\n"
         left = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert "modes.npy" not in left and "pod_basis.npy" in left
         assert not [name for name in left if name.endswith(".tmp")]
+
+    def test_non_finite_mode_row_met_by_analysis_writes_nothing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # With analysis.basics, the frequency table's eigenfunction samples
+        # form the mode rows before any file is written: the same poisoned
+        # row is refused there, and no output directory is made.
+        blocks = self.poison_second_mode_block(monkeypatch)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out", m=160)))
+        assert cli.main(["run", str(path)]) == 2
+        assert blocks == [80, 80]
+        err = capsys.readouterr().err
+        assert err == "config error: computed samples contain non-finite entries\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("expression, sample", [("log(z1 - 10)", 0), ("log(1 - z1)", 2)])
     def test_non_finite_observable_is_one_named_line(self, tmp_path, capsys, expression, sample):

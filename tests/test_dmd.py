@@ -520,6 +520,26 @@ class TestHankelCoordinates:
         assert np.linalg.norm(hankel - direct) / np.linalg.norm(direct) <= 10 * estimate
         assert estimate < np.finfo(float).eps / linalg.TRUNCATION_TOL
 
+    def test_vdp_certified_eigenvalues_hold_across_the_cut(self):
+        # The eigenvalues certified by a residual below 1e-4 at the default
+        # cut (54 triplets) and at DEFAULT_RANK_TOL (81): 4 at each cut,
+        # each 7.49e-6 from its partner at most, at one and at two BLAS
+        # threads (the two agree to 1e-15). The bound, 2e-5, is 2.7 times
+        # that: room for the 1e-6 that a roundoff change moves them at the
+        # old cut, where Ã holds about four digits.
+        data = recipe_data("vdp-phase")[2]
+        certified = []
+        for tol in (linalg.TRUNCATION_TOL, linalg.DEFAULT_RANK_TOL):
+            w, s, v, _ = dmd._truncated_svd(data.X, tol, "rel")
+            vals, vecs = dmd._core(dmd._hankel_wty(data, w, s, v), s, v)
+            certified.append(vals[eigenpair_residuals(data, s, v, vals, vecs) < 1e-4])
+        new, old = certified
+        assert new.size == old.size == 4
+        gaps = np.abs(new[:, None] - old[None, :])
+        partner = np.argmin(gaps, axis=1)
+        assert sorted(partner) == list(range(old.size))
+        assert gaps[np.arange(new.size), partner].max() <= 2e-5
+
 
 def orthonormal(m, k, seed=0):
     return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))[0]
@@ -633,6 +653,15 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * unit / modes.nbytes)
 """
         assert float(run_fresh(script, forked=True)) <= 1.25
+
+
+def test_a_complex_to_real_cast_fails_the_suite():
+    # pyproject.toml makes RuntimeWarning an error, and numpy's
+    # ComplexWarning with it: a cast that drops the imaginary parts of
+    # modes or eigenvalues cannot pass silently.
+    complex_warning = getattr(np, "exceptions", np).ComplexWarning
+    with pytest.raises(complex_warning):
+        np.array([1j]).astype(float)
 
 
 def test_decompositions_leave_shared_inputs_alone():
