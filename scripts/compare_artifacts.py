@@ -20,7 +20,10 @@ line per target and count, `<target>, BLAS threads N: ...`, and exits 1
 if any run differs. A differing file is named with how far it moved: for a
 `.npy` matrix the largest absolute difference (for a complex one also
 after one unit factor per column, which takes out each mode's phase), and
-for `dmd.json` the largest gap between eigenvalues at the same position.
+for `dmd.json` the largest gap between eigenvalues at the same position
+and their distance as sets: the largest distance from an eigenvalue of
+either file to the nearest one of the other, which reads 0 when the
+eigenvalues were only reordered.
 """
 
 import argparse
@@ -92,6 +95,14 @@ def _gap(a, b) -> str:
     return f"{np.max(np.abs(a - b), initial=0.0):.1e}"
 
 
+def set_distance(x, y) -> float:
+    """The largest distance from a point of x or of y to the nearest
+    point of the other (the Hausdorff distance of two point sets)."""
+    gaps = np.abs(np.subtract.outer(np.asarray(x), np.asarray(y)))
+    return float(max(gaps.min(axis=1, initial=np.inf).max(initial=0.0),
+                     gaps.min(axis=0, initial=np.inf).max(initial=0.0)))
+
+
 def how_far(a: Path, b: Path) -> str:
     """How far the file b moved from a, or "" when one of them is missing
     or there is no measure for its kind."""
@@ -112,7 +123,8 @@ def how_far(a: Path, b: Path) -> str:
                 for p in (a, b))
         if len(x) != len(y):
             return f"{len(x)} vs {len(y)} eigenvalues"
-        return f"eigenvalues {_gap(np.array(x), np.array(y))}"
+        return (f"eigenvalues {_gap(np.array(x), np.array(y))} by position, "
+                f"{set_distance(x, y):.1e} as sets")
     return ""
 
 

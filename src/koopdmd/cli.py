@@ -15,8 +15,9 @@ previous run.json listed and this run did not write are deleted
 (_remove_stale). --seed seeds the Lorenz default start (system.seed) or
 the equivalence suite (suite.seed_base); on a CSV source it is refused.
 A run computes every value first (_run_pipeline) and then writes one
-table of artifacts (execute): the output directory is made only then, so
-a failure before writing leaves the directory as it was, or absent. A
+table of artifacts (execute): the output directory is made only then, by
+the first artifact's write, so a failure before writing leaves the
+directory as it was, or absent. A
 failure while writing can still leave part of a run: an i/o error (exit
 4), a non-finite value that a writer refuses (exit 2), or Ctrl-C. Each
 file is still complete or absent. POD and DMD cut their one
@@ -30,7 +31,9 @@ next to system.z0, dmd.svd_threshold and dmd.threshold_mode with the svd
 or companion algorithm, analysis.K without analysis.basics, an observable
 key that its kind does not read, and the companion algorithm with more
 than one Hankel block (for a CSV source, when the file is read) or with
-embedding.n = 0. So is a run whose arrays exceed the physical memory.
+embedding.n = 0. So is a run whose arrays exceed the physical memory,
+and a config file that json cannot read (invalid UTF-8, an over-long
+integer, nesting beyond the recursion limit).
 
 Each config section's dataclass owns its defaults and checks (SuiteConfig,
 EmbeddingConfig, DmdConfig, AnalysisConfig, systems.Observable; a system is
@@ -459,14 +462,16 @@ def _build_series(cfg: RunConfig):
 
 def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdResult:
     d, dt = cfg.dmd, blocks[0].dt
+    starts = tuple(lo for lo, _ in data.block_offsets)
     if d.algorithm == "hankel":
         return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt,
                               threshold_mode=d.threshold_mode, factors=factors)
     if d.algorithm == "exact":
         return dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
-                             threshold_mode=d.threshold_mode, dt=dt, factors=factors)
+                             threshold_mode=d.threshold_mode, dt=dt, factors=factors,
+                             starts=starts)
     if d.algorithm == "svd":
-        return dmd.svd_dmd(data.X, data.Y, dt=dt, factors=factors)
+        return dmd.svd_dmd(data.X, data.Y, dt=dt, factors=factors, starts=starts)
     # companion: sequential delayed columns of the first block
     block = blocks[0]
     return dmd.companion_dmd(block.H, k=block.n, dt=dt)
@@ -570,8 +575,9 @@ def _remove_stale(out: Path, previous: list[str], written: list[str]) -> None:
 
 def execute(cfg: RunConfig) -> RunResult:
     """Run a validated config, then write its artifacts into
-    cfg.output_dir and return the results. Nothing is written before every
-    decomposition has succeeded. The files of a previous run there that
+    cfg.output_dir and return the results. Nothing is written, and the
+    directory is not made, before every decomposition has succeeded: the
+    first artifact's write makes it. The files of a previous run there that
     this one did not write are deleted once its run.json is in place."""
     out = Path(cfg.output_dir)
     previous = _listed_outputs(out)
@@ -581,7 +587,6 @@ def execute(cfg: RunConfig) -> RunResult:
         writers = {"equivalence.json": lambda path: write_json(path, report)}
     else:
         result, writers = _run_pipeline(cfg, out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, write in writers.items():
         write(out / name)
     result.outputs = list(writers)
@@ -764,6 +769,10 @@ def _raw_config(target: str) -> tuple[object, str | None]:
         return json.loads(path.read_text(encoding="utf-8")), None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Invalid UTF-8, an integer beyond Python's digit limit, or nesting
+        # deeper than the parser's recursion limit.
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(target: str) -> RunConfig:

@@ -40,13 +40,15 @@ correct digits, where the old default of 1e-12 left about four. Each
 result reports that estimate as forward_error. The full-rank refusals of
 svd_dmd and companion_dmd stay at linalg.DEFAULT_RANK_TOL, 1e-12.
 
-Eigenvalues are ordered by descending data energy of their modes (least
-squares against the first data column; for hankel_dmd, against the first
-column of every block, with a mode's shares of them added in quadrature),
-ties broken by descending modulus, then ascending phase in [0, 2*pi).
-Keys are compared exactly, so a tie is an exact tie. Both members of a conjugate pair carry the pair's
-larger energy and the same modulus, so they tie and the positive-frequency
-member comes first. Projected modes W w_j are ordered in reduced
+Eigenvalues are ordered by descending data energy of their modes: least
+squares against the first data column of every block (svd_dmd and
+exact_dmd are given the block starts; companion_dmd has one block), with a
+mode's shares of them added in quadrature, so a mode absent from block 1
+is not ranked by roundoff. Ties are broken by descending modulus, then
+ascending phase in [0, 2*pi). Keys are compared exactly, so a tie is an
+exact tie. Both members of a conjugate pair carry the pair's larger energy
+and the same modulus, so they tie and the positive-frequency member comes
+first. Projected modes W w_j are ordered in reduced
 coordinates, where the same least squares is k x k, and each is formed
 once, already ordered and normalized. Each conjugate pair of projected
 modes is formed once: only its lead column is multiplied by W, and the
@@ -378,13 +380,16 @@ def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float,
     )
 
 
-def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> DmdResult:
+def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None, *,
+            starts: tuple[int, ...] = (0,)) -> DmdResult:
     """SVD-enhanced DMD: project the one-step map onto the full left
     singular basis of X (no truncation).
 
     X must have full numerical rank (linalg.numerical_rank); otherwise the
     projected operator is not defined and exact_dmd with a threshold is
-    the right tool. factors, when given, is the SVD of X.
+    the right tool. factors, when given, is the SVD of X. Modes are ordered
+    by their energy in the columns starts of X, the first column of each
+    block of a composite.
     """
     x, y = _pair(X, Y)
     r = linalg.svd_of(x, factors)
@@ -392,12 +397,13 @@ def svd_dmd(X, Y, dt: float = 1.0, factors: linalg.SvdResult | None = None) -> D
         raise DecompositionError(
             "X has numerically zero singular values; use exact_dmd with a threshold"
         )
-    return _projected_result(r.W, r.S, r.V, r.W.T @ y, 0.0, "svd", dt)
+    return _projected_result(r.W, r.S, r.V, r.W.T @ y, 0.0, "svd", dt, starts)
 
 
 def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
               threshold_mode: str = "rel", dt: float = 1.0,
-              factors: linalg.SvdResult | None = None) -> DmdResult:
+              factors: linalg.SvdResult | None = None, *,
+              starts: tuple[int, ...] = (0,)) -> DmdResult:
     """Exact DMD on a hard-thresholded SVD of X.
 
     Keeps the singular values that truncation_rule(svd_threshold,
@@ -406,7 +412,8 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
     exact modes as `modes` and projected modes separately; zero
     eigenvalues have no exact mode, are listed in undefined_exact, and
     carry their projected mode instead. factors, when given, is the SVD
-    of X. Exact modes leave range(W), so they are ordered in full space.
+    of X. Exact modes leave range(W), so they are ordered in full space,
+    by their energy in the columns starts of X, as in svd_dmd.
     """
     x, y = _pair(X, Y)
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
@@ -419,7 +426,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
     b = y @ (v / s[None, :])
     lam = np.where(undefined, 1.0, vals)
     exact = _unit_columns(np.where(undefined, projected, (b @ vecs) / lam))
-    order = _energy_order(vals, exact, x[:, 0])
+    order = _energy_order(vals, exact, x[:, list(starts)])
     return DmdResult(
         eigenvalues=vals[order],
         source=exact[:, order],

@@ -5,7 +5,8 @@ values round-trip bit-exactly through text, and identical inputs produce
 byte-identical files. Each file is streamed into a temp file in the target
 directory and renamed over the target only once complete, so readers
 never observe partial output and a failed write leaves an existing target
-untouched. Files get the usual permissions of the process umask.
+untouched; a missing directory is made. A file is created as open() makes
+one, mode 0666 less the process umask, and the umask is never changed.
 
 A float matrix with one row per sample (the DMD modes and the POD basis
 and coordinates) is written by write_npy as a .npy file: a format 1.0
@@ -23,7 +24,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -82,14 +82,12 @@ def _atomic_open(path, binary: bool = False):
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    # Created only if absent, with open()'s mode: 0o666 less the umask.
+    tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with (os.fdopen(fd, "wb") if binary
               else os.fdopen(fd, "w", encoding="utf-8", newline="\n")) as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             yield fh
         os.replace(tmp, target)
     except BaseException:

@@ -984,6 +984,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert "bad.json:1:" in err and "invalid JSON" in err
 
+    MALFORMED_CONFIGS = {
+        "invalid_utf8": b'{"output_dir": "\xff"}',
+        "long_integer": b"1" * 5000,  # beyond Python's int digit limit
+        "deep_arrays": b"[" * 100_000,
+        "deep_objects": b'{"a": ' * 3000 + b"1" + b"}" * 3000,
+    }
+
+    @pytest.mark.parametrize("name, code", [("directory", 4), ("invalid_utf8", 2),
+                                            ("long_integer", 2), ("deep_arrays", 2),
+                                            ("deep_objects", 2)])
+    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, name, code):
+        path = tmp_path / name
+        if name == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(self.MALFORMED_CONFIGS[name])
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err
+        assert err.startswith("config error:" if code == 2 else "i/o error:")
+        assert not out.exists()
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=60, n=8, steps=30)))

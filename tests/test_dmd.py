@@ -381,11 +381,11 @@ class TestConjugatePairEnergy:
         assert list(order) == [0, 1]
 
 
-def csv_ingest_composite():
+def csv_ingest_composite(n=150):
     """perfbench's csv-ingest input at seed 0 (workloads.py's
     write_quasiperiodic_csv and CsvIngest), built in memory: three
     observables of 200000 samples on a two-frequency torus, every 20th
-    sample, three 4000 x 151 Hankel blocks scaled to the first."""
+    sample, three 4000 x (n + 1) Hankel blocks scaled to the first."""
     rng = np.random.default_rng(0)
     p1, p2 = rng.uniform(0.0, 2.0 * np.pi, 2)
     a = rng.uniform(0.5, 1.5, 6)
@@ -394,13 +394,21 @@ def csv_ingest_composite():
     columns = [a[0] * np.cos(th1) + a[1] * np.cos(th2),
                a[2] * np.sin(th1 - th2) + a[3] * np.cos(th1),
                a[4] * np.cos(th1 + th2) + a[5] * np.sin(2.0 * th1)]
-    blocks = [embed.hankel(TimeSeries(c[::20], 0.2), m=4000, n=150) for c in columns]
+    blocks = [embed.hankel(TimeSeries(c[::20], 0.2), m=4000, n=n) for c in columns]
     return embed.composite(blocks, [1.0] + [embed.scale_factor(b, blocks[0]) for b in blocks[1:]])
 
 
 class TestCompositeEnergy:
-    """hankel_dmd ranks modes by their energy in the first column of every
-    block, not of block 1 alone."""
+    """hankel_dmd, exact_dmd and svd_dmd rank modes by their energy in the
+    first column of every block, not of block 1 alone."""
+
+    @staticmethod
+    def assert_ranked_by_every_block(res, data):
+        starts = [lo for lo, _ in data.block_offsets]
+        coeffs, *_ = np.linalg.lstsq(res.modes, data.X[:, starts].astype(complex), rcond=None)
+        energy = np.hypot.reduce(np.abs(coeffs), axis=1)
+        assert energy.min() > 0.1 * energy.max()
+        assert np.all(energy[1:] <= energy[:-1] * (1 + 1e-9))
 
     def test_no_mode_has_roundoff_energy(self):
         # Ranked by block 1's first column, 6 of these 10 modes had energies
@@ -408,12 +416,29 @@ class TestCompositeEnergy:
         # three first columns the least is 16.3 and the largest 116.7.
         data = csv_ingest_composite()
         res = dmd.hankel_dmd(data, svd_threshold=1e-10)
-        starts = [lo for lo, _ in data.block_offsets]
-        coeffs, *_ = np.linalg.lstsq(res.modes, data.X[:, starts].astype(complex), rcond=None)
-        energy = np.hypot.reduce(np.abs(coeffs), axis=1)
         assert res.rank_kept == 10
-        assert energy.min() > 0.1 * energy.max()
-        assert np.all(energy[1:] <= energy[:-1] * (1 + 1e-9))
+        self.assert_ranked_by_every_block(res, data)
+
+    def test_exact_ranks_by_every_block(self):
+        # Ranked by block 1's first column, roundoff ordered the same 6
+        # modes: the 0.3673 pair came third, not second.
+        data = csv_ingest_composite()
+        starts = tuple(lo for lo, _ in data.block_offsets)
+        res = dmd.exact_dmd(data.X, data.Y, svd_threshold=1e-10, starts=starts)
+        assert res.rank_kept == 10
+        self.assert_ranked_by_every_block(res, data)
+        assert_allclose(res.eigenvalues, dmd.hankel_dmd(data, svd_threshold=1e-10).eigenvalues,
+                        rtol=0, atol=1e-9)
+
+    def test_svd_ranks_by_every_block(self):
+        # Two columns a block, so X has full rank; block 1's first column
+        # alone put the 0.4975 pair before the 1.7971 one.
+        data = csv_ingest_composite(n=1)
+        starts = tuple(lo for lo, _ in data.block_offsets)
+        res = dmd.svd_dmd(data.X, data.Y, starts=starts)
+        assert res.rank_kept == 6
+        self.assert_ranked_by_every_block(res, data)
+        assert_allclose(res.eigenvalues, dmd.hankel_dmd(data).eigenvalues, rtol=0, atol=1e-9)
 
     def test_a_lone_block_keeps_its_order(self):
         # One first column as a k x 1 matrix gives the bits of the vector.

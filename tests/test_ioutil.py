@@ -331,3 +331,24 @@ class TestPermissions:
             os.umask(old)
         for name in ("a.json", "b.npy", "c.csv"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_files_get_the_umask_mode_without_a_umask_call(tmp_path, monkeypatch, umask, mode):
+    # A umask call changes the mode of files that other threads create
+    # meanwhile, so the writers make none.
+    def refused(*args):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(umask)
+    try:
+        monkeypatch.setattr(os, "umask", refused)
+        ioutil.write_json(tmp_path / "a.json", {"x": 1.0})
+        ioutil.write_npy(tmp_path / "b.npy", np.ones((2, 1)), np.float64)
+        ioutil.write_csv(tmp_path / "c.csv", ["x"], [[None], ["s"]])
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    for name in ("a.json", "b.npy", "c.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.npy", "c.csv"]

@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts with small arguments."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -59,12 +60,22 @@ def test_compare_artifacts_at_two_thread_counts():
                    f"equivalence-suite, BLAS threads 2: {same}")
 
 
+def load_script(name):
+    """scripts/<name>.py as a module, without putting scripts on sys.path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_eigenvalues(path, eigenvalues):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({"eigenvalues": [{"re": z.real, "im": z.imag}
+                                                for z in eigenvalues]}))
+
+
 def test_compare_artifacts_says_how_far_a_file_moved(tmp_path):
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        from compare_artifacts import how_far
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
+    how_far = load_script("compare_artifacts").how_far
     modes = np.array([[1 + 1j, 2.0], [0.5j, -1.0]])
     moved = modes * np.array([1j, 1.0])  # column 0 turned by a unit factor
     moved[1, 1] += 1e-9
@@ -72,12 +83,19 @@ def test_compare_artifacts_says_how_far_a_file_moved(tmp_path):
     np.save(tmp_path / "b.npy", moved)
     assert how_far(tmp_path / "a.npy", tmp_path / "b.npy") == "2.0e+00, 1.0e-09 after unit factors"
     for side, im in (("old", 0.5), ("new", 0.5 + 3e-7)):
-        (tmp_path / side).mkdir()
-        eigenvalues = [{"re": 1.0, "im": im}, {"re": 0.25, "im": 0.0}]
-        (tmp_path / side / "dmd.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
+        write_eigenvalues(tmp_path / side / "dmd.json", [complex(1.0, im), 0.25])
     assert how_far(tmp_path / "old" / "dmd.json", tmp_path / "new" / "dmd.json") == \
-        "eigenvalues 3.0e-07"
+        "eigenvalues 3.0e-07 by position, 3.0e-07 as sets"
     assert how_far(tmp_path / "a.npy", tmp_path / "missing.npy") == ""
+
+
+def test_compare_artifacts_tells_a_reordered_spectrum(tmp_path):
+    how_far = load_script("compare_artifacts").how_far
+    spectrum = [complex(0.8, 0.6), complex(0.8, -0.6), complex(0.3, 0.95), 0.5]
+    write_eigenvalues(tmp_path / "old" / "dmd.json", spectrum)
+    write_eigenvalues(tmp_path / "new" / "dmd.json", spectrum[2:] + spectrum[:2])
+    assert how_far(tmp_path / "old" / "dmd.json", tmp_path / "new" / "dmd.json") == \
+        "eigenvalues 6.7e-01 by position, 0.0e+00 as sets"
 
 
 def test_readme_library_example(capsys):
