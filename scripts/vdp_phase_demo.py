@@ -35,7 +35,7 @@ def main() -> int:
 
     # how coherent is the phase? the eigenfunction samples should advance by
     # a fixed angle per step within each trajectory
-    chi = res.columns([idx])[:, 0]
+    chi = res.modes[:, idx]
     c = result.blocks[0].channels
     lam = res.eigenvalues[idx]
     residual = np.linalg.norm(chi[c:] - lam * chi[:-c]) / np.linalg.norm(chi)

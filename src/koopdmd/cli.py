@@ -493,8 +493,7 @@ def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
 def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     """Rows of the frequency table: positive-branch eigenvalues with their
     lattice match and, for a rotation system with one start state and one
-    basic per angle, the eigenfunction variance (their modes formed
-    together, in one pass)."""
+    basic per angle, the eigenfunction variance."""
     ana = cfg.analysis
     if ana.basics is None:
         return None
@@ -502,18 +501,17 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
     listed = [(j, analysis.eig_to_freq(lam, result.dt))
               for j, lam in enumerate(result.eigenvalues) if lam != 0]
     listed = [(j, omega) for j, omega in listed if omega >= 0]
-    samples = None
+    angles = None
     if (trajectories is not None and cfg.system.kind in ("circle", "torus")
             and len(trajectories) == 1 and trajectories[0].states.shape[1] == len(ana.basics)):
-        angles = trajectories[0].states[:: cfg.embedding.stride][: result.source.shape[0]]
-        samples = result.columns([j for j, _ in listed])
+        angles = trajectories[0].states[:: cfg.embedding.stride][: result.modes.shape[0]]
     rows = []
-    for i, (j, omega) in enumerate(listed):
+    for j, omega in listed:
         match = analysis.match_lattice(omega, ana.basics, K=ana.K)
         variance = None
-        if samples is not None:
+        if angles is not None:
             ref = analysis.lattice_eigenfunction(angles, match.k)
-            variance = analysis.eigenfunction_error(samples[:, i], ref).variance
+            variance = analysis.eigenfunction_error(result.modes[:, j], ref).variance
         rows.append({
             "k": match.k,
             "omega_computed": omega,
@@ -527,7 +525,7 @@ def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
 def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, blocks,
                      trajectories) -> None:
     """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
-    phases = analysis.asymptotic_phase(result.columns([idx])[:, 0])
+    phases = analysis.asymptotic_phase(result.modes[:, idx])
     c = blocks[0].channels
     dim = trajectories[0].states.shape[1]
     header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(dim)] + ["phase"]
@@ -615,11 +613,10 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
 
     # A lone unscaled block is both the POD input and X, a view of its
     # series: factor it once, keeping the columns of W that POD or DMD
-    # keeps. Both results hold views of that one read-only W, and the rows
-    # of the modes and of POD's basis are formed only inside the .npy
-    # writer, block by block. So the run holds one m x k array, W, and
-    # lorenz-pod's peak RSS is set inside the SVD, where one copy of H and
-    # W coexist.
+    # keeps. DMD reads that one read-only W, POD holds a view of it, and
+    # the rows of POD's basis are formed only inside the .npy writer. So
+    # the run holds W and the m x k complex modes; while k <= (n+1)/2 the
+    # modes take no more than the copy of H that the SVD held beside W.
     factors = None
     if data.X is blocks[0].H:
         factors = linalg.svd(data.X, _shared_rank(cfg.dmd))

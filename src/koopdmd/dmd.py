@@ -24,11 +24,10 @@ projected modes W w_j. Each variant computes only what it returns.
 
 Everything that decides a result is k-sized (Drmac, Mezic & Mohr, SIAM J.
 Sci. Comput. 2018): the projected operator, its eigenvectors e_j and the
-energy order. So a hankel or svd result holds its modes as factors
-(ProjectedModes: the kept W and the unit e_j) and forms mode rows only on
-request, block by block: modes.npy forms them inside the .npy writer,
-and a column is formed alone. exact and companion hold their modes as
-arrays.
+energy order. The modes are the one m x k result: each variant forms
+them once, and every consumer (modes.npy, the frequency table, phase.csv)
+reads that array. With k <= (n+1)/2 they take no more memory than the
+copy of X that the SVD held and freed.
 
 Every rank decision is linalg.numerical_rank. The truncating variants
 cut with truncation_rule: by default they keep sigma_j / sigma_0 > 1e-8
@@ -53,18 +52,19 @@ coordinates, where the same least squares is k x k, and each is formed
 once, already ordered and normalized. Each conjugate pair of projected
 modes is formed once: only its lead column is multiplied by W, and the
 second column is set to its conjugate, so the two columns of a pair in
-modes.npy (hankel and svd) are exact conjugates, bit for bit. Every
-consumer forms a row of the modes in the same block of rows
-(ioutil.row_blocks), so modes.npy, a column and DmdResult.modes agree bit
-for bit. An SVD of X computed elsewhere can be handed in; its W needs
-only the columns that the threshold keeps, and no variant writes to it.
-cli shares the read-only SVD of a lone Hankel block between DMD and
-pod.ergodic_pod, which both hold views of its W.
+modes.npy (hankel and svd) are exact conjugates, bit for bit. The rows
+are formed in the blocks of ioutil.row_blocks on two threads
+(_projected_modes), with bits that depend on neither. An SVD of X
+computed elsewhere can be handed in; its W needs only the columns that
+the threshold keeps, and no variant writes to it. cli shares the
+read-only SVD of a lone Hankel block between DMD and pod.ergodic_pod,
+which holds a view of its W.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -82,53 +82,12 @@ _ZERO_EIG = 1e-300
 
 
 @dataclass(frozen=True)
-class ProjectedModes:
-    """Unit projected modes W e_j, held as factors.
-
-    W: (m x k) the kept left singular vectors of X, read-only.
-    E: (k x k) the unit reduced eigenvectors e_j, in mode order.
-    second: mask of the columns that are the conjugate of the column
-        before (_conjugate_pairs); only the other, lead, columns are
-        multiplied by W.
-    rows(lo, hi) forms rows lo:hi of the modes; the .npy writer, columns
-    and array ask for the blocks of ioutil.row_blocks.
-    """
-
-    W: np.ndarray
-    E: np.ndarray
-    second: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.W.shape[0], self.E.shape[1]
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return _projected_modes(self.W[lo:hi], self.E, self.second)
-
-    def columns(self, cols: list[int]) -> np.ndarray:
-        """Modes cols as an m x len(cols) array, formed block by block."""
-        return np.concatenate([self.rows(lo, hi)[:, cols] for lo, hi in row_blocks(self.shape[0])])
-
-    def array(self) -> np.ndarray:
-        """All modes as one m x k array, formed block by block into it."""
-        out = np.empty(self.shape, dtype=complex)
-        for lo, hi in row_blocks(self.shape[0]):
-            _projected_modes(self.W[lo:hi], self.E, self.second, out=out[lo:hi])
-        return out
-
-
-@dataclass(frozen=True)
 class DmdResult:
     """Eigenvalues and modes of one decomposition.
 
-    source: the unit mode columns. For hankel and svd, ProjectedModes:
-        the factors W and E, whose rows are formed on request (for
-        hankel, eigenfunction samples along the trajectory, row =
-        sample). For exact and companion, an m x k array. Read modes
-        with columns(cols) and the row count as source.shape[0]; the .npy
-        writer forms the rows of modes.npy block by block.
-    modes: (property) all modes as one m x k complex array, formed once
-        on first use; for library callers.
+    modes: the unit modes, one m x k array with a column per eigenvalue
+        (for hankel, eigenfunction samples along the trajectory, row =
+        sample).
     projected_modes: the projected modes chi_j when the algorithm also
         produces exact modes (exact only), else None.
     residual: companion fit residual, or SVD truncation tail energy
@@ -143,7 +102,7 @@ class DmdResult:
     """
 
     eigenvalues: np.ndarray
-    source: ProjectedModes | np.ndarray
+    modes: np.ndarray
     projected_modes: np.ndarray | None
     rank_kept: int
     residual: float
@@ -152,17 +111,6 @@ class DmdResult:
     forward_error: float | None = None
     condition: float | None = None
     undefined_exact: tuple[int, ...] = ()
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        s = self.source
-        return s if isinstance(s, np.ndarray) else s.array()
-
-    def columns(self, cols: list[int]) -> np.ndarray:
-        """Modes cols as an m x len(cols) complex array, without forming
-        the whole mode array."""
-        s = self.source
-        return s[:, cols] if isinstance(s, np.ndarray) else s.columns(cols)
 
 
 def companion_matrix(coefficients) -> np.ndarray:
@@ -268,7 +216,7 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
     order = _energy_order(er.eigenvalues, modes, d[:, 0])
     return DmdResult(
         eigenvalues=er.eigenvalues[order],
-        source=modes[:, order],
+        modes=modes[:, order],
         projected_modes=None,
         rank_kept=k,
         residual=residual,
@@ -322,24 +270,38 @@ def _core(wty: np.ndarray, s: np.ndarray, v: np.ndarray):
     return er.eigenvalues, er.eigenvectors
 
 
-def _mode_factors(w: np.ndarray, eigenvalues: np.ndarray, vecs: np.ndarray) -> ProjectedModes:
-    """The projected modes w @ e_j as factors. w has orthonormal columns,
-    so each e_j is normalized in reduced coordinates, here, once."""
+def _projected_modes(w: np.ndarray, eigenvalues: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The unit projected modes w @ e_j as one m x k array.
+
+    w has orthonormal columns, so each e_j is normalized in reduced
+    coordinates, once. Only lead columns, those that are not the second
+    member of a conjugate pair (_conjugate_pairs), are multiplied by w
+    (two real products), and each second member is set to the conjugate
+    of its lead. The rows are formed in the blocks of ioutil.row_blocks,
+    two blocks at a time: the calling thread forms one while a worker
+    forms the next. Each block's products are the same whichever thread
+    runs them, so the bits depend neither on the schedule nor on the
+    number of CPUs.
+    """
     vecs = _unit_columns(vecs)
-    return ProjectedModes(W=w, E=vecs, second=_conjugate_pairs(eigenvalues, vecs))
-
-
-def _projected_modes(w: np.ndarray, vecs: np.ndarray, second: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The rows w @ vecs, for a block of rows w, in out when given: only
-    lead columns, those not masked as the second member of a conjugate
-    pair, are multiplied (two real products), and each second member is
-    set to the conjugate of its lead."""
+    second = _conjugate_pairs(eigenvalues, vecs)
     lead, pair = np.flatnonzero(~second), np.flatnonzero(second)
-    modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex) if out is None else out
-    modes.real[:, lead] = w @ vecs.real[:, lead]
-    modes.imag[:, lead] = w @ vecs.imag[:, lead]
-    modes[:, pair] = np.conj(modes[:, pair - 1])
+    re, im = vecs.real[:, lead], vecs.imag[:, lead]
+    modes = np.empty((w.shape[0], vecs.shape[1]), dtype=complex)
+
+    def form(lo, hi):
+        rows = modes[lo:hi]
+        rows.real[:, lead] = w[lo:hi] @ re
+        rows.imag[:, lead] = w[lo:hi] @ im
+        rows[:, pair] = np.conj(rows[:, pair - 1])
+
+    blocks = row_blocks(w.shape[0])
+    with ThreadPoolExecutor(1) as pool:
+        for i in range(0, len(blocks), 2):
+            later = [pool.submit(form, *b) for b in blocks[i + 1:i + 2]]
+            form(*blocks[i])
+            for f in later:
+                f.result()
     return modes
 
 
@@ -363,14 +325,13 @@ def _hankel_wty(data: CompositeData, w: np.ndarray, s: np.ndarray, v: np.ndarray
 def _projected_result(w, s, v, wty, residual: float, algorithm: str, dt: float,
                       starts: tuple[int, ...] = (0,)) -> DmdResult:
     """The core with projected modes, ordered in reduced coordinates by
-    the data columns starts: the modes w e_j keep the norms of e_j, and
-    w^T X[:, starts] = s V[starts]^T. The result holds w and the ordered
-    e_j; no mode row is formed here."""
+    the data columns starts (the modes w e_j keep the norms of e_j, and
+    w^T X[:, starts] = s V[starts]^T), then formed in that order."""
     vals, vecs = _core(wty, s, v)
     order = _energy_order(vals, vecs, s[:, None] * v[list(starts)].T)
     return DmdResult(
         eigenvalues=vals[order],
-        source=_mode_factors(w, vals[order], vecs[:, order]),
+        modes=_projected_modes(w, vals[order], vecs[:, order]),
         projected_modes=None,
         rank_kept=s.size,
         residual=residual,
@@ -418,7 +379,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
     x, y = _pair(X, Y)
     w, s, v, residual = _truncated_svd(x, svd_threshold, threshold_mode, factors)
     vals, vecs = _core(w.T @ y, s, v)
-    projected = _mode_factors(w, vals, vecs).array()
+    projected = _projected_modes(w, vals, vecs)
     # Exact modes: eigenvectors of the full-size one-step operator,
     # recovered as (1/lambda) Y V S^{-1} w for nonzero eigenvalues. Zero
     # eigenvalues divide by 1 and then take their projected mode instead.
@@ -429,7 +390,7 @@ def exact_dmd(X, Y, svd_threshold: float = linalg.TRUNCATION_TOL,
     order = _energy_order(vals, exact, x[:, list(starts)])
     return DmdResult(
         eigenvalues=vals[order],
-        source=exact[:, order],
+        modes=exact[:, order],
         projected_modes=projected[:, order],
         rank_kept=s.size,
         residual=residual,
@@ -534,6 +495,5 @@ def write_result_json(result: DmdResult, path) -> None:
 # Named for the CSV it once wrote; perfbench/tracer.py wraps this name.
 def write_modes_csv(result: DmdResult, path) -> None:
     """modes.npy: the unit modes as one complex128 m x k matrix, one
-    column per mode in eigenvalue order. Projected modes are formed block
-    by block by the writer."""
-    write_npy(path, result.source, np.complex128)
+    column per mode in eigenvalue order."""
+    write_npy(path, result.modes, np.complex128)

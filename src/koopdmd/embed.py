@@ -242,38 +242,29 @@ def composite(blocks: list[HankelBlock], scales: list[float] | None = None) -> C
 _READ_CHARS = 1 << 16
 
 
-class _UnitSeparator(Exception):
-    """The file holds U+001F, which np.loadtxt strips as whitespace and
-    float() refuses."""
+def _header(path, first: str | None) -> list[str]:
+    """The labels of the header line first (None: the file has no
+    non-blank line)."""
+    if first is None:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in first.split(",")]
+    if len(header) < 2 or header[0] != "t":
+        raise ValueError(
+            f"{path}: header must be 't,<label>[,<label>...]', got {first!r}"
+        )
+    return header[1:]
 
 
-def _nonblank(fh):
-    """The non-blank lines of a text file, without their line ends, as
-    str.splitlines splits its text, read _READ_CHARS at a time (newline=None
-    makes '\r\n' and '\r' one '\n'). Raises _UnitSeparator at a block of
-    text that holds U+001F. A decoding error names its offset in the file."""
-    tail = ""
-    try:
-        while chunk := fh.read(_READ_CHARS):
-            if "\x1f" in chunk:
-                raise _UnitSeparator
-            # Lines end at the last '\n'; the rest continues in the next read.
-            text = tail + chunk
-            cut = text.rfind("\n") + 1
-            tail = text[cut:]
-            yield from [ln for ln in text[:cut].splitlines() if ln.strip()]
-    except UnicodeDecodeError:
-        Path(fh.name).read_text(encoding="utf-8")  # raises it with the file's offset
-        raise
-    yield from [ln for ln in tail.splitlines() if ln.strip()]
-
-
-def _parse_lines(path, width: int) -> np.ndarray:
-    """float() on every field of every data line (each non-blank line after
-    the header); a ValueError names the first line it refuses by its number
-    in the file, as str.splitlines counts lines."""
+def _parse_lines(path) -> tuple[list[str], np.ndarray]:
+    """The labels and data of the file by float() on every field of every
+    data line (each non-blank line after the header): the reference, which
+    owns every message. A ValueError names the first line it refuses by
+    its number in the file, as str.splitlines counts lines, and a decoding
+    error names its offset in the file."""
     text = Path(path).read_text(encoding="utf-8")
     numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
+    labels = _header(path, numbered[0][1] if numbered else None)
+    width = len(labels) + 1
     rows = []
     for ln_no, ln in numbered[1:]:
         parts = ln.split(",")
@@ -283,7 +274,43 @@ def _parse_lines(path, width: int) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"{path}:{ln_no}: {exc}") from None
-    return np.asarray(rows, dtype=float)
+    return labels, np.asarray(rows, dtype=float)
+
+
+def _nonblank(fh):
+    """The non-blank lines of a text file, without their line ends, as
+    str.splitlines splits its text, read _READ_CHARS at a time (newline=None
+    makes '\r\n' and '\r' one '\n'). Raises ValueError at a block of text
+    that holds U+001F, which np.loadtxt strips as whitespace and float()
+    refuses."""
+    tail = ""
+    while chunk := fh.read(_READ_CHARS):
+        if "\x1f" in chunk:
+            raise ValueError("U+001F")
+        # Lines end at the last '\n'; the rest continues in the next read.
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        yield from [ln for ln in text[:cut].splitlines() if ln.strip()]
+    yield from [ln for ln in tail.splitlines() if ln.strip()]
+
+
+def _loadtxt(path) -> tuple[list[str], np.ndarray] | None:
+    """_parse_lines's labels and data from one np.loadtxt call, streamed
+    from the file; None where that call cannot stand in for _parse_lines:
+    on U+001F, an empty body, a row of another width or any other
+    ValueError (a decoding error among them)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = _nonblank(fh)
+            labels = _header(path, next(lines, None))
+            body = next(lines, None)
+            if body is None:  # loadtxt warns on an empty body
+                return None
+            data = np.loadtxt(chain([body], lines), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (labels, data) if data.shape[1] == len(labels) + 1 else None
 
 
 def read_timeseries_csv(path) -> list[TimeSeries]:
@@ -294,43 +321,15 @@ def read_timeseries_csv(path) -> list[TimeSeries]:
     samples are required.
 
     np.loadtxt parses the data lines in one call, streamed from the file,
-    so neither the whole text nor a list of all its lines is held. Its
-    field parser is the one behind float(), so it gives the same bits, but
-    it accepts a subset of what float() accepts (no '_' separators or
-    non-ASCII digits), with one exception, U+001F around a number, which
-    it strips as whitespace. A file with U+001F, or one loadtxt refuses,
-    goes through the per-line float() loop, which gives the values or the
-    error naming the line.
+    so neither the whole text nor a list of all its lines is held
+    (_loadtxt). Its field parser is the one behind float(), so it gives
+    the same bits, but it accepts a subset of what float() accepts (no '_'
+    separators or non-ASCII digits), with one exception, U+001F around a
+    number, which it strips as whitespace. A file with U+001F, or one
+    loadtxt refuses, goes through the per-line float() loop (_parse_lines),
+    which gives the values or the error naming the line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _series(path, _nonblank(fh), fast=True)
-    except _UnitSeparator:
-        text = Path(path).read_text(encoding="utf-8")
-        return _series(path, (ln for ln in text.splitlines() if ln.strip()), fast=False)
-
-
-def _series(path, lines, fast: bool) -> list[TimeSeries]:
-    """read_timeseries_csv on the non-blank lines of the file; the data
-    lines go to np.loadtxt when fast, else to the per-line float() loop."""
-    first = next(lines, None)
-    if first is None:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in first.split(",")]
-    if len(header) < 2 or header[0] != "t":
-        raise ValueError(
-            f"{path}: header must be 't,<label>[,<label>...]', got {first!r}"
-        )
-    labels = header[1:]
-    body = next(lines, None)
-    data = None
-    if fast and body is not None:  # loadtxt warns on an empty body
-        try:
-            data = np.loadtxt(chain([body], lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if data is None or data.shape[1] != len(header):
-        data = _parse_lines(path, len(header))
+    labels, data = _loadtxt(path) or _parse_lines(path)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     if not np.all(np.isfinite(data)):

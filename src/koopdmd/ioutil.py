@@ -13,10 +13,10 @@ and coordinates) is written by write_npy as a .npy file: a format 1.0
 header, then the values in C order, the bytes np.save writes for the same
 C-ordered array. The matrix is a 2-D array or a row source (RowSource): an
 object with a shape and rows(lo, hi), which forms rows lo:hi on request,
-so a matrix that results hold as factors exists only block by block inside
-the writer. It is formed, checked for non-finite values and written in the
-blocks of row_blocks, of at most BLOCK_ROWS rows, two blocks formed at a
-time on two threads.
+so a matrix that a result holds as a scaled factor (POD's basis) exists
+only block by block inside the writer. It is converted, checked for
+non-finite values and written in the blocks of row_blocks, of at most
+BLOCK_ROWS rows.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ import csv
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,10 +132,10 @@ def row_blocks(nrows: int) -> list[tuple[int, int]]:
     """The blocks in which the rows of an nrows-row matrix are formed: the
     fewest near-equal ones of at most BLOCK_ROWS rows.
 
-    Every consumer forms a row in the same block, whatever range of rows
-    it wants, because a product's bits can depend on the number of rows
-    BLAS is given: a one-row block goes to the matrix-vector kernel, and
-    OpenBLAS gives small products kernels of their own.
+    They depend on nrows alone, because a product's bits can depend on the
+    number of rows BLAS is given: a one-row block goes to the
+    matrix-vector kernel, and OpenBLAS gives small products kernels of
+    their own.
     """
     count = max(1, -(-nrows // BLOCK_ROWS))
     cuts = [nrows * i // count for i in range(count + 1)]
@@ -164,40 +162,23 @@ def write_npy(path, matrix: np.ndarray | RowSource, dtype) -> None:
     order, format 1.0: the bytes of np.save on the whole matrix in C order.
 
     matrix is a 2-D array or a row source (RowSource, or any object with
-    its shape and rows(lo, hi)), whose rows(lo, hi) is called from two
-    threads at once. Its rows are formed, converted to dtype, checked and
-    written in the blocks of row_blocks, so no second array of its size is
-    made: the calling thread forms one block while a worker forms the next,
-    and both are then checked and written in order. A non-finite value (a
-    real or an imaginary part) is refused with a ValueError and leaves no
-    file behind.
+    its shape and rows(lo, hi)). Its rows are formed, converted to dtype,
+    checked and written in the blocks of row_blocks, so no second array of
+    its size is made. A non-finite value (a real or an imaginary part) is
+    refused with a ValueError and leaves no file behind.
     """
     dtype = np.dtype(dtype)
     nrows, ncols = (int(n) for n in matrix.shape)
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
               "shape": (nrows, ncols)}
     array = isinstance(matrix, np.ndarray)
-
-    def form(lo, hi):
-        return np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
-                                    dtype=dtype)
-
-    def form_after(go, lo, hi):
-        # A new worker thread runs at once; waiting for go lets the calling
-        # thread ask for its block first.
-        go.wait()
-        return form(lo, hi)
-
-    blocks = row_blocks(nrows)
-    with _atomic_open(path, binary=True) as fh, ThreadPoolExecutor(1) as pool:
+    with _atomic_open(path, binary=True) as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for i in range(0, len(blocks), 2):
-            go = threading.Event()
-            later = [pool.submit(form_after, go, *b) for b in blocks[i + 1:i + 2]]
-            go.set()
-            for block in [form(*blocks[i])] + [f.result() for f in later]:
-                _check_finite(block.view(np.float64))
-                fh.write(block.data)
+        for lo, hi in row_blocks(nrows):
+            block = np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
+                                         dtype=dtype)
+            _check_finite(block.view(np.float64))
+            fh.write(block.data)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -121,7 +121,6 @@ class Trajectory:
 
     states: np.ndarray
     dt: float
-    kind: str
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -229,7 +228,7 @@ def integrate(spec: SystemSpec) -> Trajectory:
         omega = np.array([spec.params[p] for p in REQUIRED_PARAMS[spec.kind]])
         k = np.arange(spec.steps + 1)[:, None]
         states = np.mod(spec.z0[None, :] + k * (omega[None, :] * spec.dt), 2.0 * np.pi)
-    return Trajectory(states=states, dt=spec.dt, kind=spec.kind)
+    return Trajectory(states=states, dt=spec.dt)
 
 
 def transient_skip(traj: Trajectory, skip: int) -> Trajectory:

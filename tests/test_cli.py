@@ -749,6 +749,26 @@ class TestOneComputationPerValue:
         assert (tmp_path / "out" / "phase.csv").exists()
         assert "dominant nontrivial frequency: 0.785398 rad/s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, reader", [("vdp-phase", "phase.csv"),
+                                              ("rotation-check", "frequency_table.csv")])
+    def test_modes_are_formed_once(self, tmp_path, monkeypatch, name, reader):
+        # modes.npy and the analysis that reads the modes (phase.csv of the
+        # dominant mode, the eigenfunction variances of the frequency
+        # table) share the one array that the decomposition forms.
+        calls = []
+        formed = dmd._projected_modes
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return formed(*args, **kwargs)
+
+        monkeypatch.setattr(dmd, "_projected_modes", counting)
+        raw = cli.recipe_config(name)
+        raw["output_dir"] = str(tmp_path / "out")
+        result = cli.execute(cli.parse_config(raw, recipe=name))
+        assert {"modes.npy", reader} <= set(result.outputs)
+        assert len(calls) == 1
+
 
 def count_svd_calls(monkeypatch) -> list:
     calls = []
@@ -808,8 +828,7 @@ class TestSharedFactorization:
         assert result.data.X.shape == (150, 63)
 
     def test_pod_basis_is_the_shared_w(self, tmp_path, monkeypatch):
-        # POD and DMD hold views of the one W and leave it untouched: no
-        # second m x k array is kept, and the writer forms the rows.
+        # POD holds a view of the one W, and POD and DMD leave it untouched.
         factors, before = [], []
         svd = linalg.svd
 
@@ -823,17 +842,15 @@ class TestSharedFactorization:
         assert len(factors) == 1
         w = factors[0].W
         assert np.shares_memory(result.pod_result.W, w)
-        assert np.shares_memory(result.dmd_result.source.W, w)
         assert np.array_equal(w, before[0]) and not w.flags.writeable
-        assert "modes" not in vars(result.dmd_result)  # the full array was never formed
         assert np.array_equal(result.dmd_result.modes, dmd.hankel_dmd(result.data).modes)
 
-    def test_run_forms_no_mode_array_and_keeps_w(self, tmp_path):
+    def test_run_modes_fit_under_the_svd_peak_and_keep_w(self, tmp_path):
         # A lorenz-pod run grows its peak RSS past the shared SVD by less
-        # than 5% of an m x k complex array (forming the whole mode array
-        # grows it by about 20%), and leaves W as the SVD returned it.
-        # Measured in a forked child of a fresh process, whose ru_maxrss is
-        # its own.
+        # than 5% of an m x k complex array (it reads 1.1-1.3%): with k <=
+        # (n + 1) / 2 the mode array fits in what the SVD's copy of H freed.
+        # The run leaves W as the SVD returned it. Measured in a forked
+        # child of a fresh process, whose ru_maxrss is its own.
         script = f"""
 import hashlib, resource, sys
 from koopdmd import cli, linalg
@@ -1013,35 +1030,30 @@ class TestMain:
         assert cli.main(["run", str(path)]) == 2
 
     @staticmethod
-    def poison_second_mode_block(monkeypatch) -> list:
-        """Make the second _projected_modes call return a nan in its last
-        row; returns the row counts of the calls."""
-        formed, blocks = dmd._projected_modes, []
+    def poison_last_mode_row(monkeypatch) -> None:
+        """Make _projected_modes return a nan in the last row of the modes,
+        and write them in two blocks of 80 rows."""
+        formed = dmd._projected_modes
 
-        def poisoned(w, vecs, second, out=None):
-            modes = formed(w, vecs, second, out)
-            blocks.append(len(w))
-            if len(blocks) == 2:
-                modes[-1, 0] = complex(np.nan, 0.0)
+        def poisoned(w, eigenvalues, vecs):
+            modes = formed(w, eigenvalues, vecs)
+            modes[-1, 0] = complex(np.nan, 0.0)
             return modes
 
         monkeypatch.setattr(dmd, "_projected_modes", poisoned)
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 100)
-        return blocks
 
     def test_non_finite_mode_row_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # Mode rows are formed in the .npy writer, block by block: a
-        # non-finite one in the last block, after earlier blocks were
-        # written, still exits 2 with one line and leaves neither modes.npy
-        # nor a temp file. Without analysis, the writer forms the first
-        # mode rows of the run.
-        blocks = self.poison_second_mode_block(monkeypatch)
+        # The .npy writer checks the modes block by block: a non-finite one
+        # in the last block, after the first block was written, still exits
+        # 2 with one line and leaves neither modes.npy nor a temp file.
+        # Without analysis, the writer is the first to read the modes.
+        self.poison_last_mode_row(monkeypatch)
         raw = rotation_config(tmp_path / "out", m=160)
         raw["analysis"] = None
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path)]) == 2
-        assert blocks == [80, 80]  # the writer's second block was refused
         assert capsys.readouterr().err == "config error: refusing to serialize non-finite value nan\n"
         left = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert "modes.npy" not in left and "pod_basis.npy" in left
@@ -1050,13 +1062,12 @@ class TestMain:
     def test_non_finite_mode_row_met_by_analysis_writes_nothing(self, tmp_path, capsys,
                                                                 monkeypatch):
         # With analysis.basics, the frequency table's eigenfunction samples
-        # form the mode rows before any file is written: the same poisoned
-        # row is refused there, and no output directory is made.
-        blocks = self.poison_second_mode_block(monkeypatch)
+        # read the modes before any file is written: the same poisoned row
+        # is refused there, and no output directory is made.
+        self.poison_last_mode_row(monkeypatch)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", m=160)))
         assert cli.main(["run", str(path)]) == 2
-        assert blocks == [80, 80]
         err = capsys.readouterr().err
         assert err == "config error: computed samples contain non-finite entries\n"
         assert not (tmp_path / "out").exists()

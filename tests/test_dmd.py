@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fresh_process import run_fresh
-from koopdmd import cli, dmd, embed, linalg, pod, systems
+from inline_pool import InlinePool
+from koopdmd import cli, dmd, embed, ioutil, linalg, pod, systems
 from koopdmd.embed import TimeSeries
 from koopdmd.errors import DecompositionError, RankDeficiencyError
 
@@ -606,7 +608,7 @@ class TestPairedModes:
         assert pairs >= 20
 
     def assert_direct(self, w, vals, vecs, paired):
-        modes = dmd._mode_factors(w, vals, vecs).array()
+        modes = dmd._projected_modes(w, vals, vecs)
         direct = dmd._unit_columns(w.astype(complex) @ vecs)
         assert np.all(np.max(np.abs(modes - direct), axis=0) <= 1e-15)
         assert list(adjacent_pairs(vals)) == paired
@@ -645,13 +647,29 @@ class TestPairedModes:
         assert list(order) == [0, 2, 3, 1]
         self.assert_direct(orthonormal(30, 4), vals[order], vecs[:, order], [1])
 
+    def test_bits_do_not_depend_on_the_threads(self, monkeypatch):
+        # Three blocks of rows, two formed at a time: run inline, each block
+        # gets the bits it gets on the worker thread, there with the threads
+        # switching as often as they can.
+        w = orthonormal(3000, 40)
+        er = linalg.eig(np.random.default_rng(8).standard_normal((40, 40)))
+        assert len(ioutil.row_blocks(3000)) == 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(dmd, "ThreadPoolExecutor", InlinePool)
+        assert np.array_equal(dmd._projected_modes(w, er.eigenvalues, er.eigenvectors), pooled)
+
     def test_no_mode_sized_temporary(self):
         m, k = 20000, 60
         w = orthonormal(m, k)
         er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
         tracemalloc.start()
         try:
-            modes = dmd._mode_factors(w, er.eigenvalues, er.eigenvectors).array()
+            modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -673,7 +691,7 @@ w /= np.sqrt(m)
 er = linalg.eig(np.random.default_rng(7).standard_normal((k, k)))
 unit = 1 if sys.platform == "darwin" else 1024
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-modes = dmd._mode_factors(w, er.eigenvalues, er.eigenvectors).array()
+modes = dmd._projected_modes(w, er.eigenvalues, er.eigenvectors)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * unit / modes.nbytes)
 """

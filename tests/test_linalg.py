@@ -1,6 +1,5 @@
 import sys
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fresh_process import run_fresh
+from inline_pool import InlinePool
 from koopdmd import linalg
 
 
@@ -155,23 +155,7 @@ class TestTallSvd:
             pooled = linalg.svd(x, lambda s: 40).W
         finally:
             sys.setswitchinterval(interval)
-
-        class Inline:
-            def __init__(self, workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        monkeypatch.setattr(linalg, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", InlinePool)
         assert np.array_equal(linalg.svd(x, lambda s: 40).W, pooled)
 
     def test_all_zero_input(self):

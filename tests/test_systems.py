@@ -306,7 +306,7 @@ class TestTransientSkip:
 class TestObservables:
     def _traj(self):
         states = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-        return systems.Trajectory(states, 0.5, "vanderpol")
+        return systems.Trajectory(states, 0.5)
 
     def test_sum_over_many_indices(self):
         # A balanced tree of additions: no recursion limit, exact on integers.
