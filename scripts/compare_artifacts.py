@@ -19,14 +19,16 @@ one line per target, `<target>: ...`, or with several thread counts one
 line per target and count, `<target>, BLAS threads N: ...`, and exits 1
 if any run differs. A differing file is named with how far it moved: for a
 `.npy` matrix the largest absolute difference (for a complex one also
-after one unit factor per column, which takes out each mode's phase), and
-for `dmd.json` the largest gap between eigenvalues at the same position
-and their distance as sets: the largest distance from an eigenvalue of
-either file to the nearest one of the other, which reads 0 when the
-eigenvalues were only reordered.
+after one unit factor per column, which takes out each mode's phase), for
+`dmd.json` the largest gap between eigenvalues at the same position and
+their distance as sets: the largest distance from an eigenvalue of either
+file to the nearest one of the other, which reads 0 when the eigenvalues
+were only reordered, and for a `.csv` table the largest gap between
+number cells at the same place (a blank or text cell must match exactly).
 """
 
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -103,6 +105,27 @@ def set_distance(x, y) -> float:
                      gaps.min(axis=0, initial=np.inf).max(initial=0.0)))
 
 
+def csv_gap(a: Path, b: Path) -> str:
+    """The largest gap between the number cells at the same place in two
+    CSV tables, or the first place where their layout, a header cell, a
+    blank cell or a text cell differs."""
+    x, y = (list(csv.reader(p.read_text(encoding="utf-8").splitlines())) for p in (a, b))
+    if len(x) != len(y):
+        return f"{len(x)} vs {len(y)} lines"
+    gap = 0.0
+    for line, (row_x, row_y) in enumerate(zip(x, y), start=1):
+        if len(row_x) != len(row_y):
+            return f"line {line}: {len(row_x)} vs {len(row_y)} cells"
+        for cell_x, cell_y in zip(row_x, row_y):
+            if cell_x == cell_y:
+                continue
+            try:
+                gap = max(gap, abs(float(cell_x) - float(cell_y)))
+            except ValueError:  # a blank or text cell, or a header
+                return f"line {line}: {cell_x!r} vs {cell_y!r}"
+    return f"{gap:.1e}"
+
+
 def how_far(a: Path, b: Path) -> str:
     """How far the file b moved from a, or "" when one of them is missing
     or there is no measure for its kind."""
@@ -125,6 +148,8 @@ def how_far(a: Path, b: Path) -> str:
             return f"{len(x)} vs {len(y)} eigenvalues"
         return (f"eigenvalues {_gap(np.array(x), np.array(y))} by position, "
                 f"{set_distance(x, y):.1e} as sets")
+    if a.suffix == ".csv":
+        return csv_gap(a, b)
     return ""
 
 

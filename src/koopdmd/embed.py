@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text, format_rows
+from .ioutil import write_matrix_csv
+from .ioutil import atomic_write_text  # noqa: F401 (perfbench/tracer.py wraps it here)
 
 # Relative tolerance for the uniform-spacing check on CSV time columns.
 SPACING_RTOL = 1e-6
@@ -355,7 +356,8 @@ def write_timeseries_csv(path, series_list: list[TimeSeries]) -> None:
     """Write aligned single-channel series as 't,<label>...' CSV, t = i * dt.
 
     Floats carry 17 significant digits, so a read-back reproduces the
-    sample values bit-exactly.
+    sample values bit-exactly. The text is streamed by
+    ioutil.write_matrix_csv, one block of rows at a time.
     """
     if not series_list:
         raise ValueError("write_timeseries_csv needs at least one series")
@@ -368,4 +370,4 @@ def write_timeseries_csv(path, series_list: list[TimeSeries]) -> None:
     header = "t," + ",".join(s.label for s in series_list)
     t = np.arange(len(first)) * first.dt
     table = np.column_stack([t] + [s.values for s in series_list])
-    atomic_write_text(path, header + "\n" + format_rows(table))
+    write_matrix_csv(path, header, table)

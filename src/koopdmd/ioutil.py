@@ -8,15 +8,14 @@ never observe partial output and a failed write leaves an existing target
 untouched; a missing directory is made. A file is created as open() makes
 one, mode 0666 less the process umask, and the umask is never changed.
 
-A float matrix with one row per sample (the DMD modes and the POD basis
-and coordinates) is written by write_npy as a .npy file: a format 1.0
-header, then the values in C order, the bytes np.save writes for the same
-C-ordered array. The matrix is a 2-D array or a row source (RowSource): an
-object with a shape and rows(lo, hi), which forms rows lo:hi on request,
-so a matrix that a result holds as a scaled factor (POD's basis) exists
-only block by block inside the writer. It is converted, checked for
-non-finite values and written in the blocks of row_blocks, of at most
-BLOCK_ROWS rows.
+A float matrix with one row per sample is streamed from the array a
+result already holds, in the blocks of row_blocks (at most BLOCK_ROWS
+rows), each converted, checked for non-finite values and written before
+the next is formed. write_npy writes the DMD modes and the POD basis and
+coordinates as .npy files: a format 1.0 header, then the values in C
+order, the bytes np.save writes for the same C-ordered array; POD's basis
+is its factor W times a scale, formed one block at a time. write_matrix_csv
+writes the time-series tables as a header line and '%.17g' rows.
 """
 from __future__ import annotations
 
@@ -25,9 +24,8 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,16 +116,6 @@ def _csv_cell(cell) -> str:
 BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class RowSource:
-    """A float matrix formed on request: rows(lo, hi) returns its rows
-    lo:hi as a 2-D array with shape[1] columns. A plain 2-D array is the
-    trivial source."""
-
-    shape: tuple[int, int]
-    rows: Callable[[int, int], np.ndarray]
-
-
 def row_blocks(nrows: int) -> list[tuple[int, int]]:
     """The blocks in which the rows of an nrows-row matrix are formed: the
     fewest near-equal ones of at most BLOCK_ROWS rows.
@@ -149,34 +137,42 @@ def _check_finite(rows: np.ndarray) -> None:
 
 
 def format_rows(rows: np.ndarray) -> str:
-    """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite.
-    Only one block of row_blocks is held as Python floats at a time."""
+    """The CSV lines of a 2-D float64 array, every cell '%.17g' and finite."""
     _check_finite(rows)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return "".join([line % tuple(row) for lo, hi in row_blocks(rows.shape[0])
-                    for row in rows[lo:hi].tolist()])
+    return "".join([line % tuple(row) for row in rows.tolist()])
 
 
-def write_npy(path, matrix: np.ndarray | RowSource, dtype) -> None:
-    """A float matrix as a .npy file of dtype (float64 or complex128), C
-    order, format 1.0: the bytes of np.save on the whole matrix in C order.
+def write_matrix_csv(path, header_line: str, matrix: np.ndarray) -> None:
+    """header_line as written, then format_rows of each block of
+    row_blocks, so only one block's text is held at a time. A non-finite
+    value is refused with a ValueError and leaves no file behind."""
+    with _atomic_open(path) as fh:
+        fh.write(header_line + "\n")
+        for lo, hi in row_blocks(matrix.shape[0]):
+            fh.write(format_rows(matrix[lo:hi]))
 
-    matrix is a 2-D array or a row source (RowSource, or any object with
-    its shape and rows(lo, hi)). Its rows are formed, converted to dtype,
-    checked and written in the blocks of row_blocks, so no second array of
-    its size is made. A non-finite value (a real or an imaginary part) is
-    refused with a ValueError and leaves no file behind.
+
+def write_npy(path, matrix: np.ndarray, dtype, scale: float | None = None) -> None:
+    """scale * matrix (matrix itself when scale is None) as a .npy file of
+    dtype (float64 or complex128), C order, format 1.0: the bytes of
+    np.save on the whole product in C order.
+
+    The rows are scaled, converted to dtype, checked and written in the
+    blocks of row_blocks, so no second array of the matrix's size is made.
+    A non-finite value (a real or an imaginary part) is refused with a
+    ValueError and leaves no file behind. None is not 1.0: multiplying a
+    complex array by 1.0 can flip the sign of a zero.
     """
     dtype = np.dtype(dtype)
-    nrows, ncols = (int(n) for n in matrix.shape)
+    nrows, ncols = matrix.shape
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
               "shape": (nrows, ncols)}
-    array = isinstance(matrix, np.ndarray)
     with _atomic_open(path, binary=True) as fh:
         np.lib.format.write_array_header_1_0(fh, header)
         for lo, hi in row_blocks(nrows):
-            block = np.ascontiguousarray(matrix[lo:hi] if array else matrix.rows(lo, hi),
-                                         dtype=dtype)
+            rows = matrix[lo:hi] if scale is None else scale * matrix[lo:hi]
+            block = np.ascontiguousarray(rows, dtype=dtype)
             _check_finite(block.view(np.float64))
             fh.write(block.data)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .embed import HankelBlock
 from .errors import DecompositionError
-from .ioutil import RowSource, write_json, write_npy
+from .ioutil import write_json, write_npy
 from .ioutil import write_csv  # noqa: F401 (perfbench/tracer.py wraps pod.write_csv)
 
 #: Adjacent singular values closer than this (relative) flag degeneracy.
@@ -204,9 +204,8 @@ def write_result_json(result: PodResult, path) -> None:
 # Named for the CSV it once wrote; perfbench/tracer.py wraps this name.
 def write_basis_csv(result: PodResult, path) -> None:
     """pod_basis.npy: basis_samples as float64, one column per retained
-    basis function, formed block by block by the writer."""
-    write_npy(path, RowSource(result.W.shape, lambda lo, hi: result.scale * result.W[lo:hi]),
-              np.float64)
+    basis function, formed from W block by block by the writer."""
+    write_npy(path, result.W, np.float64, result.scale)
 
 
 # Named for the CSV it once wrote; perfbench/tracer.py wraps this name.

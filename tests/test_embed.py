@@ -298,6 +298,30 @@ class TestCsv:
             for i in range(2500)]
         assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_write_streams_without_holding_the_text(self, tmp_path):
+        # The text is formed one block of rows at a time, so the peak is the
+        # stacked table and one block's lines, below the file's size.
+        vals = np.random.default_rng(5).standard_normal((50_000, 3))
+        series = [TimeSeries(v, 0.1, label=f"x{i}") for i, v in enumerate(vals.T)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            embed.write_timeseries_csv(path, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        back = embed.read_timeseries_csv(path)
+        assert all(np.array_equal(b.values, v) for b, v in zip(back, vals.T))
+
+    def test_a_quote_in_a_label_is_written_raw(self, tmp_path):
+        label = 'say "x"'
+        assert embed.is_label(label)
+        path = tmp_path / "q.csv"
+        embed.write_timeseries_csv(path, [TimeSeries(np.array([1.0, 2.0]), 0.5, label=label)])
+        assert path.read_text() == 't,say "x"\n0,1\n0.5,2\n'
+        assert embed.read_timeseries_csv(path)[0].label == label
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_time_refused(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):

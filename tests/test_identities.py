@@ -6,13 +6,22 @@ reference (metamorphic testing).
   every eigenvalue, since phi(T^s x) = lambda^s phi(x) only rescales
   each eigenfunction's samples;
 - stride: keeping every 2nd sample (embedding.stride 2, m cut to fit)
-  squares every eigenvalue.
+  squares every eigenvalue;
+- affine: the observable 3*(f) + 2 keeps every eigenvalue and adds one
+  at 1, since a constant is an eigenfunction at 1 and the rank rises by
+  one;
+- reversal: the series read back in reverse order (a `csv` source with
+  the same t column) turns each eigenvalue lambda into conj(lambda) =
+  1/lambda on the unit circle, and the mode for conj(lambda), read
+  bottom row first, is the forward mode times one unit factor: row i of
+  the reversed Hankel matrix holds the samples of forward row m-1-i.
 
 Every mode of rotation-check and torus-synth is an atom of the spectrum,
 so their eigenvalues are compared as sets.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +36,17 @@ BOUND = 1e-12
 CHANGES = {"rotation-check": (5, 996), "torus-synth": (40, 2750)}
 
 
-def eigenvalues(tmp_path, raw, name) -> np.ndarray:
-    """dmd.json's eigenvalues of a `koopdmd run` of the config raw."""
+def run(tmp_path, raw, name) -> Path:
+    """The output directory of a `koopdmd run` of the config raw."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / name
     assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    return out
+
+
+def eigenvalues(out) -> np.ndarray:
+    """dmd.json's eigenvalues in the output directory out."""
     table = json.loads((out / "dmd.json").read_text(encoding="utf-8"))["eigenvalues"]
     return np.array([complex(e["re"], e["im"]) for e in table])
 
@@ -48,9 +62,9 @@ def set_distance(x, y) -> float:
 
 @pytest.fixture(scope="module", params=sorted(CHANGES))
 def recipe(request, tmp_path_factory):
-    """A recipe's name and the eigenvalues of its run."""
+    """A recipe's name and the output directory of its run."""
     name = request.param
-    return name, eigenvalues(tmp_path_factory.mktemp(name), cli.recipe_config(name), "base")
+    return name, run(tmp_path_factory.mktemp(name), cli.recipe_config(name), "base")
 
 
 def test_shift_keeps_the_eigenvalues(recipe, tmp_path):
@@ -59,11 +73,48 @@ def test_shift_keeps_the_eigenvalues(recipe, tmp_path):
     raw = cli.recipe_config(name)
     raw["system"]["skip"] = s
     raw["embedding"]["m"] -= s
-    assert set_distance(eigenvalues(tmp_path, raw, "shifted"), base) <= BOUND
+    assert set_distance(eigenvalues(run(tmp_path, raw, "shifted")), eigenvalues(base)) <= BOUND
 
 
 def test_stride_squares_the_eigenvalues(recipe, tmp_path):
     name, base = recipe
     raw = cli.recipe_config(name)
     raw["embedding"].update(stride=2, m=CHANGES[name][1])
-    assert set_distance(eigenvalues(tmp_path, raw, "strided"), base ** 2) <= BOUND
+    assert set_distance(eigenvalues(run(tmp_path, raw, "strided")),
+                        eigenvalues(base) ** 2) <= BOUND
+
+
+def test_affine_observable_adds_an_eigenvalue_at_one(recipe, tmp_path):
+    name, base = recipe
+    raw = cli.recipe_config(name)
+    [observable] = raw["observables"]
+    f = observable.get("expression", "cos(z1)")  # rotation-check's cos_angle is cos(z1)
+    raw["observables"] = [{"kind": "custom", "expression": f"3*({f}) + 2"}]
+    affine = eigenvalues(run(tmp_path, raw, "affine"))
+    one = np.argmin(np.abs(affine - 1.0))
+    assert abs(affine[one] - 1.0) <= BOUND
+    assert set_distance(np.delete(affine, one), eigenvalues(base)) <= BOUND
+
+
+def unit_gap(x, y) -> float:
+    """The largest cell gap between x and y after each column of y is
+    turned by the unit factor that best aligns it with x's."""
+    inner = np.sum(np.conj(y) * x, axis=0)
+    return float(np.max(np.abs(x - y * (inner / np.abs(inner)))))
+
+
+def test_reversal_conjugates_eigenvalues_and_reverses_mode_rows(recipe, tmp_path):
+    name, base = recipe
+    header, *lines = (base / "series_1.csv").read_text(encoding="utf-8").splitlines()
+    t, values = zip(*(line.split(",") for line in lines))
+    path = tmp_path / "reversed.csv"
+    path.write_text("\n".join([header, *map(",".join, zip(t, values[::-1]))]) + "\n",
+                    encoding="utf-8")
+    raw = {"csv": str(path), "embedding": cli.recipe_config(name)["embedding"]}
+    back = run(tmp_path, raw, "reversed")
+    forward, reverse = eigenvalues(base), eigenvalues(back)
+    pair = np.abs(np.subtract.outer(np.conj(forward), reverse)).argmin(axis=1)
+    assert sorted(pair) == list(range(len(reverse)))
+    assert np.max(np.abs(np.conj(forward) - reverse[pair])) <= BOUND
+    modes = np.load(base / "modes.npy")
+    assert unit_gap(modes, np.load(back / "modes.npy")[::-1, pair]) <= BOUND

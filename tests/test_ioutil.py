@@ -202,17 +202,25 @@ class TestNpy:
         back = np.load(tmp_path / "a.npy")
         assert back.dtype == dtype and np.array_equal(back, matrix)
 
-    def test_row_source_is_formed_block_by_block(self, tmp_path, monkeypatch):
+    def test_scaled_matrix_is_formed_block_by_block(self, tmp_path, monkeypatch):
+        # scale * matrix is formed, checked and written one block of
+        # row_blocks at a time, with the bytes of np.save of the product.
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 7)
-        matrix = np.arange(60.0).reshape(20, 3)
-        asked = []
+        matrix = np.random.default_rng(6).standard_normal((20, 3))
+        scale = np.sqrt(20.0)
+        checked = []
+        check = ioutil._check_finite
+        monkeypatch.setattr(ioutil, "_check_finite",
+                            lambda rows: (checked.append(rows.shape[0]), check(rows))[1])
+        ioutil.write_npy(tmp_path / "a.npy", matrix, np.float64, scale)
+        assert ioutil.row_blocks(20) == [(0, 6), (6, 13), (13, 20)]
+        assert checked == [hi - lo for lo, hi in ioutil.row_blocks(20)]
+        assert (tmp_path / "a.npy").read_bytes() == saved(scale * matrix)
 
-        def rows(lo, hi):
-            asked.append((lo, hi))
-            return matrix[lo:hi]
-
-        ioutil.write_npy(tmp_path / "a.npy", ioutil.RowSource((20, 3), rows), np.float64)
-        assert asked == ioutil.row_blocks(20) == [(0, 6), (6, 13), (13, 20)]
+    def test_no_scale_keeps_the_sign_of_a_zero(self, tmp_path):
+        # 1.0 * complex(0.0, -0.0) is 0j; None writes the matrix itself.
+        matrix = np.array([[complex(0.0, -0.0)]])
+        ioutil.write_npy(tmp_path / "a.npy", matrix, np.complex128)
         assert (tmp_path / "a.npy").read_bytes() == saved(matrix)
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
@@ -221,32 +229,28 @@ class TestNpy:
         assert (tmp_path / "a.npy").read_bytes() == saved(np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_row_of_a_source_is_refused(self, tmp_path, monkeypatch, bad):
-        # A row source is checked block by block as its rows are formed, so
-        # a late block's refusal comes after earlier blocks were written: it
-        # names the first non-finite value and leaves no file behind.
+    def test_non_finite_value_in_a_late_block_is_refused(self, tmp_path, monkeypatch, bad):
+        # The rows are checked block by block as they are scaled, so a late
+        # block's refusal comes after earlier blocks were written: it names
+        # the first non-finite value and leaves no file behind.
         monkeypatch.setattr(ioutil, "BLOCK_ROWS", 64)
-
-        def rows(lo, hi):
-            block = np.ones((hi - lo, 8))
-            if lo <= 290 < hi:
-                block[290 - lo, 3] = bad
-            return block
-
+        matrix = np.ones((300, 8))
+        matrix[290, 3] = bad
         target = tmp_path / "a.npy"
         target.write_bytes(b"before")
         with pytest.raises(ValueError) as exc:
-            ioutil.write_npy(target, ioutil.RowSource((300, 8), rows), np.float64)
+            ioutil.write_npy(target, matrix, np.float64, 2.0)
         assert str(exc.value) == f"refusing to serialize non-finite value {bad!r}"
         assert target.read_bytes() == b"before"
         assert leftovers(tmp_path) == ["a.npy"]
 
-    def test_interrupt_leaves_no_file(self, tmp_path):
-        def rows(lo, hi):
+    def test_interrupt_leaves_no_file(self, tmp_path, monkeypatch):
+        def interrupt(rows):
             raise KeyboardInterrupt
 
+        monkeypatch.setattr(ioutil, "_check_finite", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            ioutil.write_npy(tmp_path / "a.npy", ioutil.RowSource((3, 2), rows), np.float64)
+            ioutil.write_npy(tmp_path / "a.npy", np.ones((3, 2)), np.float64, 2.0)
         assert leftovers(tmp_path) == []
 
 

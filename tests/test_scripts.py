@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from koopdmd import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -87,6 +89,18 @@ def test_compare_artifacts_says_how_far_a_file_moved(tmp_path):
     assert how_far(tmp_path / "old" / "dmd.json", tmp_path / "new" / "dmd.json") == \
         "eigenvalues 3.0e-07 by position, 3.0e-07 as sets"
     assert how_far(tmp_path / "a.npy", tmp_path / "missing.npy") == ""
+    table = "k,omega,phase\n(1),0.5,\n(2),1.25,3\n"
+    (tmp_path / "old" / "f.csv").write_text(table)
+    (tmp_path / "new" / "f.csv").write_text(table.replace("1.25", "1.2500001"))
+    assert how_far(tmp_path / "old" / "f.csv", tmp_path / "new" / "f.csv") == "1.0e-07"
+    (tmp_path / "new" / "f.csv").write_text(table.replace("0.5,", "0.5,0"))
+    assert how_far(tmp_path / "old" / "f.csv", tmp_path / "new" / "f.csv") == "line 2: '' vs '0'"
+
+
+def test_compare_artifacts_runs_every_recipe():
+    # A recipe missing from the tuple would be left out of every
+    # byte-identity check.
+    assert set(cli.RECIPES) <= set(load_script("compare_artifacts").RECIPES)
 
 
 def test_compare_artifacts_tells_a_reordered_spectrum(tmp_path):
