@@ -529,15 +529,16 @@ def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, bloc
     c = blocks[0].channels
     dim = trajectories[0].states.shape[1]
     header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(dim)] + ["phase"]
-    rows = []
     strided = [t.states[:: cfg.embedding.stride] for t in trajectories]
-    for r, phase in enumerate(phases):
-        i, p = divmod(r, c)
-        state = strided[p][i]
-        rows.append([i * result.dt, p + 1] + [float(v) for v in state]
-                    + [float(phase) if np.isfinite(phase) else None])
+
+    def rows():  # generated as write_csv streams them, so no list of m * c rows
+        for r, phase in enumerate(phases):
+            i, p = divmod(r, c)
+            yield ([i * result.dt, p + 1] + [float(v) for v in strided[p][i]]
+                   + [float(phase) if np.isfinite(phase) else None])
+
     # Looked up at call time, so a traced run counts phase.csv among its writes.
-    ioutil.write_csv(path, header, rows)
+    ioutil.write_csv(path, header, rows())
 
 
 #: The fixed names of the files a run writes, and those of the matrices
@@ -598,7 +599,7 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
     """Every value of a system or CSV run, and the table of its artifacts
     but run.json: file name -> writer(path), in the order they are written.
     Each writer looks up its module's write function when it is called,
-    so a tracer that wraps those attributes still sees every write."""
+    so a tracer that wraps that attribute sees the write."""
     series_list, trajectories, observed = _build_series(cfg)
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
@@ -630,10 +631,10 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
 
     writers = {}
     for i, traj in enumerate(trajectories or [], start=1):
-        cols = [embed.TimeSeries(values=traj.states[:, d], dt=traj.dt, label=f"z{d + 1}")
-                for d in range(traj.states.shape[1])]
-        writers[f"trajectory_{i}.csv"] = lambda path, cols=cols: (
-            embed.write_timeseries_csv(path, cols))
+        # The states need no TimeSeries: integrate has checked them finite.
+        header = "t," + ",".join(f"z{d + 1}" for d in range(traj.states.shape[1]))
+        writers[f"trajectory_{i}.csv"] = lambda path, traj=traj, header=header: (
+            ioutil.write_columns_csv(path, header, traj.dt, traj.states.T))
     for i in range(len(trajectories or [])):
         writers[f"series_{i + 1}.csv"] = lambda path, i=i: (
             embed.write_timeseries_csv(path, [per_traj[i] for per_traj in observed]))

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import write_matrix_csv
+from .ioutil import write_columns_csv
 from .ioutil import atomic_write_text  # noqa: F401 (perfbench/tracer.py wraps it here)
 
 # Relative tolerance for the uniform-spacing check on CSV time columns.
@@ -156,8 +156,20 @@ def strided_series(series: TimeSeries, stride: int) -> TimeSeries:
     return replace(series, values=series.values[::stride], dt=series.dt * stride)
 
 
+def _check_aligned(series_list: list[TimeSeries]) -> None:
+    """Refuse series that are not single-channel or do not share one length
+    and one dt, to 1e-12 relative."""
+    first = series_list[0]
+    for s in series_list:
+        aligned = len(s) == len(first) and math.isclose(s.dt, first.dt, rel_tol=1e-12)
+        if s.channels != 1 or not aligned:
+            raise ValueError(f"series must be single-channel and share length and dt: "
+                             f"{s.label!r} has {s.channels} channel(s), {len(s)} samples, dt "
+                             f"{s.dt!r}; {first.label!r} has {len(first)}, dt {first.dt!r}")
+
+
 def interleave(series_list: list[TimeSeries]) -> TimeSeries:
-    """Merge equal-length, equal-dt trajectories sample-wise.
+    """Merge trajectories that pass _check_aligned sample-wise.
 
     Two series (a0, a1), (b0, b1) merge to (a0, b0, a1, b1). The result has
     channels == len(series_list); a single series passes through unchanged.
@@ -167,15 +179,7 @@ def interleave(series_list: list[TimeSeries]) -> TimeSeries:
     first = series_list[0]
     if len(series_list) == 1:
         return first
-    for s in series_list:
-        if s.channels != 1:
-            raise ValueError("interleave inputs must be single-channel series")
-        if len(s) != len(first):
-            raise ValueError(
-                f"length mismatch: {len(s)} vs {len(first)} (all series must align)"
-            )
-        if not math.isclose(s.dt, first.dt, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(f"dt mismatch: {s.dt} vs {first.dt}")
+    _check_aligned(series_list)
     stacked = np.column_stack([s.values for s in series_list])
     labels = {s.label for s in series_list}
     label = first.label if len(labels) == 1 else "|".join(s.label for s in series_list)
@@ -353,21 +357,14 @@ def read_timeseries_csv(path) -> list[TimeSeries]:
 
 
 def write_timeseries_csv(path, series_list: list[TimeSeries]) -> None:
-    """Write aligned single-channel series as 't,<label>...' CSV, t = i * dt.
+    """Write series that pass _check_aligned as 't,<label>...' CSV, t = i * dt.
 
     Floats carry 17 significant digits, so a read-back reproduces the
-    sample values bit-exactly. The text is streamed by
-    ioutil.write_matrix_csv, one block of rows at a time.
+    sample values bit-exactly. ioutil.write_columns_csv streams the rows
+    from the series' own values, one block at a time.
     """
     if not series_list:
         raise ValueError("write_timeseries_csv needs at least one series")
-    first = series_list[0]
-    for s in series_list:
-        if s.channels != 1:
-            raise ValueError("CSV export is defined for single-channel series")
-        if len(s) != len(first) or not math.isclose(s.dt, first.dt, rel_tol=1e-12):
-            raise ValueError("all series in one CSV must share length and dt")
+    _check_aligned(series_list)
     header = "t," + ",".join(s.label for s in series_list)
-    t = np.arange(len(first)) * first.dt
-    table = np.column_stack([t] + [s.values for s in series_list])
-    write_matrix_csv(path, header, table)
+    write_columns_csv(path, header, series_list[0].dt, [s.values for s in series_list])

@@ -181,6 +181,12 @@ class TestPhaseAndDimension:
         vals = np.array([0.0 + 0.0j, 1.0 + 0.0j, np.exp(0.3j)])
         assert analysis.dominant_nontrivial(vals, dt=1.0) == 2
 
+    def test_dominant_nontrivial_includes_its_bound(self):
+        # At dt = 1, exp(0.01i) has eig_to_freq exactly MIN_NONTRIVIAL_OMEGA.
+        lam = np.exp(1j * analysis.MIN_NONTRIVIAL_OMEGA)
+        assert analysis.eig_to_freq(lam, 1.0) == analysis.MIN_NONTRIVIAL_OMEGA
+        assert analysis.dominant_nontrivial([1.0, lam, np.conj(lam)], 1.0) == 1
+
     def test_dominant_nontrivial_all_trivial(self):
         vals = np.array([1.0 + 0.0j, np.exp(1e-5j)])
         assert analysis.dominant_nontrivial(vals, dt=1.0) is None

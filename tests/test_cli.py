@@ -6,6 +6,7 @@ import os
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -719,6 +720,43 @@ class TestExecute:
         assert meta["forward_error"] == result.dmd_result.forward_error
         assert_allclose(meta["forward_error"], np.finfo(float).eps * s[0] / s[-1], rtol=1e-12)
         assert 1e-8 < meta["forward_error"] < np.finfo(float).eps / linalg.TRUNCATION_TOL
+
+    def test_block_scale_is_the_ratio_of_last_column_norms(self, tmp_path):
+        # A block's last column holds samples n .. n+m-1 of its series, so
+        # the second block's scale is ||g[n:n+m]|| / ||f[n:n+m]||, read from
+        # series_1.csv. The ratio of first columns differs by 9.6e-4.
+        raw = cli.recipe_config("torus-synth")
+        raw["observables"].append({"kind": "custom", "expression": "sin(z1) + 0.5*sin(2*z2)"})
+        raw["output_dir"] = str(tmp_path / "out")
+        cli.execute(cli.parse_config(raw))
+        f, g = embed.read_timeseries_csv(tmp_path / "out" / "series_1.csv")
+        m, n = raw["embedding"]["m"], raw["embedding"]["n"]
+        want = np.linalg.norm(g.values[n:n + m]) / np.linalg.norm(f.values[n:n + m])
+        blocks = json.loads((tmp_path / "out" / "hankel.json").read_text())["blocks"]
+        assert blocks[0]["scale"] == 1.0
+        assert_allclose(blocks[1]["scale"], want, rtol=1e-12, atol=0)
+
+    def test_phase_csv_streams_its_rows(self, tmp_path):
+        # m = 10,000 samples of two interleaved trajectories: the rows are
+        # generated as they are written, so the write peaks below the
+        # file's size (asymptotic_phase's m * c arrays are most of it).
+        m, c = 10_000, 2
+        rng = np.random.default_rng(3)
+        modes = np.exp(1j * rng.uniform(0, 2 * np.pi, (m * c, 1)))
+        modes[5] = 0.0
+        ns = SimpleNamespace
+        args = (ns(embedding=ns(stride=1)), ns(modes=modes, dt=0.1), 0, [ns(channels=c)],
+                [ns(states=rng.standard_normal((m + 100, 2))) for _ in range(c)])
+        path = tmp_path / "phase.csv"
+        tracemalloc.start()
+        try:
+            cli._write_phase_csv(path, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().splitlines()
+        assert len(lines) == m * c + 1 and lines[6].endswith(",")
+        assert peak < path.stat().st_size
 
 
 class TestOneComputationPerValue:

@@ -182,12 +182,24 @@ class TestInterleave:
         a = series([1.0, 2.0])
         assert embed.interleave([a]) is a
 
-    def test_mismatched_inputs(self):
-        a = series([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            embed.interleave([a, series([1.0, 2.0])])
-        with pytest.raises(ValueError):
-            embed.interleave([a, series([1.0, 2.0, 3.0], dt=2.0)])
+
+MISALIGNED = {
+    "channels": series([1.0, 2.0, 3.0, 4.0], channels=2, label="b"),
+    "length": series([1.0, 2.0, 3.0], label="b"),
+    "dt": series([1.0, 2.0, 3.0, 4.0], dt=1.0 + 1e-11, label="b"),
+}
+
+
+@pytest.mark.parametrize("merge", ["interleave", "write_timeseries_csv"])
+@pytest.mark.parametrize("misfit", sorted(MISALIGNED))
+def test_series_that_do_not_align_are_refused(tmp_path, merge, misfit):
+    a = series([1.0, 2.0, 3.0, 4.0], label="a")
+    with pytest.raises(ValueError, match="must be single-channel and share length and dt"):
+        if merge == "interleave":
+            embed.interleave([a, MISALIGNED[misfit]])
+        else:
+            embed.write_timeseries_csv(tmp_path / "s.csv", [a, MISALIGNED[misfit]])
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestScaleFactor:
@@ -299,8 +311,9 @@ class TestCsv:
         assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_write_streams_without_holding_the_text(self, tmp_path):
-        # The text is formed one block of rows at a time, so the peak is the
-        # stacked table and one block's lines, below the file's size.
+        # Each block of rows is stacked from the series and formatted before
+        # the next, so the peak is one block's table and lines, below the
+        # file's size.
         vals = np.random.default_rng(5).standard_normal((50_000, 3))
         series = [TimeSeries(v, 0.1, label=f"x{i}") for i, v in enumerate(vals.T)]
         path = tmp_path / "big.csv"
@@ -313,6 +326,21 @@ class TestCsv:
         assert peak < path.stat().st_size
         back = embed.read_timeseries_csv(path)
         assert all(np.array_equal(b.values, v) for b, v in zip(back, vals.T))
+
+    def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # The writer holds one block of the table, not a stacked copy of it:
+        # at 20 times the rows the peak stays within 10% (at one block).
+        def peak(rows):
+            vals = np.random.default_rng(rows).standard_normal((3, rows))
+            series = [TimeSeries(v, 0.1, label=f"x{i}") for i, v in enumerate(vals)]
+            tracemalloc.start()
+            try:
+                embed.write_timeseries_csv(tmp_path / f"{rows}.csv", series)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 1.1 * peak(10_000)
 
     def test_a_quote_in_a_label_is_written_raw(self, tmp_path):
         label = 'say "x"'

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from koopdmd import cli
 
@@ -123,3 +124,35 @@ def test_readme_library_example(capsys):
         omega, k = line.split(" ", 1)
         k = ast.literal_eval(k)
         assert abs(float(omega) - (k[0] * 0.97624 + k[1] * 0.60892)) < 1e-9
+
+
+def test_mutants_kills_one_mutant_in_a_copy(tmp_path):
+    # One mutant against one test file; the copy goes under TMPDIR, which is
+    # empty again afterwards, and the checkout's file is unchanged.
+    source = (ROOT / "src" / "koopdmd" / "analysis.py").read_bytes()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--only",
+         "zero samples keep a phase", "--json", str(tmp_path / "score.json"), "--",
+         "tests/test_analysis.py"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    first, score = proc.stdout.splitlines()
+    assert first.startswith("zero samples keep a phase: killed by tests/test_analysis.py::"
+                            "TestPhaseAndDimension::test_zero_samples_give_nan (")
+    assert score == "score: 1/1 killed"
+    report = json.loads((tmp_path / "score.json").read_text())
+    assert (report["killed"], report["total"]) == (1, 1)
+    assert list(scratch.iterdir()) == []
+    assert (ROOT / "src" / "koopdmd" / "analysis.py").read_bytes() == source
+
+
+def test_mutants_match_the_checkout_once(tmp_path):
+    mutants = load_script("mutants")
+    for mutant in mutants.MUTANTS:
+        mutants.check(mutant)  # a stale mutant would test nothing
+    (tmp_path / "f.py").write_text("a = 1\nb = 1\n")
+    for old, count in (("c = 1", 0), ("= 1", 2)):
+        with pytest.raises(ValueError, match=f"appears {count} times"):
+            mutants.check(mutants.Mutant("m", "f.py", old, "x"), tmp_path)
