@@ -6,14 +6,13 @@ old text, new text). The old text must appear exactly once in its file;
 the script refuses a list that does not match the checkout before it runs
 anything. Each mutant is applied to a temporary copy of the checkout (src,
 tests, scripts, perfbench, pyproject.toml, README.md), and pytest runs
-there with `-x -q -p no:cacheprovider` at one BLAS thread. The mutant is
-killed when a test fails and survives when every test passes. The pytest
-run starts in a session of its own, and on timeout its whole process group
-is killed. The copy is deleted afterwards; nothing in the checkout is
-written.
+there with `-x -q -p no:cacheprovider` at one BLAS thread, its basetemp
+inside the copy. The mutant is killed when a test fails and survives when
+every test passes. The pytest run starts in a session of its own, and
+after TIMEOUT_S seconds its whole process group is killed. The copy is
+deleted afterwards; nothing in the checkout or elsewhere is written.
 
-Usage: python3 scripts/mutants.py [--only NAME ...] [--timeout S] [--json PATH]
-                                  [-- PYTEST_ARGS ...]
+Usage: python3 scripts/mutants.py [--only NAME ...] [--json PATH] [-- PYTEST_ARGS ...]
 
 Prints one line per mutant, `<name>: killed by <first failing test>` or
 `<name>: SURVIVED`, then `score: K/N killed`, and exits 1 unless every
@@ -37,6 +36,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml", "README.md")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TIMEOUT_S = 600  # seconds a mutant's pytest run may take before it is killed
 
 
 class Mutant(NamedTuple):
@@ -116,7 +116,7 @@ def first_failure(output: str) -> str:
     return "(no test named)"
 
 
-def run_mutant(mutant: Mutant, pytest_args: list[str], timeout: float) -> dict:
+def run_mutant(mutant: Mutant, pytest_args: list[str]) -> dict:
     """Apply mutant to a fresh copy of the checkout and run pytest there."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="koopdmd-mutant-") as tmp:
@@ -133,11 +133,12 @@ def run_mutant(mutant: Mutant, pytest_args: list[str], timeout: float) -> dict:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
                    **{var: "1" for var in BLAS_VARS})
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *pytest_args],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             f"--basetemp={copy / '.pytest_tmp'}", *pytest_args],
             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             start_new_session=True)
         try:
-            output, _ = proc.communicate(timeout=timeout)
+            output, _ = proc.communicate(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -179,8 +180,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="NAME",
                         help="run only this mutant (repeatable)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per mutant before its pytest run is killed")
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="write the score, the commit and each result here")
     args = parser.parse_args(argv)
@@ -197,7 +196,7 @@ def main(argv: list[str]) -> int:
         return 2
     results = []
     for mutant in chosen:
-        results.append(run_mutant(mutant, pytest_args, args.timeout))
+        results.append(run_mutant(mutant, pytest_args))
         print(report(results[-1]), flush=True)
     killed = sum(r["status"] == "killed" for r in results)
     print(f"score: {killed}/{len(results)} killed")

@@ -632,9 +632,9 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
     writers = {}
     for i, traj in enumerate(trajectories or [], start=1):
         # The states need no TimeSeries: integrate has checked them finite.
-        header = "t," + ",".join(f"z{d + 1}" for d in range(traj.states.shape[1]))
-        writers[f"trajectory_{i}.csv"] = lambda path, traj=traj, header=header: (
-            ioutil.write_columns_csv(path, header, traj.dt, traj.states.T))
+        labels = [f"z{d + 1}" for d in range(traj.states.shape[1])]
+        writers[f"trajectory_{i}.csv"] = lambda path, traj=traj, labels=labels: (
+            ioutil.write_columns_csv(path, labels, traj.dt, traj.states.T))
     for i in range(len(trajectories or [])):
         writers[f"series_{i + 1}.csv"] = lambda path, i=i: (
             embed.write_timeseries_csv(path, [per_traj[i] for per_traj in observed]))

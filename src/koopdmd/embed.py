@@ -366,5 +366,5 @@ def write_timeseries_csv(path, series_list: list[TimeSeries]) -> None:
     if not series_list:
         raise ValueError("write_timeseries_csv needs at least one series")
     _check_aligned(series_list)
-    header = "t," + ",".join(s.label for s in series_list)
-    write_columns_csv(path, header, series_list[0].dt, [s.values for s in series_list])
+    write_columns_csv(path, [s.label for s in series_list], series_list[0].dt,
+                      [s.values for s in series_list])

@@ -15,7 +15,7 @@ the next is formed. write_npy writes the DMD modes and the POD basis and
 coordinates as .npy files: a format 1.0 header, then the values in C
 order, the bytes np.save writes for the same C-ordered array; POD's basis
 is its factor W times a scale, formed one block at a time. write_columns_csv
-writes the time-series tables, each block stacked from t = i * dt and columns.
+writes the time-series tables, 't,<labels>' over rows of t = i * dt and columns.
 """
 from __future__ import annotations
 
@@ -143,12 +143,12 @@ def format_rows(rows: np.ndarray) -> str:
     return "".join([line % tuple(row) for row in rows.tolist()])
 
 
-def write_columns_csv(path, header_line: str, dt: float, columns: Sequence[np.ndarray]) -> None:
-    """header_line as written, then row i: i * dt and each columns[j][i], as
-    '%.17g', stacked and formatted one block of row_blocks at a time. A
-    non-finite value is refused with a ValueError and leaves no file behind."""
+def write_columns_csv(path, labels: Sequence[str], dt: float, columns: Sequence[np.ndarray]) -> None:
+    """'t,<labels>', then row i: i * dt and each columns[j][i] as '%.17g',
+    stacked and formatted one block of row_blocks at a time. A non-finite
+    value is refused with a ValueError and leaves no file behind."""
     with _atomic_open(path) as fh:
-        fh.write(header_line + "\n")
+        fh.write("t," + ",".join(labels) + "\n")
         for lo, hi in row_blocks(len(columns[0])):
             t = np.arange(lo, hi) * dt  # the bits of (np.arange(nrows) * dt)[lo:hi]
             fh.write(format_rows(np.column_stack([t] + [c[lo:hi] for c in columns])))

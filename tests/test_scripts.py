@@ -129,6 +129,8 @@ def test_readme_library_example(capsys):
 def test_mutants_kills_one_mutant_in_a_copy(tmp_path):
     # One mutant against one test file; the copy goes under TMPDIR, which is
     # empty again afterwards, and the checkout's file is unchanged.
+    # TestFrequencyTable asks for a tmp_path before the mutant fails a test,
+    # so the nested pytest's basetemp must stay inside the copy.
     source = (ROOT / "src" / "koopdmd" / "analysis.py").read_bytes()
     scratch = tmp_path / "tmp"
     scratch.mkdir()
@@ -136,7 +138,9 @@ def test_mutants_kills_one_mutant_in_a_copy(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--only",
          "zero samples keep a phase", "--json", str(tmp_path / "score.json"), "--",
-         "tests/test_analysis.py"], capture_output=True, text=True, env=env, timeout=120)
+         "tests/test_analysis.py::TestFrequencyTable",
+         "tests/test_analysis.py::TestPhaseAndDimension"],
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     first, score = proc.stdout.splitlines()
     assert first.startswith("zero samples keep a phase: killed by tests/test_analysis.py::"
