@@ -90,12 +90,18 @@ MUTANTS = (
     Mutant("POD sigma over sqrt(m - 1)", "src/koopdmd/pod.py",
            "sigma = r.S[:k] / np.sqrt(m)",
            "sigma = r.S[:k] / np.sqrt(m - 1)"),
-    Mutant("negative frequencies listed in the table", "src/koopdmd/cli.py",
+    Mutant("negative frequencies listed in the table", "src/koopdmd/analysis.py",
            "    listed = [(j, omega) for j, omega in listed if omega >= 0]\n",
            ""),
     Mutant("every start observed along the first trajectory", "src/koopdmd/cli.py",
            "[systems.observe(t, obs) for t in trajectories]",
            "[systems.observe(trajectories[0], obs) for t in trajectories]"),
+    Mutant("the tables read unstrided states", "src/koopdmd/cli.py",
+           "sampled = [t.states[:: e.stride] for t in trajectories or []]",
+           "sampled = [t.states for t in trajectories or []]"),
+    Mutant("an unscalable block reaches scale_factor", "src/koopdmd/cli.py",
+           "if len(blocks) > 1 and np.linalg.norm(b.H[:, -1]) == 0.0:",
+           "if False:"),
 )
 
 

@@ -4,7 +4,9 @@ Eigenvalues of a map sampled every dt seconds correspond to continuous
 frequencies via lambda = exp(i * omega * dt); eig_to_freq inverts that
 relation on the principal branch. For quasi-periodic dynamics the
 recovered frequencies should populate the integer lattice generated by
-the basic frequencies, which match_lattice searches exhaustively.
+the basic frequencies, which match_lattice searches exhaustively. A run's
+two spectrum tables are built here (frequency_rows, write_phase_table),
+from the states that its mode rows sample.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ from .ioutil import write_csv
 
 #: Floor in the relative-error denominator, guarding lattice value 0.
 LATTICE_EPS = 1e-12
+
+#: The frequency table's columns, which key each row of frequency_rows.
+FREQUENCY_COLUMNS = ("k", "omega_computed", "omega_lattice", "relative_error", "eigfun_variance")
 
 #: Eigenvalues with |omega| below this are treated as trivial (DC-like)
 #: when selecting the dominant mode for phase export.
@@ -175,14 +180,46 @@ def lattice_eigenfunction(angles, k) -> np.ndarray:
     return np.exp(1j * (theta @ kvec))
 
 
+def frequency_rows(eigenvalues, dt: float, modes, basics, K: int, angles=None) -> list[dict]:
+    """Frequency table rows, one per eigenvalue with omega >= 0 (its
+    conjugate partner carries the same information). eigfun_variance is
+    None unless angles, the rotation angles that the mode rows sample (extra
+    rows are cut), make exp(i k . theta) a reference eigenfunction."""
+    listed = [(j, eig_to_freq(lam, dt)) for j, lam in enumerate(eigenvalues) if lam != 0]
+    listed = [(j, omega) for j, omega in listed if omega >= 0]
+    rows = []
+    for j, omega in listed:
+        match = match_lattice(omega, basics, K=K)
+        variance = None
+        if angles is not None:
+            ref = lattice_eigenfunction(angles[: modes.shape[0]], match.k)
+            variance = eigenfunction_error(modes[:, j], ref).variance
+        rows.append(dict(zip(FREQUENCY_COLUMNS, (match.k, omega, match.lattice_value,
+                                                 match.relative_error, variance))))
+    return rows
+
+
 def write_frequency_table(path, rows: list[dict]) -> None:
-    """Frequency table CSV: k, omega_computed, omega_lattice,
-    relative_error, eigfun_variance. Every row carries these five keys; a
-    None value is a blank cell (eigfun_variance when no reference exists)."""
-    header = ["k", "omega_computed", "omega_lattice", "relative_error", "eigfun_variance"]
-    out = []
-    for row in rows:
-        k = row["k"]
-        k_str = "" if k is None else "(" + ",".join(str(int(i)) for i in k) + ")"
-        out.append([k_str] + [row[key] for key in header[1:]])
-    write_csv(path, header, out)
+    """Frequency table CSV of frequency_rows' rows, k as "(k1,...)"; a None
+    eigfun_variance is a blank cell."""
+    write_csv(path, FREQUENCY_COLUMNS, (["(" + ",".join(str(int(i)) for i in row["k"]) + ")"]
+                                        + [row[key] for key in FREQUENCY_COLUMNS[1:]]
+                                        for row in rows))
+
+
+def write_phase_table(path, mode, dt: float, sampled) -> None:
+    """phase.csv: t, trajectory, state z1..zd and the asymptotic phase
+    (blank where zero) of each row of mode. sampled holds the c
+    trajectories' states that the rows interleave: row r samples state
+    r // c of trajectory r % c + 1. Rows are generated as they are written."""
+    phases = asymptotic_phase(mode)
+    c = len(sampled)
+    header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(sampled[0].shape[1])] + ["phase"]
+
+    def rows():
+        for r, phase in enumerate(phases):
+            i, p = divmod(r, c)
+            yield ([i * dt, p + 1] + [float(v) for v in sampled[p][i]]
+                   + [float(phase) if np.isfinite(phase) else None])
+
+    write_csv(path, header, rows())

@@ -9,7 +9,8 @@ the pipeline, and writes its artifacts into the output directory:
 trajectory and observable CSVs, Hankel metadata, POD and DMD
 serializations (the mode and POD matrices as .npy files), a frequency
 table when basic frequencies are configured, and a per-state phase table
-when requested. Identical config and seed produce byte-identical outputs.
+when requested, both built by analysis from the strided states. Identical
+config and seed produce byte-identical outputs.
 Once the new run.json is in place, the files that the directory's
 previous run.json listed and this run did not write are deleted
 (_remove_stale). --seed seeds the Lorenz default start (system.seed) or
@@ -490,57 +491,6 @@ def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
     return lambda s: max(linalg.truncation_rank(s), rule(s))
 
 
-def _frequency_rows(cfg: RunConfig, result: dmd.DmdResult, trajectories):
-    """Rows of the frequency table: positive-branch eigenvalues with their
-    lattice match and, for a rotation system with one start state and one
-    basic per angle, the eigenfunction variance."""
-    ana = cfg.analysis
-    if ana.basics is None:
-        return None
-    # A conjugate partner (omega < 0) carries the same information.
-    listed = [(j, analysis.eig_to_freq(lam, result.dt))
-              for j, lam in enumerate(result.eigenvalues) if lam != 0]
-    listed = [(j, omega) for j, omega in listed if omega >= 0]
-    angles = None
-    if (trajectories is not None and cfg.system.kind in ("circle", "torus")
-            and len(trajectories) == 1 and trajectories[0].states.shape[1] == len(ana.basics)):
-        angles = trajectories[0].states[:: cfg.embedding.stride][: result.modes.shape[0]]
-    rows = []
-    for j, omega in listed:
-        match = analysis.match_lattice(omega, ana.basics, K=ana.K)
-        variance = None
-        if angles is not None:
-            ref = analysis.lattice_eigenfunction(angles, match.k)
-            variance = analysis.eigenfunction_error(result.modes[:, j], ref).variance
-        rows.append({
-            "k": match.k,
-            "omega_computed": omega,
-            "omega_lattice": match.lattice_value,
-            "relative_error": match.relative_error,
-            "eigfun_variance": variance,
-        })
-    return rows
-
-
-def _write_phase_csv(path, cfg: RunConfig, result: dmd.DmdResult, idx: int, blocks,
-                     trajectories) -> None:
-    """Per-state asymptotic phase of mode idx, the dominant nontrivial one."""
-    phases = analysis.asymptotic_phase(result.modes[:, idx])
-    c = blocks[0].channels
-    dim = trajectories[0].states.shape[1]
-    header = ["t", "trajectory"] + [f"z{i + 1}" for i in range(dim)] + ["phase"]
-    strided = [t.states[:: cfg.embedding.stride] for t in trajectories]
-
-    def rows():  # generated as write_csv streams them, so no list of m * c rows
-        for r, phase in enumerate(phases):
-            i, p = divmod(r, c)
-            yield ([i * result.dt, p + 1] + [float(v) for v in strided[p][i]]
-                   + [float(phase) if np.isfinite(phase) else None])
-
-    # Looked up at call time, so a traced run counts phase.csv among its writes.
-    ioutil.write_csv(path, header, rows())
-
-
 #: The fixed names of the files a run writes, and those of the matrices
 #: that runs before .npy output wrote as CSV; with trajectory_N.csv and
 #: series_N.csv, the only names a rerun deletes.
@@ -603,10 +553,14 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
     series_list, trajectories, observed = _build_series(cfg)
     e = cfg.embedding
     blocks = [embed.hankel(s, e.m, e.n) for s in series_list]
-    # Here, wherever it sits: scale_factor would report a zero block as a
-    # zero-norm column.
-    if not all(np.any(b.H) for b in blocks):
-        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
+    # Refused here by name, not by scale_factor's zero-norm error: a zero
+    # block, or one of several whose last column (its scale) is zero.
+    for b in blocks:
+        if not np.any(b.H):
+            raise DecompositionError("Hankel block is identically zero; nothing to decompose")
+        if len(blocks) > 1 and np.linalg.norm(b.H[:, -1]) == 0.0:
+            raise DecompositionError(f"Hankel block {b.label!r} is zero in its last column, "
+                                     "so it has no scale against the other blocks")
     scales = [1.0]
     for b in blocks[1:]:
         scales.append(embed.scale_factor(b, blocks[0]))
@@ -623,10 +577,18 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
         factors = linalg.svd(data.X, _shared_rank(cfg.dmd))
     dmd_result = _run_decomposition(cfg, blocks, data, factors)
     pod_result = pod.ergodic_pod(blocks[0], factors=factors)
-    freq_rows = _frequency_rows(cfg, dmd_result, trajectories)
+    sampled = [t.states[:: e.stride] for t in trajectories or []]  # what mode rows sample
+    ana, freq_rows = cfg.analysis, None
+    if ana.basics is not None:
+        # A circle or torus with one start state and one basic per angle
+        # has exp(i k . theta) as a reference eigenfunction.
+        reference = (len(sampled) == 1 and cfg.system.kind in ("circle", "torus")
+                     and sampled[0].shape[1] == len(ana.basics))
+        freq_rows = analysis.frequency_rows(dmd_result.eigenvalues, dmd_result.dt, dmd_result.modes,
+                                            ana.basics, ana.K, sampled[0] if reference else None)
     dominant = analysis.dominant_nontrivial(dmd_result.eigenvalues, dmd_result.dt)
     phase_skipped = None
-    if cfg.analysis.export_phase and dominant is None:
+    if ana.export_phase and dominant is None:
         phase_skipped = f"no eigenvalue has |omega| >= {MIN_NONTRIVIAL_OMEGA:g} rad/s"
 
     writers = {}
@@ -655,9 +617,9 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
     if freq_rows is not None:
         writers["frequency_table.csv"] = lambda path: (
             analysis.write_frequency_table(path, freq_rows))
-    if cfg.analysis.export_phase and dominant is not None:
-        writers["phase.csv"] = lambda path: _write_phase_csv(
-            path, cfg, dmd_result, dominant, blocks, trajectories)
+    if ana.export_phase and dominant is not None:
+        writers["phase.csv"] = lambda path: analysis.write_phase_table(
+            path, dmd_result.modes[:, dominant], dmd_result.dt, sampled)
 
     result = RunResult(config=cfg, output_dir=out, trajectories=trajectories, blocks=blocks,
                        data=data, pod_result=pod_result, dmd_result=dmd_result,

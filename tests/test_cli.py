@@ -6,7 +6,6 @@ import os
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -667,6 +666,24 @@ class TestExecute:
         phases = table[:, 4]
         assert np.all((phases >= 0.0) & (phases < 2 * np.pi))
 
+    def test_phase_rows_hold_the_states_their_mode_rows_sample(self, tmp_path):
+        # Two interleaved starts at stride 2: phase.csv row r (mode row r)
+        # holds state 2 * (r // 2) of trajectory r % 2 + 1, which is that
+        # row of its trajectory CSV. Unstrided states differ in 198 of 200.
+        raw = cli.recipe_config("vdp-phase")
+        raw["embedding"] = {"m": 100, "n": 50, "stride": 2, "interleave": True}
+        raw["output_dir"] = str(tmp_path / "vdp")
+        cli.execute(cli.parse_config(raw))
+        cells = {p: [line.split(",")[1:]
+                     for line in (tmp_path / "vdp" / f"trajectory_{p}.csv").read_text()
+                     .splitlines()[1:]]
+                 for p in ("1", "2")}
+        rows = [line.split(",") for line in
+                (tmp_path / "vdp" / "phase.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 200
+        for i, (_, p, z1, z2, _) in enumerate(rows):
+            assert [z1, z2] == cells[p][2 * (i // 2)], i
+
     def test_one_start_state_has_variance_when_interleaved(self, tmp_path):
         rows = {}
         for interleave in (False, True):
@@ -742,15 +759,13 @@ class TestExecute:
         # file's size (asymptotic_phase's m * c arrays are most of it).
         m, c = 10_000, 2
         rng = np.random.default_rng(3)
-        modes = np.exp(1j * rng.uniform(0, 2 * np.pi, (m * c, 1)))
-        modes[5] = 0.0
-        ns = SimpleNamespace
-        args = (ns(embedding=ns(stride=1)), ns(modes=modes, dt=0.1), 0, [ns(channels=c)],
-                [ns(states=rng.standard_normal((m + 100, 2))) for _ in range(c)])
+        mode = np.exp(1j * rng.uniform(0, 2 * np.pi, m * c))
+        mode[5] = 0.0
+        sampled = [rng.standard_normal((m + 100, 2)) for _ in range(c)]
         path = tmp_path / "phase.csv"
         tracemalloc.start()
         try:
-            cli._write_phase_csv(path, *args)
+            analysis.write_phase_table(path, mode, 0.1, sampled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1152,6 +1167,25 @@ class TestMain:
             assert capsys.readouterr().err == (
                 "numerical failure: Hankel block is identically zero; nothing to decompose\n")
             assert not (tmp_path / where).exists(), where
+
+    @pytest.mark.parametrize("order", [("f1", "f2"), ("f2", "f1")], ids=["second", "first"])
+    def test_unscalable_block_exits_3(self, tmp_path, capsys, order):
+        # f2 is zero after its first 40 of 400 samples, so its block's last
+        # column (samples 50 .. 349) is zero and has no scale against f1's,
+        # whichever block is the reference.
+        values = {"f1": lambda i: np.cos(0.9 * i * 0.1),
+                  "f2": lambda i: np.cos(0.3 * i * 0.1) if i < 40 else 0.0}
+        csv = tmp_path / "f.csv"
+        csv.write_text(f"t,{','.join(order)}\n" + "".join(
+            f"{i * 0.1},{values[order[0]](i)},{values[order[1]](i)}\n" for i in range(400)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"csv": str(csv), "embedding": {"m": 300, "n": 50},
+                                    "output_dir": str(tmp_path / "out")}))
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Hankel block 'f2' is zero in its last column, "
+            "so it has no scale against the other blocks\n")
+        assert not (tmp_path / "out").exists()
 
     def test_expression_with_a_line_break(self, tmp_path):
         raw = rotation_config(tmp_path / "out")
