@@ -102,6 +102,15 @@ MUTANTS = (
     Mutant("an unscalable block reaches scale_factor", "src/koopdmd/cli.py",
            "if len(blocks) > 1 and np.linalg.norm(b.H[:, -1]) == 0.0:",
            "if False:"),
+    Mutant("the shared factorization keeps only DMD's columns", "src/koopdmd/cli.py",
+           "rank = lambda s: max(linalg.truncation_rank(s), rule(s))",
+           "rank = rule"),
+    Mutant("a truncation that keeps nothing is not refused", "src/koopdmd/linalg.py",
+           "    if k == 0:\n        raise DecompositionError(",
+           "    if False:\n        raise DecompositionError("),
+    Mutant("the tail energy squares unscaled values", "src/koopdmd/dmd.py",
+           "e = np.frexp(tail[0])[1] if tail.size else 0",
+           "e = 0"),
 )
 
 

@@ -21,10 +21,11 @@ the first artifact's write, so a failure before writing leaves the
 directory as it was, or absent. A
 failure while writing can still leave part of a run: an i/o error (exit
 4), a non-finite value that a writer refuses (exit 2), or Ctrl-C. Each
-file is still complete or absent. POD and DMD cut their one
-SVD by linalg.numerical_rank, by default both at sigma_j / sigma_0 > 1e-8
-(linalg.truncation_rank: the projected operator then holds about eight
-digits); the dmd section's keys alone change DMD's cut.
+file is still complete or absent. POD and DMD cut their SVD by
+linalg.truncation_rank, by default both at sigma_j / sigma_0 > 1e-8 (the
+projected operator then holds about eight digits); the dmd section's keys
+alone change DMD's cut. A lone Hankel block is factored once, for both
+(_decompose).
 
 parse_config refuses keys that a run would ignore: dmd or analysis next
 to a suite, a system parameter that its kind does not read, system.seed
@@ -461,34 +462,38 @@ def _build_series(cfg: RunConfig):
     return series_list, trajectories, observed
 
 
-def _run_decomposition(cfg: RunConfig, blocks, data, factors=None) -> dmd.DmdResult:
-    d, dt = cfg.dmd, blocks[0].dt
+def _decompose(cfg: RunConfig, blocks, data) -> tuple[dmd.DmdResult, pod.PodResult]:
+    """The configured DMD of the composite pair and the POD of the first block.
+
+    A lone block is both POD's input and X (embed.composite): it is
+    factored once, keeping the columns of W that POD or DMD keeps (every
+    column for svd). DMD reads that read-only W and POD holds a view of it,
+    so the run holds W and the m x k complex modes; while k <= (n+1)/2 the
+    modes take no more than the copy of H that the SVD held beside W.
+    companion fits the block's columns with an SVD of its own, so POD
+    factors the block itself, as it does beside a composite.
+    """
+    d, block = cfg.dmd, blocks[0]
+    if d.algorithm == "companion":
+        return dmd.companion_dmd(block.H, k=block.n, dt=block.dt), pod.ergodic_pod(block)
+    factors = None
+    if len(blocks) == 1:
+        rank = None
+        if d.algorithm != "svd":
+            rule = dmd.truncation_rule(d.svd_threshold, d.threshold_mode)
+            rank = lambda s: max(linalg.truncation_rank(s), rule(s))
+        factors = linalg.svd(data.X, rank)
     starts = tuple(lo for lo, _ in data.block_offsets)
     if d.algorithm == "hankel":
-        return dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=dt,
-                              threshold_mode=d.threshold_mode, factors=factors)
-    if d.algorithm == "exact":
-        return dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
-                             threshold_mode=d.threshold_mode, dt=dt, factors=factors,
-                             starts=starts)
-    if d.algorithm == "svd":
-        return dmd.svd_dmd(data.X, data.Y, dt=dt, factors=factors, starts=starts)
-    # companion: sequential delayed columns of the first block
-    block = blocks[0]
-    return dmd.companion_dmd(block.H, k=block.n, dt=dt)
-
-
-def _shared_rank(d: DmdConfig) -> linalg.RankRule | None:
-    """Rank rule of the factorization that POD and DMD share: the larger of
-    POD's rank (linalg.truncation_rank) and the configured DMD's
-    (dmd.truncation_rule). svd keeps every column; companion factors its
-    own columns of the block, so only POD's rank counts."""
-    if d.algorithm == "svd":
-        return None
-    if d.algorithm == "companion":
-        return linalg.truncation_rank
-    rule = dmd.truncation_rule(d.svd_threshold, d.threshold_mode)
-    return lambda s: max(linalg.truncation_rank(s), rule(s))
+        result = dmd.hankel_dmd(data, svd_threshold=d.svd_threshold, dt=block.dt,
+                                threshold_mode=d.threshold_mode, factors=factors)
+    elif d.algorithm == "exact":
+        result = dmd.exact_dmd(data.X, data.Y, svd_threshold=d.svd_threshold,
+                               threshold_mode=d.threshold_mode, dt=block.dt, factors=factors,
+                               starts=starts)
+    else:
+        result = dmd.svd_dmd(data.X, data.Y, dt=block.dt, factors=factors, starts=starts)
+    return result, pod.ergodic_pod(block, factors=factors)
 
 
 #: The fixed names of the files a run writes, and those of the matrices
@@ -565,18 +570,7 @@ def _run_pipeline(cfg: RunConfig, out: Path) -> tuple[RunResult, dict]:
     for b in blocks[1:]:
         scales.append(embed.scale_factor(b, blocks[0]))
     data = embed.composite(blocks, scales)
-
-    # A lone unscaled block is both the POD input and X, a view of its
-    # series: factor it once, keeping the columns of W that POD or DMD
-    # keeps. DMD reads that one read-only W, POD holds a view of it, and
-    # the rows of POD's basis are formed only inside the .npy writer. So
-    # the run holds W and the m x k complex modes; while k <= (n+1)/2 the
-    # modes take no more than the copy of H that the SVD held beside W.
-    factors = None
-    if data.X is blocks[0].H:
-        factors = linalg.svd(data.X, _shared_rank(cfg.dmd))
-    dmd_result = _run_decomposition(cfg, blocks, data, factors)
-    pod_result = pod.ergodic_pod(blocks[0], factors=factors)
+    dmd_result, pod_result = _decompose(cfg, blocks, data)
     sampled = [t.states[:: e.stride] for t in trajectories or []]  # what mode rows sample
     ana, freq_rows = cfg.analysis, None
     if ana.basics is not None:

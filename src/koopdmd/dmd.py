@@ -29,10 +29,12 @@ them once, and every consumer (modes.npy, the frequency table, phase.csv)
 reads that array. With k <= (n+1)/2 they take no more memory than the
 copy of X that the SVD held and freed.
 
-Every rank decision is linalg.numerical_rank. The truncating variants
-cut with truncation_rule: by default they keep sigma_j / sigma_0 > 1e-8
-(linalg.TRUNCATION_TOL), the rank pod.ergodic_pod keeps; threshold_mode
-"abs" makes svd_threshold the cutoff itself. The projected operator
+Every rank decision is linalg.numerical_rank, and every truncation is
+linalg.truncation_rank, which alone refuses to keep nothing. The
+truncating variants cut with truncation_rule: by default they keep
+sigma_j / sigma_0 > 1e-8 (linalg.TRUNCATION_TOL), the rank
+pod.ergodic_pod keeps; threshold_mode "abs" makes svd_threshold the
+cutoff itself. The projected operator
 divides by the smallest kept sigma_k, so its forward error grows like
 eps * sigma_0 / sigma_k: at 1e-8 that is at most 2.2e-8, about eight
 correct digits, where the old default of 1e-12 left about four. Each
@@ -56,8 +58,8 @@ modes.npy (hankel and svd) are exact conjugates, bit for bit. The rows
 are formed in the blocks of ioutil.row_blocks on two threads
 (_projected_modes), with bits that depend on neither. An SVD of X
 computed elsewhere can be handed in; its W needs only the columns that
-the threshold keeps, and no variant writes to it. cli shares the
-read-only SVD of a lone Hankel block between DMD and pod.ergodic_pod,
+the threshold keeps, and no variant writes to it. cli._decompose shares
+the read-only SVD of a lone Hankel block between DMD and pod.ergodic_pod,
 which holds a view of its W.
 """
 from __future__ import annotations
@@ -229,13 +231,13 @@ def companion_dmd(D, k: int, dt: float = 1.0) -> DmdResult:
 
 def truncation_rule(svd_threshold: float, threshold_mode: str) -> linalg.RankRule:
     """The rank rule exact_dmd and hankel_dmd truncate with:
-    linalg.numerical_rank with cutoff svd_threshold * S[0] ("rel") or
-    svd_threshold itself ("abs")."""
+    linalg.truncation_rank with cutoff svd_threshold * S[0] ("rel") or
+    svd_threshold itself ("abs"), which refuses to keep nothing."""
     if svd_threshold < 0 or not np.isfinite(svd_threshold):
         raise ValueError(f"svd_threshold must be finite and >= 0, got {svd_threshold}")
     if threshold_mode not in ("abs", "rel"):
         raise ValueError(f"threshold_mode must be 'abs' or 'rel', got {threshold_mode!r}")
-    return partial(linalg.numerical_rank, tol=svd_threshold, absolute=threshold_mode == "abs")
+    return partial(linalg.truncation_rank, tol=svd_threshold, absolute=threshold_mode == "abs")
 
 
 def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
@@ -246,12 +248,13 @@ def _truncated_svd(x: np.ndarray, svd_threshold: float, threshold_mode: str,
     rank = truncation_rule(svd_threshold, threshold_mode)
     r = linalg.svd_of(x, factors, rank)
     k = rank(r.S)
-    if k == 0:
-        raise DecompositionError(
-            f"all singular values fall below the threshold ({threshold_mode} "
-            f"{svd_threshold:.3e}, largest {r.S[0]:.3e}); nothing to decompose"
-        )
-    return r.W[:, :k], r.S[:k], r.V[:, :k], float(np.sqrt(np.sum(r.S[k:] ** 2)))
+    # The dropped values are squared in units of the power of two of the
+    # largest, so no square overflows; the scaling is exact, so a tail whose
+    # squares are finite keeps its bits.
+    tail = r.S[k:]
+    e = np.frexp(tail[0])[1] if tail.size else 0
+    residual = float(np.ldexp(np.sqrt(np.sum(np.ldexp(tail, -e) ** 2)), e))
+    return r.W[:, :k], r.S[:k], r.V[:, :k], residual
 
 
 def _forward_error(s: np.ndarray) -> float:

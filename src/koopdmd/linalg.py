@@ -10,8 +10,10 @@ the package's one rank rule, at one of two cuts:
   is there at all. It makes every rank check: svd_dmd's and
   companion_dmd's full-rank refusals, pod_snapshots' cut (on eigenvalues,
   so sigma_j / sigma_0 > 1e-6) and pinv.
-* TRUNCATION_TOL, sigma_j / sigma_0 > 1e-8, is the default truncation of
-  POD and of the truncating DMD variants (truncation_rank). Their
+* TRUNCATION_TOL, sigma_j / sigma_0 > 1e-8, is the default cut of
+  truncation_rank, the package's one truncation rule: POD and the
+  truncating DMD variants cut with it, and it alone refuses a truncation
+  that keeps nothing (DecompositionError). Their
   projected operator W^T Y V S^-1 divides by the smallest kept sigma_k, so
   its forward error grows like eps * sigma_0 / sigma_k (Drmac, Mezic &
   Mohr, SIAM J. Sci. Comput. 2018). At 1e-12 that estimate is about
@@ -64,10 +66,17 @@ def numerical_rank(S, tol: float = DEFAULT_RANK_TOL, absolute: bool = False) -> 
     return int(np.count_nonzero(S > (tol if absolute else tol * S[0])))
 
 
-def truncation_rank(S) -> int:
-    """The default truncation of POD and DMD: numerical_rank at
-    TRUNCATION_TOL, sigma_j / sigma_0 > 1e-8."""
-    return numerical_rank(S, TRUNCATION_TOL)
+def truncation_rank(S, tol: float = TRUNCATION_TOL, absolute: bool = False) -> int:
+    """The truncation of POD and of the truncating DMD variants:
+    numerical_rank(S, tol, absolute), by default sigma_j / sigma_0 > 1e-8.
+    A truncation that keeps nothing is a DecompositionError."""
+    k = numerical_rank(S, tol, absolute)
+    if k == 0:
+        raise DecompositionError(
+            "the matrix is identically zero; nothing to decompose" if S[0] == 0.0 else
+            f"all singular values fall below the threshold ({'abs' if absolute else 'rel'} "
+            f"{tol:.3e}, largest {S[0]:.3e}); nothing to decompose")
+    return k
 
 
 #: Householder reflectors applied at a time when the kept left singular

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import linalg
 from .embed import HankelBlock
-from .errors import DecompositionError
 from .ioutil import write_json, write_npy
 from .ioutil import write_csv  # noqa: F401 (perfbench/tracer.py wraps pod.write_csv)
 
@@ -121,32 +120,22 @@ def pod_snapshots(G, F_samples) -> PodResult:
     )
 
 
-def retained_rank(S) -> int:
-    """POD's rank of a block with descending singular values S,
-    sigma_j / sigma_0 > 1e-8 (linalg.truncation_rank, the default cut of
-    DMD too); an identically zero block is a DecompositionError."""
-    k = linalg.truncation_rank(S)
-    if k == 0:
-        raise DecompositionError("Hankel block is identically zero; nothing to decompose")
-    return k
-
-
 def ergodic_pod(block: HankelBlock, factors: linalg.SvdResult | None = None) -> PodResult:
     """POD of the delayed observables straight from the Hankel block.
 
     The SVD H = W diag(S) V^T (m = row count) gives the POD of the
     empirical Gramian (1/m) H^T H: singular values S / sqrt(m), principal
     coordinates V, and basis functions sampled along the trajectory as
-    sqrt(m) W. It keeps retained_rank(S) columns and holds them as a view
-    of W with the scale sqrt(m), so the basis is never a second m x k
-    array and W is left as it is. factors, when given, is the SVD of
-    block.H computed elsewhere (for a lone unscaled block, the one Hankel
-    DMD also uses), whose W holds at least the kept columns.
+    sqrt(m) W. It keeps linalg.truncation_rank(S) columns (DMD's default
+    cut too) and holds them as a view of W with the scale sqrt(m), so the
+    basis is never a second m x k array and W is left as it is. factors,
+    when given, is the SVD of block.H computed elsewhere (cli._decompose
+    shares a lone block's with DMD), whose W holds at least the kept columns.
     """
     h = block.H
     m = h.shape[0]
     r = linalg.svd_of(h, factors, linalg.truncation_rank)
-    k = retained_rank(r.S)
+    k = linalg.truncation_rank(r.S)
     sigma = r.S[:k] / np.sqrt(m)
     return PodResult(
         singular_values=sigma,

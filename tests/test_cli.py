@@ -859,10 +859,33 @@ class TestSharedFactorization:
         monkeypatch.setattr(linalg, "svd", recording)
         n = {"svd": 1, "companion": 2}.get(algorithm, 8)  # full column rank for these
         raw = rotation_config(tmp_path, n=n, algorithm=algorithm, **extra)
+        # Two harmonics: singular values near 1 and near 0.1, so a cut at 0.5
+        # keeps 2 for DMD and 4 for POD.
+        raw["observables"] = [{"kind": "custom", "expression": "cos(z1) + 0.1*cos(2*z1)"}]
         result = cli.execute(cli.parse_config(raw))
         pod_k, dmd_k = result.pod_result.k, result.dmd_result.rank_kept
-        want = {"svd": n + 1, "companion": pod_k}.get(algorithm, max(pod_k, dmd_k))
-        assert widths[0] == want
+        if extra.get("svd_threshold") == 0.5:
+            assert (pod_k, dmd_k) == (4, 2)
+        if algorithm == "companion":
+            # companion factors its n basis columns, then POD factors the block.
+            assert widths == [n, pod_k]
+        else:
+            assert widths == [n + 1 if algorithm == "svd" else max(pod_k, dmd_k)]
+
+    def test_pod_keeps_its_rank_past_a_stricter_dmd_cut(self, tmp_path):
+        # vdp-phase at svd_threshold 1e-4: DMD keeps 22 columns and POD 54, so
+        # the one factorization keeps 54 and POD writes the default run's files.
+        raw = cli.recipe_config("vdp-phase")
+        raw["dmd"] = {"svd_threshold": 1e-4}
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        base, strict = tmp_path / "base", tmp_path / "strict"
+        assert cli.main(["run", "vdp-phase", "--out", str(base)]) == 0
+        assert cli.main(["run", str(path), "--out", str(strict)]) == 0
+        summary = json.loads((strict / "run.json").read_text(encoding="utf-8"))
+        assert (summary["pod"]["k"], summary["dmd"]["rank_kept"]) == (54, 22)
+        for name in ("pod.json", "pod_basis.npy", "pod_coords.npy"):
+            assert (strict / name).read_bytes() == (base / name).read_bytes(), name
 
     def test_three_block_composite_keeps_two_factorizations(self, tmp_path, monkeypatch):
         raw = {

@@ -170,7 +170,7 @@ class TestExactDmd:
     ])
     def test_all_zero_data_raises_even_at_zero_cutoff(self, kwargs):
         x = np.zeros((6, 3))
-        with pytest.raises(DecompositionError, match="below the threshold"):
+        with pytest.raises(DecompositionError, match="identically zero"):
             dmd.exact_dmd(x, x, **kwargs)
 
     def test_zero_cutoff_drops_exact_zero_singular_values(self):
@@ -468,7 +468,7 @@ def recipe_data(name):
 
 def recipe_decomposition(name):
     """The decomposition a recipe run writes to modes.npy, without the files."""
-    return cli._run_decomposition(*recipe_data(name))
+    return cli._decompose(*recipe_data(name))[0]
 
 
 def torus_composite():

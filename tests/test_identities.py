@@ -11,6 +11,8 @@ reference (metamorphic testing).
 - affine: the observable 3*(f) + 2 keeps every eigenvalue and adds one
   at 1, since a constant is an eigenfunction at 1 and the rank rises by
   one;
+- scale: the observable 1e300*(f) keeps every eigenvalue and scales the
+  POD singular values by 1e300;
 - reversal: the series read back in reverse order (a `csv` source with
   the same t column) turns each eigenvalue lambda into conj(lambda) =
   1/lambda on the unit circle, and the mode for conj(lambda), read
@@ -133,6 +135,25 @@ def test_affine_observable_adds_an_eigenvalue_at_one(recipe, tmp_path):
     one = np.argmin(np.abs(affine - 1.0))
     assert abs(affine[one] - 1.0) <= BOUND
     assert set_distance(np.delete(affine, one), eigenvalues(base)) <= BOUND
+
+
+def test_observable_at_scale_1e300_keeps_the_spectrum(recipe, tmp_path):
+    # The truncation tail's squares would overflow unscaled, and the run
+    # would stop with dmd.json and run.json unwritten. Measured at 1e300:
+    # eigenvalues within 7.4e-16 (rotation-check) and 1.4e-15 (torus-synth),
+    # POD singular values within 1.4e-15 relative.
+    name, base = recipe
+    raw = cli.recipe_config(name)
+    [observable] = raw["observables"]
+    f = observable.get("expression", "cos(z1)")
+    raw["observables"] = [{"kind": "custom", "expression": f"1e300*({f})"}]
+    scaled = run(tmp_path, raw, "scaled")
+    assert sorted(p.name for p in scaled.iterdir()) == sorted(p.name for p in base.iterdir())
+    assert set_distance(eigenvalues(scaled), eigenvalues(base)) <= BOUND
+    sigma = [np.array(json.loads((out / "pod.json").read_text(encoding="utf-8"))
+                      ["singular_values"]) for out in (base, scaled)]
+    assert sigma[0].shape == sigma[1].shape
+    assert np.max(np.abs(sigma[1] / 1e300 - sigma[0]) / sigma[0]) <= BOUND
 
 
 def test_reversal_conjugates_eigenvalues_and_reverses_mode_rows(recipe, tmp_path):

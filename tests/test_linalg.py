@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from fresh_process import run_fresh
 from inline_pool import InlinePool
 from koopdmd import linalg
+from koopdmd.errors import DecompositionError
 
 
 def random_matrix(rows, cols, seed):
@@ -209,6 +210,25 @@ class TestSvdOf:
             linalg.svd_of(x, factors, lambda s: 4)
         with pytest.raises(ValueError, match="the caller needs 8"):
             linalg.svd_of(x, factors)
+
+
+class TestTruncationRank:
+    def test_counts_as_numerical_rank(self):
+        s = np.array([2.0, 1.0, 1e-9, 0.0])
+        assert linalg.truncation_rank(s) == 2
+        assert linalg.truncation_rank(s, 0.0) == 3
+        assert linalg.truncation_rank(s, 1.5, absolute=True) == 1
+
+    @pytest.mark.parametrize("s,kwargs,message", [
+        ([0.0, 0.0], {}, "the matrix is identically zero; nothing to decompose"),
+        ([0.0], {"tol": 0.0, "absolute": True}, "identically zero"),
+        ([2.0, 1.0], {"tol": 3.0, "absolute": True},
+         r"below the threshold \(abs 3\.000e\+00, largest 2\.000e\+00\)"),
+        ([2.0, 1.0], {"tol": 1.0}, r"below the threshold \(rel 1\.000e\+00"),
+    ])
+    def test_refuses_to_keep_nothing(self, s, kwargs, message):
+        with pytest.raises(DecompositionError, match=message):
+            linalg.truncation_rank(np.array(s), **kwargs)
 
 
 class TestEig:
